@@ -65,11 +65,11 @@ def main():
     )
     log_path = out / "training_log.csv"
     start = time.monotonic()
-    result = train(store, model, config, log_path=log_path, workers=2)
+    result = train(store, model, config, log_path=log_path)
     hours = (time.monotonic() - start) / 3600
 
     cats = categorize_relations(store)
-    report = evaluate(result.best_model, store, "test", cats, workers=2)
+    report = evaluate(result.best_model, store, "test", cats)
     print(report.to_text())
     print(f"\ntraining curve: {log_path}")
     print(f"wall time: {hours:.2f} h for {args.steps} steps")

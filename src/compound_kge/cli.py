@@ -12,7 +12,6 @@ import dataclasses
 import difflib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -151,9 +150,6 @@ def cmd_train(args) -> int:
             deterministic=args.deterministic,
         )
     print(config.to_json())
-
-    if config.deterministic:
-        os.environ["COMPOUND_KGE_THREADS"] = "1"
 
     store = load_dataset(config.data)
     print(
@@ -318,7 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="give head and tail chains independent rotation angles",
     )
     p_train.add_argument("--save", default=None, help="directory for checkpoints")
-    p_train.add_argument("--deterministic", action="store_true")
+    p_train.add_argument(
+        "--deterministic",
+        action="store_true",
+        help="recorded in run_config.json; every run is single-threaded and repeatable",
+    )
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")

@@ -83,7 +83,10 @@ def _read_triple_file(path: Path) -> list[tuple[str, str, str]]:
 
 
 def _read_dict_file(path: Path) -> dict[str, int]:
+    """Read ``id<TAB>name`` lines; names and ids must be unique and the
+    ids exactly 0..n-1."""
     mapping: dict[str, int] = {}
+    line_of_id: dict[int, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -96,9 +99,23 @@ def _read_dict_file(path: Path) -> dict[str, int]:
                 )
             idx, name = parts
             try:
-                mapping[name] = int(idx)
+                i = int(idx)
             except ValueError:
                 raise DatasetParseError(path, lineno, f"non-integer id {idx!r}") from None
+            if name in mapping:
+                raise DatasetParseError(path, lineno, f"repeated name {name!r}")
+            if i in line_of_id:
+                raise DatasetParseError(
+                    path, lineno, f"id {i} already used on line {line_of_id[i]}"
+                )
+            mapping[name] = i
+            line_of_id[i] = lineno
+    n = len(mapping)
+    for i, lineno in line_of_id.items():
+        if not 0 <= i < n:
+            raise DatasetParseError(
+                path, lineno, f"id {i} outside 0..{n - 1}: ids must be exactly 0..n-1"
+            )
     return mapping
 
 

@@ -12,8 +12,9 @@ algebraic identities between those maps:
   translation/rotation, which makes one score dominate the other.
 
 Residuals measure the max-abs deviation from the identity, per block,
-worst block reported.  Singular blocks cannot enter identities that
-need an inverse; they are excluded and counted separately.
+worst block reported.  Every identity is evaluated on whole (d/2, 3, 3)
+block stacks.  Singular blocks cannot enter identities that need an
+inverse; they are masked out and counted separately.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SingularOperatorError
 from .model import KGEModel
 from .scoring import CompoundSpec, RelationParams, score
-from .transforms import OperatorKind, chain_block_matrices, invert_compound_2d
+from .transforms import OperatorKind, chain_block_matrices, invert_blocks
 
 __all__ = [
     "relation_matrices",
@@ -61,46 +61,31 @@ def relation_matrices(r: RelationParams, spec: CompoundSpec):
     return m, m_hat
 
 
-def _block_inverses(blocks, det_tolerance):
-    """Inverses where they exist; None marks singular blocks."""
-    out = []
-    for b in blocks:
-        try:
-            out.append(invert_compound_2d(b, det_tolerance))
-        except SingularOperatorError:
-            out.append(None)
-    return out
+def _masked_max_abs(lhs, rhs, applicable, name) -> float:
+    """Worst max-abs difference over the applicable blocks of two stacks.
 
-
-def _max_abs_residual(pairs):
-    """Worst max-abs difference over (lhs, rhs) matrix pairs.
-
-    NaN when no block was applicable.
+    NaN when no block was applicable; blocks whose difference is NaN are
+    ignored.
     """
-    worst = -1.0
-    for lhs, rhs in pairs:
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst if worst >= 0 else math.nan
+    skipped = int(np.count_nonzero(~applicable))
+    if skipped:
+        log.debug("%s skipped %d singular blocks", name, skipped)
+    per_block = np.max(np.abs(lhs - rhs), axis=(-2, -1))[applicable]
+    worst = np.fmax.reduce(per_block, initial=-1.0)
+    return float(worst) if worst >= 0 else math.nan
 
 
 def symmetry_residual(m, m_hat, det_tolerance: float = EXACT_SCALE_TOLERANCE) -> float:
     """Deviation from the symmetric-relation identity M M_hat^-1 == M_hat M^-1.
 
-    Blocks where either map is singular are excluded (and counted in
+    Blocks where either map is singular are masked out (and counted in
     the log); returns NaN if nothing is applicable.
     """
-    inv_m = _block_inverses(m, det_tolerance)
-    inv_h = _block_inverses(m_hat, det_tolerance)
-    pairs = []
-    skipped = 0
-    for mi, hi, inv_mi, inv_hi in zip(m, m_hat, inv_m, inv_h):
-        if inv_mi is None or inv_hi is None:
-            skipped += 1
-            continue
-        pairs.append((mi @ inv_hi, hi @ inv_mi))
-    if skipped:
-        log.debug("symmetry_residual skipped %d singular blocks", skipped)
-    return _max_abs_residual(pairs)
+    inv_m, sing_m = invert_blocks(m, det_tolerance)
+    inv_h, sing_h = invert_blocks(m_hat, det_tolerance)
+    return _masked_max_abs(
+        m @ inv_h, m_hat @ inv_m, ~(sing_m | sing_h), "symmetry_residual"
+    )
 
 
 def inversion_residual(
@@ -108,18 +93,11 @@ def inversion_residual(
 ) -> float:
     """Deviation from the inverse-relation identity
     M2_hat^-1 M2 == M1^-1 M1_hat."""
-    inv_h2 = _block_inverses(m2_hat, det_tolerance)
-    inv_m1 = _block_inverses(m1, det_tolerance)
-    pairs = []
-    skipped = 0
-    for a1, h1, a2, inv1, inv2 in zip(m1, m1_hat, m2, inv_m1, inv_h2):
-        if inv1 is None or inv2 is None:
-            skipped += 1
-            continue
-        pairs.append((inv2 @ a2, inv1 @ h1))
-    if skipped:
-        log.debug("inversion_residual skipped %d singular blocks", skipped)
-    return _max_abs_residual(pairs)
+    inv_h2, sing_h2 = invert_blocks(m2_hat, det_tolerance)
+    inv_m1, sing_m1 = invert_blocks(m1, det_tolerance)
+    return _masked_max_abs(
+        inv_h2 @ m2, inv_m1 @ m1_hat, ~(sing_m1 | sing_h2), "inversion_residual"
+    )
 
 
 def composition_residual(
@@ -127,19 +105,15 @@ def composition_residual(
 ) -> float:
     """Deviation from the transitivity identity
     M3_hat^-1 M3 == (M2_hat^-1 M2)(M1_hat^-1 M1)."""
-    inv1 = _block_inverses(m1_hat, det_tolerance)
-    inv2 = _block_inverses(m2_hat, det_tolerance)
-    inv3 = _block_inverses(m3_hat, det_tolerance)
-    pairs = []
-    skipped = 0
-    for a1, a2, a3, i1, i2, i3 in zip(m1, m2, m3, inv1, inv2, inv3):
-        if i1 is None or i2 is None or i3 is None:
-            skipped += 1
-            continue
-        pairs.append((i3 @ a3, (i2 @ a2) @ (i1 @ a1)))
-    if skipped:
-        log.debug("composition_residual skipped %d singular blocks", skipped)
-    return _max_abs_residual(pairs)
+    inv1, sing1 = invert_blocks(m1_hat, det_tolerance)
+    inv2, sing2 = invert_blocks(m2_hat, det_tolerance)
+    inv3, sing3 = invert_blocks(m3_hat, det_tolerance)
+    return _masked_max_abs(
+        inv3 @ m3,
+        (inv2 @ m2) @ (inv1 @ m1),
+        ~(sing1 | sing2 | sing3),
+        "composition_residual",
+    )
 
 
 def subrelation_score_gap(
@@ -210,12 +184,12 @@ def relation_diagnostics(
     else:
         singularity_fraction = 0.0
 
-    dets = [abs(np.linalg.det(b[:2, :2])) for b in np.concatenate([m, m_hat])]
-    singular_blocks = sum(1 for det in dets if det < EXACT_SCALE_TOLERANCE)
+    dets = np.abs(np.linalg.det(np.concatenate([m, m_hat])[:, :2, :2]))
+    singular_blocks = int(np.count_nonzero(dets < EXACT_SCALE_TOLERANCE))
     return RelationDiagnostics(
         relation=rid,
         singularity_fraction=singularity_fraction,
-        block_det_min=float(min(dets)),
+        block_det_min=float(dets.min()),
         symmetry_residual=symmetry_residual(m, m_hat),
         singular_blocks=singular_blocks,
     )

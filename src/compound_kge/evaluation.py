@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import enum
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,16 +194,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    cap = os.environ.get("COMPOUND_KGE_THREADS")
-    cap = int(cap) if cap else None
-    if workers is None:
-        workers = 1
-    if cap is not None:
-        workers = max(1, min(workers, cap))
-    return max(1, workers)
-
-
 def evaluate(
     model: KGEModel,
     store: TripleStore,
@@ -215,16 +203,13 @@ def evaluate(
     filter_index: FilterIndex | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     limit: int | None = None,
-    workers: int | None = None,
 ) -> EvalReport:
     """Rank every triple of a split in both directions.
 
     ``categories`` buckets the per-direction cells by relation category;
     passing None collapses them into a single "all" bucket.  ``limit``
     truncates to the first triples of the split (handy for periodic
-    validation).  ``workers`` > 1 ranks triples in a thread pool; the
-    result is identical to a serial run.  The ``COMPOUND_KGE_THREADS``
-    environment variable caps the worker count.
+    validation).
     """
     triples = store.split(split)
     if limit is not None:
@@ -234,22 +219,10 @@ def evaluate(
     if filter_index is None:
         filter_index = build_filter_index(store)
 
-    workers = _resolve_workers(workers)
-
-    def rank_block(block):
-        out = np.empty((len(block), 2), dtype=np.int64)
-        for i, triple in enumerate(block):
-            out[i, 0] = filtered_rank(model, triple, Direction.HEAD, filter_index, chunk_size)
-            out[i, 1] = filtered_rank(model, triple, Direction.TAIL, filter_index, chunk_size)
-        return out
-
-    if workers == 1:
-        ranks = rank_block(triples)
-    else:
-        blocks = np.array_split(triples, workers * 4)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(rank_block, [b for b in blocks if len(b)]))
-        ranks = np.concatenate(parts, axis=0)
+    ranks = np.empty((len(triples), 2), dtype=np.int64)
+    for i, triple in enumerate(triples):
+        ranks[i, 0] = filtered_rank(model, triple, Direction.HEAD, filter_index, chunk_size)
+        ranks[i, 1] = filtered_rank(model, triple, Direction.TAIL, filter_index, chunk_size)
 
     if categories is not None:
         cat_of = {c.relation: c.category.value for c in categories}

@@ -26,7 +26,6 @@ from .transforms import TransformParams, chain_backward, chain_forward_tape
 __all__ = [
     "Side",
     "TrainConfig",
-    "NegativeBatch",
     "sample_negatives",
     "self_adversarial_weights",
     "loss",
@@ -83,32 +82,18 @@ class TrainConfig:
             raise ValueError("valid_interval must be positive")
 
 
-@dataclass
-class NegativeBatch:
-    """Corruptions of one positive triple on one side."""
+def sample_negatives(n_entities: int, size, rng: np.random.Generator) -> np.ndarray:
+    """Draw replacement entity ids uniformly, with replacement.
 
-    corrupted_entity_ids: np.ndarray
-    corruption_side: Side
-    source_triple: tuple[int, int, int]
-
-
-def sample_negatives(
-    triple, n_entities: int, n: int, side: Side, rng: np.random.Generator
-) -> NegativeBatch:
-    """Draw ``n`` replacement entities uniformly, with replacement.
-
-    No filtering against known-true triples happens here; filtering is
-    purely an evaluation concept.
+    ``size`` is the output shape, e.g. (B, N) for N corruptions of each
+    of B positives.  No filtering against known-true triples happens
+    here; filtering is purely an evaluation concept.
     """
     if n_entities < 1:
         raise ValueError("cannot sample negatives from an empty entity set")
     if n_entities < 2:
         raise ValueError("negative sampling needs at least two entities")
-    if n < 1:
-        raise ValueError("need at least one negative sample")
-    ids = rng.integers(0, n_entities, size=n, dtype=np.int64)
-    h, r, t = (int(x) for x in triple)
-    return NegativeBatch(ids, side, (h, r, t))
+    return rng.integers(0, n_entities, size=size, dtype=np.int64)
 
 
 def log_sigmoid(x):
@@ -404,9 +389,7 @@ def train_step(
     if positives.ndim != 2 or positives.shape[1] != 3:
         raise ValueError("positives must be a (B, 3) integer array")
     B = positives.shape[0]
-    neg_ids = rng.integers(
-        0, model.n_entities, size=(B, config.negative_size), dtype=np.int64
-    )
+    neg_ids = sample_negatives(model.n_entities, (B, config.negative_size), rng)
     corrupt_head = np.arange(B) % 2 == 0
 
     mean_loss, per_pos, grads = batch_loss_and_grads(
@@ -422,15 +405,8 @@ def train_step(
 
     touched = grads["entities"][0]
     rows = model.entities[touched]
-    norms = np.linalg.norm(rows, axis=1)
-    degenerate = norms < 1e-12
-    if np.any(degenerate):
-        d = model.dim
-        rows[degenerate] = rng.uniform(
-            -0.5, 0.5, size=(int(degenerate.sum()), d)
-        ) / np.sqrt(d)
-        norms = np.linalg.norm(rows, axis=1)
-    model.entities[touched] = rows / norms[:, None]
+    normalize_entities(rows, rng)
+    model.entities[touched] = rows
     model.step += 1
     return mean_loss
 
@@ -452,7 +428,6 @@ def train(
     config: TrainConfig,
     *,
     log_path=None,
-    workers: int | None = None,
 ) -> TrainResult:
     """Run the full training loop.
 
@@ -498,7 +473,6 @@ def train(
                     categories=None,
                     filter_index=filter_index,
                     limit=config.valid_limit,
-                    workers=workers,
                 )
                 valid_mrr = report.mrr
                 if valid_mrr > best_mrr:

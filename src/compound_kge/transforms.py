@@ -40,6 +40,7 @@ __all__ = [
     "validate_chain",
     "compound_matrix_2d",
     "invert_compound_2d",
+    "invert_blocks",
     "chain_block_matrices",
     "DET_TOLERANCE",
 ]
@@ -219,17 +220,42 @@ def apply_chain(x, chain, params: TransformParams):
 # Homogeneous 3x3 block matrices
 # ---------------------------------------------------------------------------
 
-def _translation_matrix(v_x, v_y):
-    return np.array([[1.0, 0.0, v_x], [0.0, 1.0, v_y], [0.0, 0.0, 1.0]])
+def _operator_blocks(op: OperatorKind, params: TransformParams) -> np.ndarray:
+    """Stack of one elementary operator's 3x3 matrices, one per block."""
+    angles = params.angles
+    m = np.zeros(angles.shape + (3, 3))
+    m[..., 2, 2] = 1.0
+    if op is OperatorKind.TRANSLATION:
+        m[..., 0, 0] = m[..., 1, 1] = 1.0
+        m[..., 0, 2] = params.translation[..., 0::2]
+        m[..., 1, 2] = params.translation[..., 1::2]
+    elif op is OperatorKind.ROTATION:
+        c, s = np.cos(angles), np.sin(angles)
+        m[..., 0, 0], m[..., 0, 1] = c, -s
+        m[..., 1, 0], m[..., 1, 1] = s, c
+    else:
+        m[..., 0, 0] = params.scale[..., 0::2]
+        m[..., 1, 1] = params.scale[..., 1::2]
+    return m
 
 
-def _rotation_matrix(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def chain_block_matrices(chain, params: TransformParams) -> np.ndarray:
+    """Stack of per-block homogeneous 3x3 matrices of a chain.
 
-
-def _scaling_matrix(s_x, s_y):
-    return np.array([[s_x, 0.0, 0.0], [0.0, s_y, 0.0], [0.0, 0.0, 1.0]])
+    Returns an array of shape (..., d // 2, 3, 3); block ``i`` transforms
+    coordinates ``(2i, 2i+1)``.  Each operator's stack is multiplied in
+    chain (matrix-product) order, and the bottom row is exactly
+    (0, 0, 1).
+    """
+    chain = validate_chain(chain)
+    d = params.dim
+    if d % 2 != 0:
+        raise ValueError(f"block matrices need an even dimension, got d={d}")
+    m = np.broadcast_to(np.eye(3), params.angles.shape + (3, 3)).copy()
+    for op in chain:
+        m = m @ _operator_blocks(op, params)
+    m[..., 2, :] = (0.0, 0.0, 1.0)
+    return m
 
 
 def compound_matrix_2d(chain, block_params) -> np.ndarray:
@@ -251,26 +277,41 @@ def compound_matrix_2d(chain, block_params) -> np.ndarray:
         ``[[s_x cos(theta), -s_y sin(theta), v_x],
         [s_x sin(theta), s_y cos(theta), v_y], [0, 0, 1]]``.
     """
-    chain = validate_chain(chain)
     v_x, v_y, theta, s_x, s_y = (float(p) for p in block_params)
-    m = np.eye(3)
-    for op in chain:
-        if op is OperatorKind.TRANSLATION:
-            m = m @ _translation_matrix(v_x, v_y)
-        elif op is OperatorKind.ROTATION:
-            m = m @ _rotation_matrix(theta)
-        else:
-            m = m @ _scaling_matrix(s_x, s_y)
-    m[2, 0] = 0.0
-    m[2, 1] = 0.0
-    m[2, 2] = 1.0
-    return m
+    params = TransformParams([v_x, v_y], [theta], [s_x, s_y])
+    return chain_block_matrices(chain, params)[0]
+
+
+def invert_blocks(m, det_tolerance: float = DET_TOLERANCE):
+    """Invert a stack of homogeneous block matrices in closed block form.
+
+    For ``m = [[A, v], [0, 1]]`` the inverse is ``[[A^-1, -A^-1 v], [0, 1]]``.
+    Blocks with ``|det A| < det_tolerance`` have no usable inverse: they
+    are flagged in the returned mask and their inverse entries are NaN.
+
+    Returns
+    -------
+    (inverse, singular_mask)
+        Arrays of shapes (..., 3, 3) and (...).
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a stack of 3x3 matrices, got shape {m.shape}")
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = a * d - b * c
+    singular = np.abs(det) < det_tolerance
+    det = np.where(singular, 1.0, det)
+    out = np.zeros(m.shape)
+    out[..., 0, 0], out[..., 0, 1] = d / det, -b / det
+    out[..., 1, 0], out[..., 1, 1] = -c / det, a / det
+    out[..., :2, 2] = (-out[..., :2, :2] @ m[..., :2, 2:])[..., 0]
+    out[..., 2, 2] = 1.0
+    out[singular] = np.nan
+    return out, singular
 
 
 def invert_compound_2d(m, det_tolerance: float = DET_TOLERANCE) -> np.ndarray:
-    """Invert a homogeneous block matrix in closed block form.
-
-    For ``m = [[A, v], [0, 1]]`` the inverse is ``[[A^-1, -A^-1 v], [0, 1]]``.
+    """Invert one homogeneous block matrix (see :func:`invert_blocks`).
 
     Raises
     ------
@@ -282,41 +323,11 @@ def invert_compound_2d(m, det_tolerance: float = DET_TOLERANCE) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    det = a * d - b * c
-    if abs(det) < det_tolerance:
+    out, singular = invert_blocks(m, det_tolerance)
+    if singular:
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         raise SingularOperatorError(
             f"block determinant {det:.3e} below tolerance {det_tolerance:.1e}"
-        )
-    inv_a = np.array([[d, -b], [-c, a]]) / det
-    out = np.eye(3)
-    out[:2, :2] = inv_a
-    out[:2, 2] = -inv_a @ m[:2, 2]
-    return out
-
-
-def chain_block_matrices(chain, params: TransformParams) -> np.ndarray:
-    """Stack of per-block 3x3 matrices for a full parameter set.
-
-    Returns an array of shape (d // 2, 3, 3); block ``i`` transforms
-    coordinates ``(2i, 2i+1)``.
-    """
-    chain = validate_chain(chain)
-    d = params.dim
-    if d % 2 != 0:
-        raise ValueError(f"block matrices need an even dimension, got d={d}")
-    n_blocks = d // 2
-    out = np.empty((n_blocks, 3, 3))
-    for i in range(n_blocks):
-        out[i] = compound_matrix_2d(
-            chain,
-            (
-                params.translation[2 * i],
-                params.translation[2 * i + 1],
-                params.angles[i],
-                params.scale[2 * i],
-                params.scale[2 * i + 1],
-            ),
         )
     return out
 

@@ -299,6 +299,31 @@ def test_categorize_eta_zero_all_n_to_n(data_dir, capsys):
     assert "1-to-1 " not in out.split("fraction")[0].replace("non-1-to-1", "")
 
 
+def _dataset_with_entity_dict(path, dict_text):
+    path.mkdir()
+    (path / "train.txt").write_text("a\tr\tb\nc\tr\td\n")
+    (path / "valid.txt").write_text("a\tr\td\n")
+    (path / "test.txt").write_text("b\tr\ta\n")
+    (path / "entities.dict").write_text(dict_text)
+    return path
+
+
+def test_categorize_non_contiguous_entity_ids_fail_cleanly(tmp_path, capsys):
+    path = _dataset_with_entity_dict(tmp_path / "gap", "0\ta\n1\tb\n2\tc\n5\td\n")
+    code = run_cli(["categorize", "--data", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "entities.dict:4" in err and "0..3" in err
+
+
+def test_categorize_duplicate_entity_id_fails_cleanly(tmp_path, capsys):
+    path = _dataset_with_entity_dict(tmp_path / "dup", "0\ta\n1\tb\n1\tc\n2\td\n")
+    code = run_cli(["categorize", "--data", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "entities.dict:3" in err and "id 1 already used on line 2" in err
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 # ---------------------------------------------------------------------------

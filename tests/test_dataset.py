@@ -100,6 +100,15 @@ def test_malformed_line_reports_position(tmp_path):
         load_dataset(tmp_path)
 
 
+def test_repeated_dictionary_name_rejected(tmp_path):
+    write_dataset(tmp_path, TOY_TRAIN, TOY_VALID, TOY_TEST)
+    (tmp_path / "relations.dict").write_text(
+        "0\tcapital_of\n1\tlocated_in\n2\tcapital_of\n"
+    )
+    with pytest.raises(DatasetParseError, match=r"relations\.dict:3: repeated name"):
+        load_dataset(tmp_path)
+
+
 def test_overlapping_splits_rejected(tmp_path):
     write_dataset(tmp_path, TOY_TRAIN, TOY_VALID, [TOY_TRAIN[0]])
     with pytest.raises(DatasetError, match="share 1 triples"):

@@ -185,6 +185,74 @@ def test_composition_residual_order_swap_differs():
 
 
 # ---------------------------------------------------------------------------
+# whole-stack residuals against an independent per-block loop
+# ---------------------------------------------------------------------------
+
+def loop_residual(stacks, inverted, identity, tol=1e-8):
+    """Per-block oracle: skip blocks where a map in ``inverted`` has
+    |ad - bc| < tol, invert those maps with np.linalg.inv, evaluate
+    ``identity`` on (blocks, inverses), and report the worst block."""
+    worst = -1.0
+    for blocks in zip(*stacks):
+        need = [blocks[k] for k in inverted]
+        if any(abs(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]) < tol for b in need):
+            continue
+        lhs, rhs = identity(blocks, [np.linalg.inv(b) for b in need])
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst if worst >= 0 else math.nan
+
+
+def planted_relations(rng, n, d=12):
+    """Relation matrices with zero scales planted in some blocks."""
+    spec = compound_spec("full", "SRT", "SRT", dim=d)
+    out = []
+    for _ in range(n):
+        r = random_relation(rng, d)
+        for side in (r.head, r.tail):
+            side.scale[rng.random(d) < 0.15] = 0.0
+        out.extend(relation_matrices(r, spec))
+    return out
+
+
+def assert_nan_equal(got, want):
+    assert (math.isnan(got) and math.isnan(want)) or got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_residuals_match_per_block_loop(seed):
+    rng = np.random.default_rng(100 + seed)
+    m1, h1, m2, h2, m3, h3 = planted_relations(rng, 3)
+    assert_nan_equal(
+        symmetry_residual(m1, h1),
+        loop_residual([m1, h1], [0, 1], lambda b, i: (b[0] @ i[1], b[1] @ i[0])),
+    )
+    assert_nan_equal(
+        inversion_residual(m1, h1, m2, h2),
+        loop_residual([m1, h1, m2, h2], [0, 3], lambda b, i: (i[1] @ b[2], i[0] @ b[1])),
+    )
+    assert_nan_equal(
+        composition_residual(m1, h1, m2, h2, m3, h3),
+        loop_residual(
+            [m1, h1, m2, h2, m3, h3],
+            [1, 3, 5],
+            lambda b, i: (i[2] @ b[4], (i[1] @ b[2]) @ (i[0] @ b[0])),
+        ),
+    )
+
+
+def test_stacked_residuals_all_singular_nan():
+    rng = np.random.default_rng(9)
+    m1, h1, m2, h2, m3, h3 = planted_relations(rng, 3, d=6)
+    h1 = h1.copy()
+    h1[:, 0, :2] = 0.0  # every block of one map singular
+    assert math.isnan(loop_residual([m1, h1], [0, 1], lambda b, i: (b[0] @ i[1], b[1] @ i[0])))
+    assert math.isnan(symmetry_residual(m1, h1))
+    assert math.isnan(symmetry_residual(h1, m1))
+    assert math.isnan(inversion_residual(m2, h2, m1, h1))
+    assert math.isnan(composition_residual(m1, h1, m2, h2, m3, h3))
+
+
+# ---------------------------------------------------------------------------
 # sub-relation score gap
 # ---------------------------------------------------------------------------
 

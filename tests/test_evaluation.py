@@ -287,25 +287,6 @@ def test_evaluate_overall_is_weighted_mean_of_cells():
     assert report.mrr == pytest.approx(total / count, abs=1e-12)
 
 
-def test_evaluate_parallel_equals_serial():
-    rng = np.random.default_rng(8)
-    store = random_store(rng, 18, 2, 50, 9)
-    model = random_model(rng, 18, 2)
-    cats = categorize_relations(store)
-    serial = evaluate(model, store, "test", cats, workers=1)
-    parallel = evaluate(model, store, "test", cats, workers=4)
-    assert serial.as_dict() == parallel.as_dict()
-
-
-def test_evaluate_thread_env_cap(monkeypatch):
-    monkeypatch.setenv("COMPOUND_KGE_THREADS", "1")
-    rng = np.random.default_rng(9)
-    store = random_store(rng, 10, 1, 30, 4)
-    model = random_model(rng, 10, 1)
-    report = evaluate(model, store, "test", None, workers=8)
-    assert report.triple_count == len(store.test)
-
-
 def test_evaluate_empty_split_rejected():
     rng = np.random.default_rng(10)
     store = random_store(rng, 10, 1, 30, 4)

@@ -8,7 +8,6 @@ from compound_kge.scoring import compound_spec, preset_transe
 from compound_kge.synthetic import SyntheticPattern, generate_synthetic_kg
 from compound_kge.training import (
     Adam,
-    Side,
     TrainConfig,
     batch_loss_and_grads,
     loss,
@@ -53,31 +52,31 @@ def fresh_model(dim=8, n_entities=5, n_relations=2, seed=0, **kw):
 
 def test_sample_negatives_support():
     rng = np.random.default_rng(0)
-    batch = sample_negatives((0, 0, 1), 2, 1, Side.TAIL, rng)
-    assert batch.corrupted_entity_ids[0] in (0, 1)
-    assert batch.corruption_side is Side.TAIL
-    assert batch.source_triple == (0, 0, 1)
+    ids = sample_negatives(2, (3, 5), rng)
+    assert ids.shape == (3, 5)
+    assert ids.dtype == np.int64
+    assert set(np.unique(ids)) <= {0, 1}
 
 
 def test_sample_negatives_deterministic():
-    a = sample_negatives((0, 0, 1), 100, 32, Side.HEAD, np.random.default_rng(7))
-    b = sample_negatives((0, 0, 1), 100, 32, Side.HEAD, np.random.default_rng(7))
-    np.testing.assert_array_equal(a.corrupted_entity_ids, b.corrupted_entity_ids)
+    a = sample_negatives(100, (4, 32), np.random.default_rng(7))
+    b = sample_negatives(100, (4, 32), np.random.default_rng(7))
+    np.testing.assert_array_equal(a, b)
 
 
 def test_sample_negatives_uniform_chi2():
     rng = np.random.default_rng(123)
-    draws = sample_negatives((0, 0, 1), 10, 100_000, Side.TAIL, rng)
-    counts = np.bincount(draws.corrupted_entity_ids, minlength=10)
+    draws = sample_negatives(10, 100_000, rng)
+    counts = np.bincount(draws, minlength=10)
     result = scipy.stats.chisquare(counts)
     assert result.pvalue > 0.001
 
 
 def test_sample_negatives_empty_entity_set():
     with pytest.raises(ValueError, match="empty entity set"):
-        sample_negatives((0, 0, 1), 0, 4, Side.TAIL, np.random.default_rng(0))
+        sample_negatives(0, (2, 4), np.random.default_rng(0))
     with pytest.raises(ValueError, match="two entities"):
-        sample_negatives((0, 0, 0), 1, 4, Side.TAIL, np.random.default_rng(0))
+        sample_negatives(1, (2, 4), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from compound_kge.transforms import (
     chain_block_matrices,
     chain_from_string,
     compound_matrix_2d,
+    invert_blocks,
     invert_compound_2d,
 )
 
@@ -322,3 +323,63 @@ def test_chain_block_matrices_consistent_with_apply():
     for i in range(d // 2):
         block = mats[i] @ np.array([x[2 * i], x[2 * i + 1], 1.0])
         np.testing.assert_allclose(applied[2 * i : 2 * i + 2], block[:2], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Whole-stack algebra: stacked matrices and the masked inverse
+# ---------------------------------------------------------------------------
+
+def planted_singular_stack(rng, n_relations=5, d=16):
+    """(n_relations, d/2, 3, 3) full-chain stack with zero-scale blocks:
+    some scattered, and every block of relation 0 on one axis."""
+    scale = rng.normal(size=(n_relations, d))
+    scale[rng.random((n_relations, d)) < 0.2] = 0.0
+    scale[0, 0::2] = 0.0
+    params = TransformParams(
+        rng.normal(size=(n_relations, d)),
+        rng.uniform(-np.pi, np.pi, (n_relations, d // 2)),
+        scale,
+    )
+    return chain_block_matrices((T, R, S), params)
+
+
+def test_chain_block_matrices_stacked_equals_oracle():
+    rng = np.random.default_rng(44)
+    d = 10
+    params = TransformParams(
+        rng.normal(size=(3, d)), rng.uniform(-np.pi, np.pi, (3, d // 2)), rng.normal(size=(3, d))
+    )
+    for chain in ALL_ORDERS + [(T,), (R, S), ()]:
+        mats = chain_block_matrices(chain, params)
+        assert mats.shape == (3, d // 2, 3, 3)
+        for k in range(3):
+            for i in range(d // 2):
+                block = (
+                    params.translation[k, 2 * i],
+                    params.translation[k, 2 * i + 1],
+                    params.angles[k, i],
+                    params.scale[k, 2 * i],
+                    params.scale[k, 2 * i + 1],
+                )
+                np.testing.assert_allclose(
+                    mats[k, i], oracle_matrix(chain, *block), atol=1e-12
+                )
+
+
+def test_invert_blocks_mask_matches_determinant():
+    rng = np.random.default_rng(45)
+    m = planted_singular_stack(rng)
+    tol = 1e-8
+    inv, singular = invert_blocks(m, tol)
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    np.testing.assert_array_equal(singular, np.abs(det) < tol)
+    assert singular[0].all() and 0 < singular[1:].sum() < singular[1:].size
+    assert np.isnan(inv[singular]).all()
+    want = np.linalg.inv(m[~singular])
+    np.testing.assert_allclose(inv[~singular], want, rtol=1e-9, atol=1e-9)
+    assert (inv[~singular][:, 2] == (0.0, 0.0, 1.0)).all()
+
+
+def test_invert_blocks_rejects_non_3x3():
+    with pytest.raises(ValueError, match="3x3"):
+        invert_blocks(np.zeros((4, 2, 2)))
