@@ -59,7 +59,6 @@ from .synthetic import SyntheticPattern, generate_synthetic_kg
 from .training import (
     Adam,
     SGD,
-    Side,
     TrainConfig,
     TrainResult,
     loss,

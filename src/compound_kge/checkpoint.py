@@ -43,6 +43,12 @@ __all__ = [
 MAGIC = b"CMPE0001"
 FORMAT_VERSION = 1
 
+# header entries a model cannot be rebuilt without
+_REQUIRED_KEYS = (
+    "spec", "trainable", "shared_rotation", "n_entities", "n_relations",
+    "entity_names", "relation_names", "arrays",
+)
+
 _MASK_FIELDS = (
     "head_translation",
     "head_rotation",
@@ -91,13 +97,6 @@ def _array_manifest(model: KGEModel) -> list[tuple[str, tuple[int, ...]]]:
     return entries
 
 
-def _get_array(model: KGEModel, name: str) -> np.ndarray:
-    if name == "entities":
-        return model.entities
-    side, attr = name.split(".")
-    return getattr(getattr(model, side), attr)
-
-
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     model = ckpt.model
     spec = model.spec
@@ -130,7 +129,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(blob)
         for name, _ in manifest:
             fh.write(
-                np.ascontiguousarray(_get_array(model, name), dtype="<f4").tobytes()
+                np.ascontiguousarray(model.table(name), dtype="<f4").tobytes()
             )
 
 
@@ -160,6 +159,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"unsupported format version {version!r} (supported: {FORMAT_VERSION})"
         )
+    for key in _REQUIRED_KEYS:
+        if key not in header:
+            raise CheckpointError(f"checkpoint header is missing {key!r}")
     spec_h = header["spec"]
     spec = CompoundSpec(
         variant=Variant(spec_h["variant"]),

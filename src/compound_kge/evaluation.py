@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import FilterIndex, RelationCategory, TripleStore, build_filter_index
 from .model import KGEModel
-from .scoring import Norm
+from .scoring import _distance
 from .transforms import apply_chain
 
 __all__ = [
@@ -61,10 +61,7 @@ def _score_block(model: KGEModel, rid: int, fixed: np.ndarray, direction: Direct
         moved = apply_chain(block, spec.tail_chain, r.tail)
     else:
         moved = apply_chain(block, spec.head_chain, r.head)
-    diff = moved - fixed
-    if spec.norm is Norm.L1:
-        return np.sum(np.abs(diff), axis=-1)
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    return _distance(moved - fixed, spec.norm)
 
 
 def _fixed_side(model: KGEModel, triple, direction: Direction) -> np.ndarray:
@@ -211,6 +208,12 @@ def evaluate(
     truncates to the first triples of the split (handy for periodic
     validation).
     """
+    if limit is not None and limit < 1:
+        raise ValueError(
+            f"limit must be positive (or None for the whole split), got {limit}"
+        )
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     triples = store.split(split)
     if limit is not None:
         triples = triples[:limit]

@@ -63,6 +63,15 @@ class KGEModel:
     def dim(self) -> int:
         return self.spec.dim
 
+    def table(self, name: str) -> np.ndarray:
+        """The array a table name refers to: ``entities`` or
+        ``<side>.<field>`` such as ``head.angles``.  Optimizer state,
+        gradients and checkpoint arrays are keyed by these names."""
+        if name == "entities":
+            return self.entities
+        side, field = name.split(".")
+        return getattr(getattr(self, side), field)
+
     def relation_params(self, rid: int) -> RelationParams:
         """Per-relation view (shares memory with the tables)."""
         return RelationParams(

@@ -19,6 +19,7 @@ from .transforms import (
     ChainGrads,
     OperatorKind,
     TransformParams,
+    apply_chain,
     chain_backward,
     chain_forward_tape,
     chain_from_string,
@@ -155,6 +156,15 @@ class TrainableMask:
         )
 
 
+# Each parameter group: its TrainableMask suffix, ChainGrads field and
+# ParamTables field (the table name is "<side>.<ParamTables field>").
+_PARAM_GROUPS = (
+    ("translation", "translation", "translations"),
+    ("rotation", "angles", "angles"),
+    ("scale", "scale", "scales"),
+)
+
+
 @dataclass(frozen=True)
 class ModelPreset:
     """A named scoring restriction plus its frozen-parameter contract."""
@@ -165,14 +175,20 @@ class ModelPreset:
     shared_rotation: bool = False
 
 
+def _distance(diff: np.ndarray, norm: Norm) -> np.ndarray:
+    """L1 or L2 norm of the transformed gap along the last axis."""
+    if norm is Norm.L1:
+        return np.sum(np.abs(diff), axis=-1)
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
 def _norm_and_grad(diff: np.ndarray, norm: Norm):
     """Score and its gradient with respect to the transformed gap."""
+    f = _distance(diff, norm)
     if norm is Norm.L1:
-        f = np.sum(np.abs(diff), axis=-1)
         # subgradient at the kink is taken as 0 (np.sign(0) == 0)
         g = np.sign(diff)
     else:
-        f = np.sqrt(np.sum(diff * diff, axis=-1))
         safe = np.where(f == 0.0, 1.0, f)
         g = diff / safe[..., None]
     return f, g
@@ -191,12 +207,9 @@ def score(h, r: RelationParams, t, spec: CompoundSpec):
             f"entity dimension mismatch: spec.dim={spec.dim}, "
             f"h has {h.shape[-1]}, t has {t.shape[-1]}"
         )
-    u, _ = chain_forward_tape(h, spec.head_chain, r.head)
-    v, _ = chain_forward_tape(t, spec.tail_chain, r.tail)
-    diff = u - v
-    if spec.norm is Norm.L1:
-        return np.sum(np.abs(diff), axis=-1)
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    u = apply_chain(h, spec.head_chain, r.head)
+    v = apply_chain(t, spec.tail_chain, r.tail)
+    return _distance(u - v, spec.norm)
 
 
 @dataclass
@@ -237,18 +250,10 @@ def grad_score(
         head_grads.angles = head_grads.angles + tail_grads.angles
         tail_grads.angles = np.zeros_like(tail_grads.angles)
     if trainable is not None:
-        if not trainable.head_translation:
-            head_grads.translation = np.zeros_like(head_grads.translation)
-        if not trainable.head_rotation:
-            head_grads.angles = np.zeros_like(head_grads.angles)
-        if not trainable.head_scale:
-            head_grads.scale = np.zeros_like(head_grads.scale)
-        if not trainable.tail_translation:
-            tail_grads.translation = np.zeros_like(tail_grads.translation)
-        if not trainable.tail_rotation:
-            tail_grads.angles = np.zeros_like(tail_grads.angles)
-        if not trainable.tail_scale:
-            tail_grads.scale = np.zeros_like(tail_grads.scale)
+        for side, grads in (("head", head_grads), ("tail", tail_grads)):
+            for group, field, _ in _PARAM_GROUPS:
+                if not getattr(trainable, f"{side}_{group}"):
+                    setattr(grads, field, np.zeros_like(getattr(grads, field)))
     return ScoreGradients(h=gh, t=gt, head=head_grads, tail=tail_grads)
 
 

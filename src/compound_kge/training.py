@@ -6,11 +6,16 @@ prediction directions train.  Negative triples are weighted by a
 temperature-scaled softmax of their own scores, and those weights are
 treated as constants during backpropagation.  After every optimizer
 step entity rows are projected back to unit norm.
+
+A batch runs four chain passes through the same operator loop and
+distance that ``scoring.score`` and evaluation use: positive heads,
+positive tails, head-corrupted negatives and tail-corrupted negatives.
+The backward walks the four passes in that order and collects row ids
+and gradients per table name (``entities``, ``head.angles``, ...).
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 import time
 from dataclasses import dataclass, field
@@ -20,11 +25,10 @@ import numpy as np
 from .dataset import TripleStore, build_filter_index
 from .errors import TrainingDivergedError
 from .model import KGEModel
-from .scoring import _norm_and_grad
+from .scoring import _PARAM_GROUPS, _norm_and_grad
 from .transforms import TransformParams, chain_backward, chain_forward_tape
 
 __all__ = [
-    "Side",
     "TrainConfig",
     "sample_negatives",
     "self_adversarial_weights",
@@ -43,11 +47,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 LOG_HEADER = "step,loss,valid_mrr,elapsed_seconds"
-
-
-class Side(enum.Enum):
-    HEAD = "head"
-    TAIL = "tail"
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,11 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.valid_interval < 1:
             raise ValueError("valid_interval must be positive")
+        if self.valid_limit is not None and self.valid_limit < 1:
+            raise ValueError(
+                "valid_limit must be positive (or None for the whole split), "
+                f"got {self.valid_limit}"
+            )
 
 
 def sample_negatives(n_entities: int, size, rng: np.random.Generator) -> np.ndarray:
@@ -238,39 +242,42 @@ def batch_loss_and_grads(
     ``weights`` overrides the self-adversarial weights (used by
     gradient checks, which must hold them constant).
 
+    Four chain passes carry the batch: positive heads, positive tails,
+    head-corrupted negatives and tail-corrupted negatives.  A pass with
+    no rows runs on empty arrays.
+
     Returns ``(mean_loss, per_positive_loss, grads)`` with ``grads``
-    mapping table names to ``(rows, grad_rows)`` pairs.
+    mapping table names (see :meth:`KGEModel.table`) to
+    ``(rows, grad_rows)`` pairs.
     """
     spec = model.spec
-    ents = model.entities
     h_ids, r_ids, t_ids = positives[:, 0], positives[:, 1], positives[:, 2]
     B, N = neg_ids.shape
-
-    ph = _gather(model.head, r_ids)
-    pt = _gather(model.tail, r_ids)
-    u, tape_u = chain_forward_tape(ents[h_ids], spec.head_chain, ph)
-    v, tape_v = chain_forward_tape(ents[t_ids], spec.tail_chain, pt)
-    f_pos, gdir_pos = _norm_and_grad(u - v, spec.norm)
-
     idx_h = np.where(corrupt_head)[0]
     idx_t = np.where(~corrupt_head)[0]
+    passes = []  # (side, relation rows, entity ids, params, tape)
+
+    def forward(side, rows, ids):
+        """Transform entity rows ``ids`` by ``side``'s chain of relations ``rows``."""
+        p = _gather(getattr(model, side), rows, extra_axis=ids.ndim == 2)
+        y, tape = chain_forward_tape(model.entities[ids], getattr(spec, f"{side}_chain"), p)
+        passes.append((side, rows, ids, p, tape))
+        return y
+
+    u = forward("head", r_ids, h_ids)
+    v = forward("tail", r_ids, t_ids)
+    f_pos, g_u = _norm_and_grad(u - v, spec.norm)
+    # a negative pass's gap is formed in place in its transformed vectors
+    y = forward("head", r_ids[idx_h], neg_ids[idx_h])
+    y -= v[idx_h][:, None, :]
+    f_h, g_h = _norm_and_grad(y, spec.norm)
+    y = forward("tail", r_ids[idx_t], neg_ids[idx_t])
+    np.subtract(u[idx_t][:, None, :], y, out=y)
+    f_t, g_t = _norm_and_grad(y, spec.norm)
+    del y
     f_neg = np.empty((B, N))
-    neg_passes = {}
-    for idx, side in ((idx_h, Side.HEAD), (idx_t, Side.TAIL)):
-        if len(idx) == 0:
-            continue
-        x = ents[neg_ids[idx]]
-        if side is Side.HEAD:
-            p = _gather(model.head, r_ids[idx], extra_axis=True)
-            y, tape = chain_forward_tape(x, spec.head_chain, p)
-            diff = y - v[idx][:, None, :]
-        else:
-            p = _gather(model.tail, r_ids[idx], extra_axis=True)
-            y, tape = chain_forward_tape(x, spec.tail_chain, p)
-            diff = u[idx][:, None, :] - y
-        f, gdir = _norm_and_grad(diff, spec.norm)
-        f_neg[idx] = f
-        neg_passes[side] = (idx, p, tape, gdir)
+    f_neg[idx_h] = f_h
+    f_neg[idx_t] = f_t
 
     if weights is None:
         weights = self_adversarial_weights(f_neg, config.adversarial_temperature)
@@ -281,94 +288,48 @@ def batch_loss_and_grads(
     c_pos = _sigmoid(f_pos - config.margin) / B
     c_neg = -weights * _sigmoid(config.margin - f_neg) / B
 
-    # upstream gradients of the transformed positive-side vectors
-    g_u = c_pos[:, None] * gdir_pos
-    g_v = -g_u.copy()
-    for side, (idx, p, tape, gdir) in neg_passes.items():
-        weighted = c_neg[idx][:, :, None] * gdir
-        if side is Side.HEAD:
-            g_v[idx] -= np.sum(weighted, axis=1)
-        else:
-            g_u[idx] += np.sum(weighted, axis=1)
-        neg_passes[side] = (idx, p, tape, weighted)
+    # upstream gradients of each pass's transformed vectors
+    g_u *= c_pos[:, None]
+    g_v = -g_u
+    g_h *= c_neg[idx_h][:, :, None]
+    g_v[idx_h] -= np.sum(g_h, axis=1)
+    g_t *= c_neg[idx_t][:, :, None]
+    g_u[idx_t] += np.sum(g_t, axis=1)
+    np.negative(g_t, out=g_t)
 
-    entity_ids = []
-    entity_grads = []
-    head_param = {"translations": [], "angles": [], "scales": []}
-    tail_param = {"translations": [], "angles": [], "scales": []}
-    head_rows, tail_rows = [], []
+    tables = {}  # table name -> (row id arrays, gradient arrays)
 
-    gx, g_par = chain_backward(g_u, ph, tape_u)
-    entity_ids.append(np.asarray(h_ids))
-    entity_grads.append(gx)
-    head_rows.append(np.asarray(r_ids))
-    head_param["translations"].append(g_par.translation)
-    head_param["angles"].append(g_par.angles)
-    head_param["scales"].append(g_par.scale)
+    def collect(name, rows, grad):
+        row_list, grad_list = tables.setdefault(name, ([], []))
+        row_list.append(rows)
+        grad_list.append(grad)
 
-    gx, g_par = chain_backward(g_v, pt, tape_v)
-    entity_ids.append(np.asarray(t_ids))
-    entity_grads.append(gx)
-    tail_rows.append(np.asarray(r_ids))
-    tail_param["translations"].append(g_par.translation)
-    tail_param["angles"].append(g_par.angles)
-    tail_param["scales"].append(g_par.scale)
-
-    for side, (idx, p, tape, weighted) in neg_passes.items():
-        upstream = weighted if side is Side.HEAD else -weighted
+    # each pass's tape, upstream and parameter gradients are released once
+    # it has been walked, so the (B, N, d) intermediates do not pile up
+    upstreams = [g_u, g_v, g_h, g_t]
+    del g_u, g_v, g_h, g_t
+    while passes:
+        (side, rows, ids, p, tape), upstream = passes.pop(0), upstreams.pop(0)
         gx, g_par = chain_backward(upstream, p, tape)
-        entity_ids.append(neg_ids[idx].ravel())
-        entity_grads.append(gx.reshape(-1, spec.dim))
-        bucket, rows = (
-            (head_param, head_rows) if side is Side.HEAD else (tail_param, tail_rows)
-        )
-        rows.append(np.asarray(r_ids[idx]))
-        bucket["translations"].append(np.sum(g_par.translation, axis=1))
-        bucket["angles"].append(np.sum(g_par.angles, axis=1))
-        bucket["scales"].append(np.sum(g_par.scale, axis=1))
+        collect("entities", ids.ravel(), gx.reshape(-1, spec.dim))
+        for group, field, table in _PARAM_GROUPS:
+            # under shared rotation the head's rotation group owns both sides
+            owner = "head" if model.shared_rotation and group == "rotation" else side
+            if getattr(model.trainable, f"{owner}_{group}"):
+                g = getattr(g_par, field)
+                if ids.ndim == 2:  # every negative of a row shares its relation
+                    g = np.sum(g, axis=1)
+                collect(f"{side}.{table}", rows, g)
+        del g_par
+    if model.shared_rotation and "tail.angles" in tables:
+        for merged, tail in zip(tables["head.angles"], tables.pop("tail.angles")):
+            merged.extend(tail)
 
-    grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    grads["entities"] = _accumulate_rows(
-        np.concatenate(entity_ids), np.concatenate(entity_grads)
-    )
-
-    tr = model.trainable
-
-    def emit(name, rows_list, grads_list):
-        if rows_list:
-            grads[name] = _accumulate_rows(
-                np.concatenate(rows_list), np.concatenate(grads_list)
-            )
-
-    if tr.head_translation:
-        emit("head.translations", head_rows, head_param["translations"])
-    if tr.head_scale:
-        emit("head.scales", head_rows, head_param["scales"])
-    if tr.tail_translation:
-        emit("tail.translations", tail_rows, tail_param["translations"])
-    if tr.tail_scale:
-        emit("tail.scales", tail_rows, tail_param["scales"])
-    if model.shared_rotation:
-        if tr.head_rotation:
-            emit(
-                "head.angles",
-                head_rows + tail_rows,
-                head_param["angles"] + tail_param["angles"],
-            )
-    else:
-        if tr.head_rotation:
-            emit("head.angles", head_rows, head_param["angles"])
-        if tr.tail_rotation:
-            emit("tail.angles", tail_rows, tail_param["angles"])
-
+    grads = {
+        name: _accumulate_rows(np.concatenate(row_list), np.concatenate(grad_list))
+        for name, (row_list, grad_list) in tables.items()
+    }
     return mean_loss, per_pos, grads
-
-
-def _resolve_table(model: KGEModel, name: str) -> np.ndarray:
-    if name == "entities":
-        return model.entities
-    side, attr = name.split(".")
-    return getattr(getattr(model, side), attr)
 
 
 def train_step(
@@ -401,7 +362,7 @@ def train_step(
 
     optimizer.begin_step()
     for name, (rows, g) in grads.items():
-        optimizer.update(name, _resolve_table(model, name), rows, g)
+        optimizer.update(name, model.table(name), rows, g)
 
     touched = grads["entities"][0]
     rows = model.entities[touched]
@@ -461,11 +422,7 @@ def train(
             batch_idx = rng.integers(0, len(store.train), size=config.batch_size)
             step_loss = train_step(model, store.train[batch_idx], config, rng, optimizer)
             valid_mrr = ""
-            if (
-                filter_index is not None
-                and config.valid_interval > 0
-                and step % config.valid_interval == 0
-            ):
+            if filter_index is not None and step % config.valid_interval == 0:
                 report = evaluate(
                     model,
                     store,

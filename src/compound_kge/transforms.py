@@ -198,6 +198,15 @@ def apply_rotation(x, angles):
     return out
 
 
+def _apply_operator(op: OperatorKind, x, params: TransformParams):
+    """Apply one elementary operator of ``params`` to ``x``."""
+    if op is OperatorKind.TRANSLATION:
+        return apply_translation(x, params.translation)
+    if op is OperatorKind.ROTATION:
+        return apply_rotation(x, params.angles)
+    return apply_scaling(x, params.scale)
+
+
 def apply_chain(x, chain, params: TransformParams):
     """Apply an operator chain to ``x``.
 
@@ -207,12 +216,7 @@ def apply_chain(x, chain, params: TransformParams):
     chain = validate_chain(chain)
     x = np.asarray(x, dtype=np.float64)
     for op in reversed(chain):
-        if op is OperatorKind.TRANSLATION:
-            x = apply_translation(x, params.translation)
-        elif op is OperatorKind.ROTATION:
-            x = apply_rotation(x, params.angles)
-        else:
-            x = apply_scaling(x, params.scale)
+        x = _apply_operator(op, x, params)
     return x
 
 
@@ -333,7 +337,7 @@ def invert_compound_2d(m, det_tolerance: float = DET_TOLERANCE) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Chain forward with tape / vector-Jacobian backward (used by scoring)
+# Chain forward with tape / vector-Jacobian backward (used by scoring and training)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -360,12 +364,7 @@ def chain_forward_tape(x, chain, params: TransformParams):
     tape = []
     for op in reversed(chain):
         tape.append((op, x))
-        if op is OperatorKind.TRANSLATION:
-            x = apply_translation(x, params.translation)
-        elif op is OperatorKind.ROTATION:
-            x = apply_rotation(x, params.angles)
-        else:
-            x = apply_scaling(x, params.scale)
+        x = _apply_operator(op, x, params)
     return x, tape
 
 

@@ -151,6 +151,32 @@ def test_trailing_garbage_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        "spec",
+        "trainable",
+        "arrays",
+        "n_entities",
+        "n_relations",
+        "shared_rotation",
+        "entity_names",
+        "relation_names",
+    ],
+)
+def test_incomplete_header_names_missing_key(tmp_path, key):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + length].decode("utf-8"))
+    del header[key]
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[12 + length :])
+    with pytest.raises(CheckpointError, match=f"missing '{key}'"):
+        load_checkpoint(path)
+
+
 def test_fingerprint_sensitive_to_names_and_order():
     a = dataset_fingerprint(["x", "y"], ["r"])
     b = dataset_fingerprint(["y", "x"], ["r"])

@@ -304,6 +304,23 @@ def test_evaluate_limit_truncates():
     assert report.triple_count == 2
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"limit": 0}, "limit"),
+        ({"limit": -1}, "limit"),
+        ({"chunk_size": 0}, "chunk_size"),
+        ({"chunk_size": -1}, "chunk_size"),
+    ],
+)
+def test_evaluate_rejects_non_positive_limits(kwargs, name):
+    rng = np.random.default_rng(11)
+    store = random_store(rng, 12, 1, 40, 6)
+    model = random_model(rng, 12, 1)
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        evaluate(model, store, "test", None, **kwargs)
+
+
 def test_report_json_field_names():
     rng = np.random.default_rng(12)
     store = random_store(rng, 10, 1, 30, 4)

@@ -4,7 +4,7 @@ import scipy.stats
 
 from compound_kge.errors import TrainingDivergedError
 from compound_kge.model import init_model, model_from_preset
-from compound_kge.scoring import compound_spec, preset_transe
+from compound_kge.scoring import PRESETS, compound_spec, preset_rotate, preset_transe
 from compound_kge.synthetic import SyntheticPattern, generate_synthetic_kg
 from compound_kge.training import (
     Adam,
@@ -44,6 +44,12 @@ def fresh_model(dim=8, n_entities=5, n_relations=2, seed=0, **kw):
     return init_model(
         spec, n_entities, n_relations, np.random.default_rng(seed), **kw
     )
+
+
+@pytest.mark.parametrize("valid_limit", [0, -1])
+def test_train_config_rejects_non_positive_valid_limit(valid_limit):
+    with pytest.raises(ValueError, match="^valid_limit must be positive"):
+        TrainConfig(valid_limit=valid_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +237,26 @@ def test_adam_untouched_rows_stay_put():
 # full-loss gradients vs finite differences (weights held constant)
 # ---------------------------------------------------------------------------
 
-def test_batch_gradients_match_finite_differences():
+@pytest.mark.parametrize(
+    "build, B",
+    [
+        (lambda seed: fresh_model(dim=8, seed=seed, shared_rotation=True), 4),
+        (lambda seed: fresh_model(dim=8, seed=seed, shared_rotation=False), 4),
+        (lambda seed: model_from_preset(preset_rotate(8), 5, 2, np.random.default_rng(seed)), 4),
+        # one row: only the head-corrupted pass has rows, the tail pass is empty
+        (lambda seed: fresh_model(dim=8, seed=seed, shared_rotation=True), 1),
+    ],
+    ids=["shared-rotation", "unshared-rotation", "rotate-preset", "one-row"],
+)
+def test_batch_gradients_match_finite_differences(build, B):
     store = tiny_store()
-    config = TrainConfig(batch_size=4, negative_size=3, margin=3.0, max_steps=1)
+    config = TrainConfig(batch_size=B, negative_size=3, margin=3.0, max_steps=1)
     rng = np.random.default_rng(6)
-    model = fresh_model(dim=8, seed=6, shared_rotation=True)
+    model = build(6)
     normalize_entities(model.entities, rng)
-    positives = store.train[:4]
-    neg_ids = rng.integers(0, 5, size=(4, 3))
-    corrupt_head = np.arange(4) % 2 == 0
+    positives = store.train[:B]
+    neg_ids = rng.integers(0, 5, size=(B, 3))
+    corrupt_head = np.arange(B) % 2 == 0
 
     _, _, grads = batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
 
@@ -253,8 +270,8 @@ def test_batch_gradients_match_finite_differences():
         )
         return float(np.mean(per_pos))
 
-    f_neg = np.empty((4, 3))
-    for i in range(4):
+    f_neg = np.empty((B, 3))
+    for i in range(B):
         r = model.relation_params(int(positives[i, 1]))
         for j in range(3):
             if corrupt_head[i]:
@@ -274,6 +291,7 @@ def test_batch_gradients_match_finite_differences():
         "head.angles": model.head.angles,
         "head.scales": model.head.scales,
         "tail.translations": model.tail.translations,
+        "tail.angles": model.tail.angles,
         "tail.scales": model.tail.scales,
     }
     for name, (rows, analytic) in grads.items():
@@ -293,6 +311,30 @@ def test_batch_gradients_match_finite_differences():
                     row,
                     col,
                 )
+
+
+@pytest.mark.parametrize("shape", [*PRESETS, "srt-shared-rotation", "srt-unshared-rotation"])
+def test_batch_gradients_cover_exactly_the_trainable_tables(shape):
+    if shape in PRESETS:
+        model = model_from_preset(PRESETS[shape](8), 5, 2, np.random.default_rng(0))
+    else:
+        model = fresh_model(shared_rotation=shape == "srt-shared-rotation")
+    tr = model.trainable
+    expected = {"entities"}
+    for side in ("head", "tail"):
+        for group, table in (("translation", "translations"), ("rotation", "angles"), ("scale", "scales")):
+            if getattr(tr, f"{side}_{group}"):
+                expected.add(f"{side}.{table}")
+    if model.shared_rotation:
+        # one angle table, reported under the head side
+        expected.discard("tail.angles")
+    store = tiny_store()
+    config = TrainConfig(batch_size=4, negative_size=3)
+    neg_ids = np.random.default_rng(1).integers(0, 5, size=(4, 3))
+    _, _, grads = batch_loss_and_grads(
+        model, store.train[:4], neg_ids, np.arange(4) % 2 == 0, config
+    )
+    assert set(grads) == expected
 
 
 # ---------------------------------------------------------------------------
