@@ -48,6 +48,7 @@ _REQUIRED_KEYS = (
     "spec", "trainable", "shared_rotation", "n_entities", "n_relations",
     "entity_names", "relation_names", "arrays",
 )
+_SPEC_FIELDS = ("variant", "head_chain", "tail_chain", "dim", "norm")
 
 _MASK_FIELDS = (
     "head_translation",
@@ -152,6 +153,27 @@ def read_header(path) -> dict:
             raise CheckpointError(f"malformed header JSON: {exc}") from None
 
 
+def _check_header(header: dict) -> None:
+    """Raise CheckpointError naming the first required header key that is
+    missing, as a dotted path such as ``spec.variant``."""
+
+    def need(obj, key, path):
+        if not isinstance(obj, dict) or key not in obj:
+            raise CheckpointError(f"checkpoint header is missing {path!r}")
+
+    for key in _REQUIRED_KEYS:
+        need(header, key, key)
+    for key in _SPEC_FIELDS:
+        need(header["spec"], key, f"spec.{key}")
+    for key in _MASK_FIELDS:
+        need(header["trainable"], key, f"trainable.{key}")
+    if not isinstance(header["arrays"], list):
+        raise CheckpointError("checkpoint header 'arrays' must be a list")
+    for i, entry in enumerate(header["arrays"]):
+        for key in ("name", "shape"):
+            need(entry, key, f"arrays[{i}].{key}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     header = read_header(path)
     version = header.get("format_version")
@@ -159,9 +181,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"unsupported format version {version!r} (supported: {FORMAT_VERSION})"
         )
-    for key in _REQUIRED_KEYS:
-        if key not in header:
-            raise CheckpointError(f"checkpoint header is missing {key!r}")
+    _check_header(header)
     spec_h = header["spec"]
     spec = CompoundSpec(
         variant=Variant(spec_h["variant"]),

@@ -216,9 +216,10 @@ def score(h, r: RelationParams, t, spec: CompoundSpec):
 class ScoreGradients:
     """Partial derivatives of a score.
 
-    ``head``/``tail`` hold the per-chain parameter gradients.  With
-    shared rotation the total angle gradient (both sides) is reported
-    under ``head.angles`` and ``tail.angles`` is zero.
+    ``head``/``tail`` hold the per-chain parameter gradients in the
+    parameters' shapes; absent or frozen groups are zero.  With shared
+    rotation the total angle gradient (both sides) is reported under
+    ``head.angles`` and ``tail.angles`` is zero.
     """
 
     h: np.ndarray

@@ -7,11 +7,12 @@ temperature-scaled softmax of their own scores, and those weights are
 treated as constants during backpropagation.  After every optimizer
 step entity rows are projected back to unit norm.
 
-A batch runs four chain passes through the same operator loop and
+A batch runs four chain passes through the same affine-map kernel and
 distance that ``scoring.score`` and evaluation use: positive heads,
 positive tails, head-corrupted negatives and tail-corrupted negatives.
 The backward walks the four passes in that order and collects row ids
-and gradients per table name (``entities``, ``head.angles``, ...).
+and gradients per table name (``entities``, ``head.angles``, ...); a
+negative pass's operator gradients arrive summed over its negatives.
 """
 
 from __future__ import annotations
@@ -206,15 +207,6 @@ def make_optimizer(config: TrainConfig):
 # Batched forward/backward
 # ---------------------------------------------------------------------------
 
-def _gather(tables, rids, extra_axis=False) -> TransformParams:
-    tr = tables.translations[rids]
-    an = tables.angles[rids]
-    sc = tables.scales[rids]
-    if extra_axis:
-        tr, an, sc = tr[:, None, :], an[:, None, :], sc[:, None, :]
-    return TransformParams(tr, an, sc)
-
-
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 
@@ -259,7 +251,9 @@ def batch_loss_and_grads(
 
     def forward(side, rows, ids):
         """Transform entity rows ``ids`` by ``side``'s chain of relations ``rows``."""
-        p = _gather(getattr(model, side), rows, extra_axis=ids.ndim == 2)
+        tab = getattr(model, side)
+        r = rows[:, None] if ids.ndim == 2 else rows  # broadcast over the negatives
+        p = TransformParams(tab.translations[r], tab.angles[r], tab.scales[r])
         y, tape = chain_forward_tape(model.entities[ids], getattr(spec, f"{side}_chain"), p)
         passes.append((side, rows, ids, p, tape))
         return y
@@ -304,8 +298,8 @@ def batch_loss_and_grads(
         row_list.append(rows)
         grad_list.append(grad)
 
-    # each pass's tape, upstream and parameter gradients are released once
-    # it has been walked, so the (B, N, d) intermediates do not pile up
+    # each pass's tape and upstream are released once it has been walked,
+    # so the (B, N, d) intermediates do not pile up
     upstreams = [g_u, g_v, g_h, g_t]
     del g_u, g_v, g_h, g_t
     while passes:
@@ -317,10 +311,7 @@ def batch_loss_and_grads(
             owner = "head" if model.shared_rotation and group == "rotation" else side
             if getattr(model.trainable, f"{owner}_{group}"):
                 g = getattr(g_par, field)
-                if ids.ndim == 2:  # every negative of a row shares its relation
-                    g = np.sum(g, axis=1)
-                collect(f"{side}.{table}", rows, g)
-        del g_par
+                collect(f"{side}.{table}", rows, g.reshape(len(rows), g.shape[-1]))
     if model.shared_rotation and "tail.angles" in tables:
         for merged, tail in zip(tables["head.angles"], tables.pop("tail.angles")):
             merged.extend(tail)

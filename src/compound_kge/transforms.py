@@ -14,7 +14,9 @@ product T.R.S, so scaling is applied first and translation last.  Each
 block's compound map has a homogeneous 3x3 matrix representation with
 bottom row (0, 0, 1); products and inverses of those matrices stay in
 that form, which is what makes the operator family closed under
-composition and (when the scaling is nonzero) inversion.
+composition and (when the scaling is nonzero) inversion.  Applying a
+chain runs that affine map, ``y = A x + b`` per block, and its gradients
+come from the map's one vector-Jacobian product.
 
 All functions are pure and broadcast over leading batch dimensions.
 """
@@ -22,6 +24,7 @@ All functions are pure and broadcast over leading batch dimensions.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +158,20 @@ def _check_same_dim(x, other, name):
         )
 
 
+def _block_map(a, x, b=None):
+    """``a x + b`` per 2D block of ``x``, for (..., d/2, 2, 2) and (..., d/2, 2)
+    stacks, written out elementwise so that a row's result is bit-identical
+    alone or in a batch (the filtered rank's tie count relies on it)."""
+    xe, xo = x[..., 0::2], x[..., 1::2]
+    y = np.empty(np.broadcast_shapes(xe.shape, a.shape[:-2])[:-1] + (x.shape[-1],))
+    for i in (0, 1):
+        np.multiply(a[..., i, 0], xe, out=y[..., i::2])
+        y[..., i::2] += a[..., i, 1] * xo
+        if b is not None:
+            y[..., i::2] += b[..., i]
+    return y
+
+
 def apply_translation(x, t):
     """Return ``x + t`` elementwise."""
     x = np.asarray(x, dtype=np.float64)
@@ -186,25 +203,8 @@ def apply_rotation(x, angles):
         raise ValueError(
             f"expected {d // 2} angles for dimension {d}, got {angles.shape[-1]}"
         )
-    c = np.cos(angles)
-    s = np.sin(angles)
-    xe = x[..., 0::2]
-    xo = x[..., 1::2]
-    out_e = xe * c - xo * s
-    out_o = xe * s + xo * c
-    out = np.empty(out_e.shape[:-1] + (d,), dtype=np.float64)
-    out[..., 0::2] = out_e
-    out[..., 1::2] = out_o
-    return out
-
-
-def _apply_operator(op: OperatorKind, x, params: TransformParams):
-    """Apply one elementary operator of ``params`` to ``x``."""
-    if op is OperatorKind.TRANSLATION:
-        return apply_translation(x, params.translation)
-    if op is OperatorKind.ROTATION:
-        return apply_rotation(x, params.angles)
-    return apply_scaling(x, params.scale)
+    c, s = np.cos(angles), np.sin(angles)
+    return _block_map(np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2), x)
 
 
 def apply_chain(x, chain, params: TransformParams):
@@ -213,11 +213,7 @@ def apply_chain(x, chain, params: TransformParams):
     The chain is written in matrix-product order: the last operator in
     the sequence acts first.  An empty chain returns ``x`` unchanged.
     """
-    chain = validate_chain(chain)
-    x = np.asarray(x, dtype=np.float64)
-    for op in reversed(chain):
-        x = _apply_operator(op, x, params)
-    return x
+    return chain_forward_tape(x, chain, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +333,15 @@ def invert_compound_2d(m, det_tolerance: float = DET_TOLERANCE) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Chain forward with tape / vector-Jacobian backward (used by scoring and training)
+# Chain forward with tape / vector-Jacobian backward (scoring, training, eval)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ChainGrads:
     """Gradients of a scalar with respect to one chain's parameters.
 
-    Arrays have the same leading shape as the upstream gradient; entries
-    for operators absent from the chain are zero-filled.
+    Arrays have the parameters' shapes, summed over the axes the parameters
+    were broadcast along; entries for operators absent from the chain are 0.
     """
 
     translation: np.ndarray
@@ -353,23 +349,42 @@ class ChainGrads:
     scale: np.ndarray
 
 
-def chain_forward_tape(x, chain, params: TransformParams):
-    """Apply a chain and record each operator's input for backprop.
+def _pad(a, value):
+    return np.concatenate([a, np.full(a.shape[:-1] + (1,), value)], axis=-1)
 
-    Returns ``(y, tape)`` where ``tape`` is a list of (kind, input) pairs
-    in application order.
+
+def chain_forward_tape(x, chain, params: TransformParams):
+    """Apply a chain as one affine map per block, recording it for backprop.
+
+    Returns ``(y, tape)`` with ``tape = (chain, x, blocks)``; ``blocks``
+    pairs each operator's block stack with the chain's product up to it,
+    so the last product is the chain's map.  An empty chain returns ``x``.
     """
     chain = validate_chain(chain)
     x = np.asarray(x, dtype=np.float64)
-    tape = []
-    for op in reversed(chain):
-        tape.append((op, x))
-        x = _apply_operator(op, x, params)
-    return x, tape
+    if not chain:
+        return x, (chain, x, [])
+    _check_same_dim(x, params.translation, "translation")
+    d = x.shape[-1]
+    if d % 2:  # the last coordinate forms a block with a coordinate no operator moves
+        x = _pad(x, 0.0)
+        params = TransformParams(
+            _pad(params.translation, 0.0), _pad(params.angles, 0.0), _pad(params.scale, 1.0)
+        )
+    factors = [_operator_blocks(op, params) for op in chain]
+    blocks = list(zip(factors, itertools.accumulate(factors, np.matmul)))
+    m = blocks[-1][1]
+    return _block_map(m[..., :2, :2], x, m[..., :2, 2])[..., :d], (chain, x, blocks)
 
 
 def chain_backward(grad_out, params: TransformParams, tape):
     """Vector-Jacobian product back through a taped chain application.
+
+    For a block map ``M = F_1 ... F_K`` the input gradient is ``A^T g``, and
+    factor ``k`` gets ``dF_k = P_k^T dM S_k^T`` (``P_k``, ``S_k``: products of
+    the factors before and after it; ``dM``: ``g x^T`` and ``g`` summed over
+    the axes the parameters were broadcast along).  Translation reads
+    ``dF[:2, 2]``, scaling the diagonal, rotation ``<dF, dR/dtheta>``.
 
     Parameters
     ----------
@@ -377,41 +392,42 @@ def chain_backward(grad_out, params: TransformParams, tape):
         Gradient of the scalar objective with respect to the chain output.
     params : TransformParams
         Parameters the forward pass used.
-    tape : list
+    tape : tuple
         The record produced by :func:`chain_forward_tape`.
 
     Returns
     -------
     (grad_x, ChainGrads)
         Gradient with respect to the chain input, and per-operator
-        parameter gradients (not reduced over batch dimensions).
+        parameter gradients in the parameters' shapes.
     """
+    chain, x, blocks = tape
     g = np.asarray(grad_out, dtype=np.float64)
-    batch_shape = g.shape[:-1]
+    grads = ChainGrads(*map(np.zeros_like, (params.translation, params.angles, params.scale)))
+    if not chain:
+        return g, grads
     d = g.shape[-1]
-    grads = ChainGrads(
-        translation=np.zeros(batch_shape + (d,)),
-        angles=np.zeros(batch_shape + (d // 2,)),
-        scale=np.zeros(batch_shape + (d,)),
-    )
-    for op, x_in in reversed(tape):
-        if op is OperatorKind.TRANSLATION:
-            grads.translation = grads.translation + g
-        elif op is OperatorKind.SCALING:
-            grads.scale = grads.scale + g * x_in
-            g = g * params.scale
-        else:
-            c = np.cos(params.angles)
-            s = np.sin(params.angles)
-            xe, xo = x_in[..., 0::2], x_in[..., 1::2]
-            ge, go = g[..., 0::2], g[..., 1::2]
-            # d/d theta of the rotated block, contracted with the upstream grad
-            grads.angles = grads.angles + ge * (-xe * s - xo * c) + go * (
-                xe * c - xo * s
-            )
-            ge_new = ge * c + go * s
-            go_new = -ge * s + go * c
-            g = np.empty(ge_new.shape[:-1] + (d,), dtype=np.float64)
-            g[..., 0::2] = ge_new
-            g[..., 1::2] = go_new
-    return g, grads
+    g = _pad(g, 0.0) if d % 2 else g
+    m = blocks[-1][1]
+    # dM is summed over the axes that broadcasting the parameters added or stretched
+    lead = g.ndim - (m.ndim - 2)
+    axes = tuple(i for i in range(g.ndim - 1) if i < lead or m.shape[i - lead] == 1 < g.shape[i])
+    dm = np.zeros(m.shape)
+    for i, j in itertools.product((0, 1), (0, 1, 2)):
+        term = g[..., i::2] * x[..., j::2] if j < 2 else g[..., i::2]
+        dm[..., i, j] = np.sum(term, axis=axes).reshape(m.shape[:-2])
+    pairs = m.shape[:-3] + (2 * m.shape[-3],)
+    right = dm  # dM S_k^T: the transposed factors after k, in reverse order
+    for k in reversed(range(len(chain))):
+        f = blocks[k][0]
+        df = right if k == 0 else np.swapaxes(blocks[k - 1][1], -1, -2) @ right
+        if k:
+            right = right @ np.swapaxes(f, -1, -2)
+        if chain[k] is OperatorKind.TRANSLATION:
+            grads.translation = df[..., [0, 1], [2, 2]].reshape(pairs)[..., :d]
+        elif chain[k] is OperatorKind.SCALING:
+            grads.scale = df[..., [0, 1], [0, 1]].reshape(pairs)[..., :d]
+        else:  # f holds cos and sin of the angles
+            d_angle = f[..., 0, 0] * (df[..., 1, 0] - df[..., 0, 1])
+            grads.angles = (d_angle - f[..., 1, 0] * (df[..., 0, 0] + df[..., 1, 1]))[..., : d // 2]
+    return _block_map(np.swapaxes(m[..., :2, :2], -1, -2), g)[..., :d], grads

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -29,6 +30,16 @@ def sample_checkpoint(seed=0, shared=True):
         dataset_hash=dataset_fingerprint([f"e{i}" for i in range(6)], ["r0", "r1"]),
         rng_state=rng.bit_generator.state,
     )
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a checkpoint's JSON header, keeping its arrays."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + length].decode("utf-8"))
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[12 + length :])
 
 
 def test_round_trip_is_identity_on_storage_lattice(tmp_path):
@@ -167,14 +178,41 @@ def test_trailing_garbage_rejected(tmp_path):
 def test_incomplete_header_names_missing_key(tmp_path, key):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, sample_checkpoint())
-    raw = path.read_bytes()
-    (length,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + length].decode("utf-8"))
-    del header[key]
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[12 + length :])
+    rewrite_header(path, lambda header: header.pop(key))
     with pytest.raises(CheckpointError, match=f"missing '{key}'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "spec.variant",
+        "spec.head_chain",
+        "spec.tail_chain",
+        "spec.dim",
+        "spec.norm",
+        "trainable.head_scale",
+        "trainable.tail_rotation",
+        "arrays[0].name",
+        "arrays[0].shape",
+        "arrays[3].shape",
+    ],
+)
+def test_incomplete_nested_header_names_dotted_key(tmp_path, path):
+    ckpt_path = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt_path, sample_checkpoint())
+    parent, key = path.rsplit(".", 1)
+    head, _, index = parent.partition("[")
+
+    def drop(header):
+        owner = header[head]
+        if index:
+            owner = owner[int(index.rstrip("]"))]
+        del owner[key]
+
+    rewrite_header(ckpt_path, drop)
+    with pytest.raises(CheckpointError, match=re.escape(f"missing '{path}'")):
+        load_checkpoint(ckpt_path)
 
 
 def test_fingerprint_sensitive_to_names_and_order():

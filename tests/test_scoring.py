@@ -17,7 +17,7 @@ from compound_kge.scoring import (
     preset_transe,
     score,
 )
-from compound_kge.transforms import OperatorKind, TransformParams
+from compound_kge.transforms import OperatorKind, TransformParams, apply_chain
 
 T, R, S = OperatorKind.TRANSLATION, OperatorKind.ROTATION, OperatorKind.SCALING
 
@@ -177,6 +177,47 @@ def test_score_broadcasts_over_batches():
     assert batched.shape == (5,)
     for i in range(5):
         np.testing.assert_allclose(batched[i], score(h[i], r, t[i], spec))
+
+
+BATCH_SPECS = {
+    "transe": preset_transe(8).spec,
+    "rotate": preset_rotate(8, Norm.L2).spec,
+    "pairre": preset_pairre(8).spec,
+    "linearre": preset_linearre(8, Norm.L2).spec,
+    "srt-srt": compound_spec("full", "SRT", "SRT", dim=8),
+    "trs-rst": compound_spec("full", "TRS", "RST", dim=8, norm="l2"),
+}
+
+
+@pytest.mark.parametrize("name", list(BATCH_SPECS))
+def test_rows_alone_equal_rows_of_a_batch_bit_for_bit(name):
+    """A row transformed or scored alone equals, bit for bit, the same row
+    of a batched call.  The filtered rank's ``ties = equal - 1`` relies on
+    it: the truth's score inside its candidate block must equal the score
+    it was ranked against."""
+    spec = BATCH_SPECS[name]
+    rng = np.random.default_rng(sorted(BATCH_SPECS).index(name))
+    n = 7
+    r = rel_params(rng, 8)
+    h, t = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
+    u = apply_chain(h, spec.head_chain, r.head)
+    v = apply_chain(t, spec.tail_chain, r.tail)
+    scores = score(h, r, t, spec)
+    candidates = score(h[0], r, t, spec)  # one fixed side against a block
+    # one relation per row, as training gathers the parameters
+    rows = TransformParams(
+        rng.normal(size=(n, 8)), rng.uniform(-np.pi, np.pi, (n, 4)), rng.normal(size=(n, 8))
+    )
+    per_row = apply_chain(h, spec.head_chain, rows)
+    for i in range(n):
+        row_params = TransformParams(rows.translation[i], rows.angles[i], rows.scale[i])
+        np.testing.assert_array_equal(apply_chain(h[i], spec.head_chain, r.head), u[i])
+        np.testing.assert_array_equal(apply_chain(t[i], spec.tail_chain, r.tail), v[i])
+        np.testing.assert_array_equal(
+            apply_chain(h[i], spec.head_chain, row_params), per_row[i]
+        )
+        assert score(h[i], r, t[i], spec) == scores[i]
+        assert score(h[0], r, t[i : i + 1], spec)[0] == candidates[i]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,7 +12,9 @@ from compound_kge.transforms import (
     apply_rotation,
     apply_scaling,
     apply_translation,
+    chain_backward,
     chain_block_matrices,
+    chain_forward_tape,
     chain_from_string,
     compound_matrix_2d,
     invert_blocks,
@@ -21,6 +24,8 @@ from compound_kge.transforms import (
 T, R, S = OperatorKind.TRANSLATION, OperatorKind.ROTATION, OperatorKind.SCALING
 
 ALL_ORDERS = list(itertools.permutations([T, R, S]))
+# every ordered subset of {T, R, S}, the empty chain included (16 chains)
+ALL_CHAINS = [c for k in range(4) for c in itertools.permutations([T, R, S], k)]
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +388,53 @@ def test_invert_blocks_mask_matches_determinant():
 def test_invert_blocks_rejects_non_3x3():
     with pytest.raises(ValueError, match="3x3"):
         invert_blocks(np.zeros((4, 2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# The chain kernel's vector-Jacobian product
+# ---------------------------------------------------------------------------
+
+def central_differences(fn, x, step=1e-6):
+    g = np.zeros_like(x)
+    for i in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp.flat[i] += step
+        xm.flat[i] -= step
+        g.flat[i] = (fn(xp) - fn(xm)) / (2 * step)
+    return g
+
+
+@pytest.mark.parametrize("chain", ALL_CHAINS, ids=lambda c: "".join(k.value for k in c) or "empty")
+def test_chain_backward_matches_finite_differences(chain):
+    """Inputs at (B, N, d) and parameters at (B, 1, d), as training passes
+    them; parameter gradients come back summed to the parameters' shape,
+    zero for operators absent from the chain.  Chains without rotation
+    also run at an odd dimension."""
+    rng = np.random.default_rng(ALL_CHAINS.index(chain))
+    B, N = 2, 3
+    for d in (4,) if R in chain else (4, 5):
+        x = rng.normal(size=(B, N, d))
+        params = TransformParams(
+            rng.normal(size=(B, 1, d)),
+            rng.uniform(-np.pi, np.pi, (B, 1, d // 2)),
+            rng.normal(size=(B, 1, d)),
+        )
+        w = rng.normal(size=(B, N, d))
+
+        def objective(x_, p):
+            return float(np.sum(w * chain_forward_tape(x_, chain, p)[0]))
+
+        _, tape = chain_forward_tape(x, chain, params)
+        gx, grads = chain_backward(w, params, tape)
+        assert gx.shape == x.shape
+        np.testing.assert_allclose(
+            gx, central_differences(lambda v: objective(v, params), x), rtol=1e-6, atol=1e-8
+        )
+        for field in ("translation", "angles", "scale"):
+            value = getattr(params, field)
+            got = getattr(grads, field)
+            assert got.shape == value.shape
+            want = central_differences(
+                lambda v: objective(x, dataclasses.replace(params, **{field: v})), value
+            )
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
