@@ -58,7 +58,6 @@ from .scoring import (
 from .synthetic import SyntheticPattern, generate_synthetic_kg
 from .training import (
     Adam,
-    SGD,
     TrainConfig,
     TrainResult,
     loss,

@@ -21,12 +21,12 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import CheckpointError
-from .model import KGEModel, ParamTables
+from .model import KGEModel, ParamTables, table_names
 from .scoring import CompoundSpec, Norm, TrainableMask, Variant
 from .transforms import chain_from_string, chain_to_string
 
@@ -50,14 +50,7 @@ _REQUIRED_KEYS = (
 )
 _SPEC_FIELDS = ("variant", "head_chain", "tail_chain", "dim", "norm")
 
-_MASK_FIELDS = (
-    "head_translation",
-    "head_rotation",
-    "head_scale",
-    "tail_translation",
-    "tail_rotation",
-    "tail_scale",
-)
+_MASK_FIELDS = tuple(f.name for f in fields(TrainableMask))
 
 
 @dataclass
@@ -84,24 +77,10 @@ def dataset_fingerprint(entity_names, relation_names) -> str:
     return h.hexdigest()
 
 
-def _array_manifest(model: KGEModel) -> list[tuple[str, tuple[int, ...]]]:
-    entries = [
-        ("entities", model.entities.shape),
-        ("head.translations", model.head.translations.shape),
-        ("head.angles", model.head.angles.shape),
-        ("head.scales", model.head.scales.shape),
-        ("tail.translations", model.tail.translations.shape),
-        ("tail.scales", model.tail.scales.shape),
-    ]
-    if not model.shared_rotation:
-        entries.insert(5, ("tail.angles", model.tail.angles.shape))
-    return entries
-
-
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     model = ckpt.model
     spec = model.spec
-    manifest = _array_manifest(model)
+    tables = model.tables()
     header = {
         "format_version": ckpt.format_version,
         "spec": {
@@ -121,17 +100,15 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "entity_names": ckpt.entity_names,
         "relation_names": ckpt.relation_names,
         "rng_state": ckpt.rng_state,
-        "arrays": [{"name": n, "shape": list(s)} for n, s in manifest],
+        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in tables.items()],
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for name, _ in manifest:
-            fh.write(
-                np.ascontiguousarray(model.table(name), dtype="<f4").tobytes()
-            )
+        for array in tables.values():
+            fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
 
 
 def read_header(path) -> dict:
@@ -216,21 +193,15 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{file_size - fh.tell()} unexpected trailing bytes"
             )
 
-    expected = {"entities", "head.translations", "head.angles", "head.scales",
-                "tail.translations", "tail.scales"}
-    if not header["shared_rotation"]:
-        expected.add("tail.angles")
-    missing = expected - set(arrays)
+    shared = bool(header["shared_rotation"])
+    missing = set(table_names(shared)) - set(arrays)
     if missing:
         raise CheckpointError(f"checkpoint is missing arrays: {sorted(missing)}")
 
-    head = ParamTables(
-        arrays["head.translations"], arrays["head.angles"], arrays["head.scales"]
-    )
-    tail = ParamTables(
-        arrays["tail.translations"],
-        arrays["tail.angles"] if not header["shared_rotation"] else arrays["head.angles"],
-        arrays["tail.scales"],
+    # under shared rotation the model aliases the tail angles to the head's
+    head, tail = (
+        ParamTables(*(arrays.get(f"{side}.{f.name}") for f in fields(ParamTables)))
+        for side in ("head", "tail")
     )
     model = KGEModel(
         spec=spec,
@@ -238,7 +209,7 @@ def load_checkpoint(path) -> Checkpoint:
         head=head,
         tail=tail,
         trainable=trainable,
-        shared_rotation=bool(header["shared_rotation"]),
+        shared_rotation=shared,
         preset_name=header.get("preset"),
         step=int(header.get("step", 0)),
     )

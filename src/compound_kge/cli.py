@@ -69,6 +69,14 @@ class RunConfig:
         return cls(**json.loads(text))
 
 
+def run_config_from_args(args) -> RunConfig:
+    """The RunConfig of a parsed ``train`` command line.  Train options
+    are stored under RunConfig field names; one left unset (None) takes
+    the RunConfig default."""
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in names and v is not None})
+
+
 def _build_model(config: RunConfig, n_entities: int, n_relations: int):
     rng = np.random.default_rng(config.seed)
     if config.preset is not None:
@@ -128,27 +136,7 @@ def cmd_train(args) -> int:
                 except ValueError as exc:
                     print(f"error: {flag}: {exc} ({ORDER_TOKENS_HINT})", file=sys.stderr)
                     return USAGE_ERROR
-        config = RunConfig(
-            data=args.data,
-            variant=args.variant,
-            head_order=args.head_order or "SRT",
-            tail_order=args.tail_order or "SRT",
-            preset=args.preset,
-            dim=args.dim,
-            norm=args.norm,
-            shared_rotation=not args.no_shared_rotation,
-            learning_rate=args.lr,
-            batch_size=args.batch_size,
-            neg_size=args.neg_size,
-            alpha=args.alpha,
-            margin=args.margin,
-            steps=args.steps,
-            seed=args.seed,
-            valid_interval=args.valid_interval,
-            valid_limit=args.valid_limit,
-            save=args.save,
-            deterministic=args.deterministic,
-        )
+        config = run_config_from_args(args)
     print(config.to_json())
 
     store = load_dataset(config.data)
@@ -282,41 +270,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every train option but --config stores under its RunConfig field name
+    # and stays None when unset, so the defaults are RunConfig's
     p_train = sub.add_parser("train", help="train a model on a triple directory")
-    p_train.add_argument("--data", default=None, help="dataset directory")
-    p_train.add_argument(
-        "--config", default=None, help="replay a persisted run_config.json"
-    )
-    p_train.add_argument("--variant", choices=["head", "tail", "full"], default="full")
-    p_train.add_argument(
-        "--head-order", default=None, help="head operator product, e.g. SRT"
-    )
-    p_train.add_argument(
-        "--tail-order", default=None, help="tail operator product, e.g. SRT"
-    )
-    p_train.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p_train.add_argument("--dim", type=int, default=200)
-    p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--batch-size", type=int, default=256)
-    p_train.add_argument("--neg-size", type=int, default=64)
-    p_train.add_argument("--alpha", type=float, default=1.0)
-    p_train.add_argument("--margin", type=float, default=6.0)
-    p_train.add_argument("--steps", type=int, default=10000)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--norm", choices=["l1", "l2"], default="l1")
-    p_train.add_argument("--valid-interval", type=int, default=1000)
-    p_train.add_argument(
-        "--valid-limit", type=int, default=None, help="cap validation triples"
-    )
+    p_train.add_argument("--data", help="dataset directory")
+    p_train.add_argument("--config", help="replay a persisted run_config.json")
+    p_train.add_argument("--variant", choices=["head", "tail", "full"])
+    p_train.add_argument("--head-order", help="head operator product, e.g. SRT")
+    p_train.add_argument("--tail-order", help="tail operator product, e.g. SRT")
+    p_train.add_argument("--preset", choices=sorted(PRESETS))
+    p_train.add_argument("--dim", type=int)
+    p_train.add_argument("--lr", dest="learning_rate", type=float)
+    p_train.add_argument("--batch-size", type=int)
+    p_train.add_argument("--neg-size", type=int)
+    p_train.add_argument("--alpha", type=float)
+    p_train.add_argument("--margin", type=float)
+    p_train.add_argument("--steps", type=int)
+    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--norm", choices=["l1", "l2"])
+    p_train.add_argument("--valid-interval", type=int)
+    p_train.add_argument("--valid-limit", type=int, help="cap validation triples")
     p_train.add_argument(
         "--no-shared-rotation",
-        action="store_true",
+        dest="shared_rotation",
+        action="store_false",
+        default=None,
         help="give head and tail chains independent rotation angles",
     )
-    p_train.add_argument("--save", default=None, help="directory for checkpoints")
+    p_train.add_argument("--save", help="directory for checkpoints")
     p_train.add_argument(
         "--deterministic",
         action="store_true",
+        default=None,
         help="recorded in run_config.json; every run is single-threaded and repeatable",
     )
     p_train.set_defaults(func=cmd_train)

@@ -201,6 +201,13 @@ def relation_diagnostics(
 
 HISTOGRAM_COLUMNS = ("component", "side", "bin_left", "bin_right", "count")
 
+# (operator, TransformParams field, exported component), in export order
+_HISTOGRAM_COMPONENTS = (
+    (OperatorKind.TRANSLATION, "translation", "translation"),
+    (OperatorKind.SCALING, "scale", "scaling"),
+    (OperatorKind.ROTATION, "angles", "rotation"),
+)
+
 
 def _histogram_rows(values, component, side, bins):
     counts, edges = np.histogram(values, bins=bins)
@@ -245,22 +252,20 @@ def export_relation_histograms(
 
     spec = model.spec
     r = model.relation_params(rid)
+    shared = model.shared_rotation and spec.both_rotations
     rows = []
-    if OperatorKind.TRANSLATION in spec.head_chain:
-        rows += _histogram_rows(r.head.translation, "translation", "head", bins)
-    if OperatorKind.TRANSLATION in spec.tail_chain:
-        rows += _histogram_rows(r.tail.translation, "translation", "tail", bins)
-    if OperatorKind.SCALING in spec.head_chain:
-        rows += _histogram_rows(r.head.scale, "scaling", "head", bins)
-    if OperatorKind.SCALING in spec.tail_chain:
-        rows += _histogram_rows(r.tail.scale, "scaling", "tail", bins)
-    if model.shared_rotation and spec.both_rotations:
-        rows += _histogram_rows(r.head.angles, "rotation", "shared", bins)
-    else:
-        if OperatorKind.ROTATION in spec.head_chain:
-            rows += _histogram_rows(r.head.angles, "rotation", "head", bins)
-        if OperatorKind.ROTATION in spec.tail_chain:
-            rows += _histogram_rows(r.tail.angles, "rotation", "tail", bins)
+    for op, field, component in _HISTOGRAM_COMPONENTS:
+        for side, chain, params in (
+            ("head", spec.head_chain, r.head),
+            ("tail", spec.tail_chain, r.tail),
+        ):
+            if op not in chain:
+                continue
+            if shared and op is OperatorKind.ROTATION:
+                if side == "tail":
+                    continue  # the head's angles, already exported
+                side = "shared"
+            rows += _histogram_rows(getattr(params, field), component, side, bins)
 
     if out_path is not None:
         out_path = Path(out_path)

@@ -1,15 +1,34 @@
-"""Model state: the entity table and per-relation operator tables."""
+"""Model state: the entity table and per-relation operator tables.
+
+This module owns the table vocabulary.  Each side (head, tail) of a
+relation's compound operator has a translation, an angle and a scale
+table; a table's name is ``entities`` or ``<side>.<field>`` such as
+``head.angles``.  Optimizer state, training gradients and checkpoint
+arrays are keyed by these names, and :func:`table_names` lists them in
+checkpoint order.  Under shared rotation the tail angle table is the
+head's: it is not listed, and its gradient is the head's.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .scoring import CompoundSpec, ModelPreset, RelationParams, TrainableMask
 from .transforms import TransformParams
 
-__all__ = ["ParamTables", "KGEModel", "init_model", "model_from_preset"]
+__all__ = ["ParamTables", "KGEModel", "init_model", "model_from_preset", "table_names"]
+
+
+def table_names(shared_rotation: bool) -> list[str]:
+    """Names of a model's distinct tables, in checkpoint order."""
+    names = ["entities"] + [
+        f"{side}.{f.name}" for side in ("head", "tail") for f in fields(ParamTables)
+    ]
+    if shared_rotation:
+        names.remove("tail.angles")  # the head's table
+    return names
 
 
 @dataclass
@@ -22,6 +41,13 @@ class ParamTables:
     translations: np.ndarray
     angles: np.ndarray
     scales: np.ndarray
+
+    def __getitem__(self, rows) -> TransformParams:
+        """The operator parameters of relation rows ``rows``: views for an
+        integer or slice, gathered copies for an index array."""
+        return TransformParams(
+            self.translations[rows], self.angles[rows], self.scales[rows]
+        )
 
     def copy(self) -> "ParamTables":
         return ParamTables(
@@ -64,29 +90,20 @@ class KGEModel:
         return self.spec.dim
 
     def table(self, name: str) -> np.ndarray:
-        """The array a table name refers to: ``entities`` or
-        ``<side>.<field>`` such as ``head.angles``.  Optimizer state,
-        gradients and checkpoint arrays are keyed by these names."""
+        """The array a table name refers to (see :func:`table_names`);
+        ``tail.angles`` resolves to the head's table under shared rotation."""
         if name == "entities":
             return self.entities
         side, field = name.split(".")
         return getattr(getattr(self, side), field)
 
+    def tables(self) -> dict[str, np.ndarray]:
+        """Every distinct table by name, in checkpoint order."""
+        return {name: self.table(name) for name in table_names(self.shared_rotation)}
+
     def relation_params(self, rid: int) -> RelationParams:
         """Per-relation view (shares memory with the tables)."""
-        return RelationParams(
-            head=TransformParams(
-                self.head.translations[rid],
-                self.head.angles[rid],
-                self.head.scales[rid],
-            ),
-            tail=TransformParams(
-                self.tail.translations[rid],
-                self.tail.angles[rid],
-                self.tail.scales[rid],
-            ),
-            shared_rotation=self.shared_rotation,
-        )
+        return RelationParams(self.head[rid], self.tail[rid], self.shared_rotation)
 
     def copy(self) -> "KGEModel":
         return KGEModel(
@@ -150,17 +167,13 @@ def init_model(
     tail = _init_side(
         rng, n_relations, d, trainable.tail_translation, trainable.tail_rotation
     )
-    shared = shared_rotation and spec.both_rotations
-    if shared:
-        # one angle draw drives both chains
-        tail.angles = head.angles
     return KGEModel(
         spec=spec,
         entities=entities,
         head=head,
         tail=tail,
         trainable=trainable,
-        shared_rotation=shared,
+        shared_rotation=shared_rotation and spec.both_rotations,
         preset_name=preset_name,
     )
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .transforms import (
-    ChainGrads,
     OperatorKind,
     TransformParams,
     apply_chain,
@@ -156,7 +155,7 @@ class TrainableMask:
         )
 
 
-# Each parameter group: its TrainableMask suffix, ChainGrads field and
+# Each parameter group: its TrainableMask suffix, TransformParams field and
 # ParamTables field (the table name is "<side>.<ParamTables field>").
 _PARAM_GROUPS = (
     ("translation", "translation", "translations"),
@@ -224,8 +223,8 @@ class ScoreGradients:
 
     h: np.ndarray
     t: np.ndarray
-    head: ChainGrads
-    tail: ChainGrads
+    head: TransformParams
+    tail: TransformParams
 
 
 def grad_score(

@@ -11,8 +11,13 @@ A batch runs four chain passes through the same affine-map kernel and
 distance that ``scoring.score`` and evaluation use: positive heads,
 positive tails, head-corrupted negatives and tail-corrupted negatives.
 The backward walks the four passes in that order and collects row ids
-and gradients per table name (``entities``, ``head.angles``, ...); a
-negative pass's operator gradients arrive summed over its negatives.
+and gradients per table name (``entities``, ``head.angles``, ...; see
+``model.table_names``); a negative pass's operator gradients arrive
+summed over its negatives, and under shared rotation both chains'
+angle gradients go to ``head.angles``.
+
+The filtered index for validation is built on the first validation
+step, so a run that never validates never builds it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .dataset import TripleStore, build_filter_index
 from .errors import TrainingDivergedError
 from .model import KGEModel
 from .scoring import _PARAM_GROUPS, _norm_and_grad
-from .transforms import TransformParams, chain_backward, chain_forward_tape
+from .transforms import chain_backward, chain_forward_tape
 
 __all__ = [
     "TrainConfig",
@@ -37,8 +42,6 @@ __all__ = [
     "log_sigmoid",
     "normalize_entities",
     "Adam",
-    "SGD",
-    "make_optimizer",
     "train_step",
     "train",
     "TrainResult",
@@ -61,7 +64,6 @@ class TrainConfig:
     margin: float = 6.0
     max_steps: int = 10000
     seed: int = 0
-    optimizer: str = "adam"
     valid_interval: int = 1000
     valid_limit: int | None = None
 
@@ -76,8 +78,6 @@ class TrainConfig:
             raise ValueError("margin must be positive")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.valid_interval < 1:
             raise ValueError("valid_interval must be positive")
         if self.valid_limit is not None and self.valid_limit < 1:
@@ -156,7 +156,7 @@ def normalize_entities(table: np.ndarray, rng: np.random.Generator | None = None
 
 
 # ---------------------------------------------------------------------------
-# Optimizers (sparse row updates over embedding tables)
+# Optimizer (sparse row updates over embedding tables)
 # ---------------------------------------------------------------------------
 
 class Adam:
@@ -184,23 +184,6 @@ class Adam:
         m_hat = m[rows] / (1 - self.beta1**self.t)
         v_hat = v[rows] / (1 - self.beta2**self.t)
         param[rows] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class SGD:
-    def __init__(self, learning_rate):
-        self.learning_rate = learning_rate
-
-    def begin_step(self):
-        pass
-
-    def update(self, name, param, rows, grads):
-        param[rows] -= self.learning_rate * grads
-
-
-def make_optimizer(config: TrainConfig):
-    if config.optimizer == "adam":
-        return Adam(config.learning_rate)
-    return SGD(config.learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +234,8 @@ def batch_loss_and_grads(
 
     def forward(side, rows, ids):
         """Transform entity rows ``ids`` by ``side``'s chain of relations ``rows``."""
-        tab = getattr(model, side)
         r = rows[:, None] if ids.ndim == 2 else rows  # broadcast over the negatives
-        p = TransformParams(tab.translations[r], tab.angles[r], tab.scales[r])
+        p = getattr(model, side)[r]
         y, tape = chain_forward_tape(model.entities[ids], getattr(spec, f"{side}_chain"), p)
         passes.append((side, rows, ids, p, tape))
         return y
@@ -311,10 +293,7 @@ def batch_loss_and_grads(
             owner = "head" if model.shared_rotation and group == "rotation" else side
             if getattr(model.trainable, f"{owner}_{group}"):
                 g = getattr(g_par, field)
-                collect(f"{side}.{table}", rows, g.reshape(len(rows), g.shape[-1]))
-    if model.shared_rotation and "tail.angles" in tables:
-        for merged, tail in zip(tables["head.angles"], tables.pop("tail.angles")):
-            merged.extend(tail)
+                collect(f"{owner}.{table}", rows, g.reshape(len(rows), g.shape[-1]))
 
     grads = {
         name: _accumulate_rows(np.concatenate(row_list), np.concatenate(grad_list))
@@ -395,10 +374,10 @@ def train(
     if len(store.train) == 0:
         raise ValueError("training split is empty")
     rng = np.random.default_rng(config.seed)
-    optimizer = make_optimizer(config)
+    optimizer = Adam(config.learning_rate)
     normalize_entities(model.entities, rng)
 
-    filter_index = build_filter_index(store) if len(store.valid) else None
+    filter_index = None
     best_model = model.copy()
     best_mrr = -np.inf
     best_step = 0
@@ -413,7 +392,9 @@ def train(
             batch_idx = rng.integers(0, len(store.train), size=config.batch_size)
             step_loss = train_step(model, store.train[batch_idx], config, rng, optimizer)
             valid_mrr = ""
-            if filter_index is not None and step % config.valid_interval == 0:
+            if len(store.valid) and step % config.valid_interval == 0:
+                if filter_index is None:
+                    filter_index = build_filter_index(store)
                 report = evaluate(
                     model,
                     store,

@@ -16,7 +16,8 @@ bottom row (0, 0, 1); products and inverses of those matrices stay in
 that form, which is what makes the operator family closed under
 composition and (when the scaling is nonzero) inversion.  Applying a
 chain runs that affine map, ``y = A x + b`` per block, and its gradients
-come from the map's one vector-Jacobian product.
+come from the map's one vector-Jacobian product, returned as a
+``TransformParams`` of gradients in the parameters' shapes.
 
 All functions are pure and broadcast over leading batch dimensions.
 """
@@ -336,19 +337,6 @@ def invert_compound_2d(m, det_tolerance: float = DET_TOLERANCE) -> np.ndarray:
 # Chain forward with tape / vector-Jacobian backward (scoring, training, eval)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChainGrads:
-    """Gradients of a scalar with respect to one chain's parameters.
-
-    Arrays have the parameters' shapes, summed over the axes the parameters
-    were broadcast along; entries for operators absent from the chain are 0.
-    """
-
-    translation: np.ndarray
-    angles: np.ndarray
-    scale: np.ndarray
-
-
 def _pad(a, value):
     return np.concatenate([a, np.full(a.shape[:-1] + (1,), value)], axis=-1)
 
@@ -397,13 +385,15 @@ def chain_backward(grad_out, params: TransformParams, tape):
 
     Returns
     -------
-    (grad_x, ChainGrads)
+    (grad_x, TransformParams)
         Gradient with respect to the chain input, and per-operator
-        parameter gradients in the parameters' shapes.
+        parameter gradients in the parameters' shapes, summed over the axes
+        the parameters were broadcast along; operators absent from the
+        chain get zeros.
     """
     chain, x, blocks = tape
     g = np.asarray(grad_out, dtype=np.float64)
-    grads = ChainGrads(*map(np.zeros_like, (params.translation, params.angles, params.scale)))
+    grads = TransformParams(*map(np.zeros_like, (params.translation, params.angles, params.scale)))
     if not chain:
         return g, grads
     d = g.shape[-1]

@@ -252,20 +252,44 @@ def _score_grad_worst_error(spec, rng, instances):
     return worst
 
 
+def _batch_gaps(model, positives, neg_ids, corrupt_head):
+    """Every transformed head/tail gap the batch loss takes a norm of: each
+    positive's and each of its negatives', flattened."""
+    from compound_kge.transforms import apply_chain
+
+    spec, ents = model.spec, model.entities
+    gaps = []
+    for (h, rid, t), negs, head_side in zip(positives, neg_ids, corrupt_head):
+        r = model.relation_params(int(rid))
+        u = apply_chain(ents[h], spec.head_chain, r.head)
+        v = apply_chain(ents[t], spec.tail_chain, r.tail)
+        if head_side:
+            neg = apply_chain(ents[negs], spec.head_chain, r.head) - v
+        else:
+            neg = u - apply_chain(ents[negs], spec.tail_chain, r.tail)
+        gaps += [u - v, neg.ravel()]
+    return np.concatenate(gaps)
+
+
 def _loss_grad_worst_error(spec, rng):
     n_entities, B, N = 6, 4, 3
-    model = init_model(spec, n_entities, 2, rng)
-    normalize_entities(model.entities, rng)
-    positives = np.stack(
-        [
-            rng.integers(0, n_entities, size=B),
-            rng.integers(0, 2, size=B),
-            rng.integers(0, n_entities, size=B),
-        ],
-        axis=1,
-    )
-    neg_ids = rng.integers(0, n_entities, size=(B, N))
     corrupt_head = np.arange(B) % 2 == 0
+    while True:
+        model = init_model(spec, n_entities, 2, rng)
+        normalize_entities(model.entities, rng)
+        positives = np.stack(
+            [
+                rng.integers(0, n_entities, size=B),
+                rng.integers(0, 2, size=B),
+                rng.integers(0, n_entities, size=B),
+            ],
+            axis=1,
+        )
+        neg_ids = rng.integers(0, n_entities, size=(B, N))
+        # a central difference must not straddle an L1 kink
+        gaps = _batch_gaps(model, positives, neg_ids, corrupt_head)
+        if spec.norm is Norm.L2 or np.min(np.abs(gaps)) > 1e-3:
+            break
     config = TrainConfig(batch_size=B, negative_size=N, margin=3.0, max_steps=1)
 
     from compound_kge.scoring import score as score_fn
@@ -300,18 +324,9 @@ def _loss_grad_worst_error(spec, rng):
         )
         return float(np.mean(per_pos))
 
-    tables = {
-        "entities": model.entities,
-        "head.translations": model.head.translations,
-        "head.angles": model.head.angles,
-        "head.scales": model.head.scales,
-        "tail.translations": model.tail.translations,
-        "tail.angles": model.tail.angles,
-        "tail.scales": model.tail.scales,
-    }
     worst = 0.0
     for name, (rows, analytic) in grads.items():
-        table = tables[name]
+        table = model.table(name)
         probes = [(k, c) for k in range(len(rows)) for c in range(analytic.shape[1])]
         rng.shuffle(probes)
         for k, c in probes[:6]:
@@ -332,13 +347,12 @@ def test_criterion_3_gradient_correctness():
     start = time.perf_counter()
     worst_score, worst_loss = 0.0, 0.0
     orderings = ["".join(p) for p in itertools.permutations("TRS")]
-    for norm in ("l1", "l2"):
-        for variant in ("head", "tail", "full"):
-            for order in orderings:
-                spec = compound_spec(variant, order, order, dim=8, norm=norm)
-                rng = np.random.default_rng(hash((norm, variant, order)) % 2**32)
-                worst_score = max(worst_score, _score_grad_worst_error(spec, rng, 50))
-                worst_loss = max(worst_loss, _loss_grad_worst_error(spec, rng))
+    cases = itertools.product(("l1", "l2"), ("head", "tail", "full"), orderings)
+    for case, (norm, variant, order) in enumerate(cases):
+        spec = compound_spec(variant, order, order, dim=8, norm=norm)
+        rng = np.random.default_rng(case)
+        worst_score = max(worst_score, _score_grad_worst_error(spec, rng, 50))
+        worst_loss = max(worst_loss, _loss_grad_worst_error(spec, rng))
     elapsed = time.perf_counter() - start
     ok = worst_score < 1e-4 and worst_loss < 1e-4 and elapsed < 60.0
     report(

@@ -15,7 +15,7 @@ from compound_kge.checkpoint import (
     save_checkpoint,
 )
 from compound_kge.errors import CheckpointError
-from compound_kge.model import init_model, model_from_preset
+from compound_kge.model import init_model, model_from_preset, table_names
 from compound_kge.scoring import compound_spec, preset_transe
 
 
@@ -89,6 +89,37 @@ def test_unshared_rotation_saves_both_angle_tables(tmp_path):
     assert not loaded.model.shared_rotation
     assert loaded.model.head.angles is not loaded.model.tail.angles
     np.testing.assert_allclose(loaded.model.tail.angles, 0.25)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_model_tables_are_the_header_arrays_in_order(tmp_path, shared):
+    path = tmp_path / "m.ckpt"
+    ckpt = sample_checkpoint(shared=shared)
+    save_checkpoint(path, ckpt)
+    tables = ckpt.model.tables()
+    assert list(tables) == table_names(shared)
+    assert [(a["name"], a["shape"]) for a in read_header(path)["arrays"]] == [
+        (name, list(array.shape)) for name, array in tables.items()
+    ]
+
+
+def test_shared_rotation_tables_hold_one_angle_table():
+    model = sample_checkpoint(shared=True).model
+    tables = model.tables()
+    assert "tail.angles" not in tables
+    assert tables["head.angles"] is model.tail.angles
+
+
+def test_relation_rows_are_views_into_the_tables():
+    model = sample_checkpoint(shared=False).model
+    params = model.tail[1]
+    params.translation[:] = 7.0
+    params.angles[0] = 0.5
+    params.scale[-1] = -2.0
+    np.testing.assert_array_equal(model.tail.translations[1], 7.0)
+    assert model.tail.angles[1, 0] == 0.5
+    assert model.tail.scales[1, -1] == -2.0
+    assert not np.any(model.tail.translations[0] == 7.0)
 
 
 def test_preset_freeze_mask_persisted(tmp_path):

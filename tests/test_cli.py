@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from compound_kge.checkpoint import load_checkpoint
-from compound_kge.cli import main
+from compound_kge.cli import RunConfig, build_parser, main, run_config_from_args
 from compound_kge.dataset import (
     build_filter_index,
     categorize_relations,
@@ -61,6 +61,24 @@ def test_train_missing_data_flag_is_usage_error(capsys):
     code = run_cli(["train", "--steps", "0"])
     assert code == 2
     assert "--data is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], RunConfig(data="X")),
+        (
+            ["--lr", "0.5", "--no-shared-rotation", "--valid-limit", "7", "--deterministic"],
+            RunConfig(
+                data="X", learning_rate=0.5, shared_rotation=False, valid_limit=7,
+                deterministic=True,
+            ),
+        ),
+    ],
+)
+def test_train_flags_parse_to_run_config(flags, expected):
+    args = build_parser().parse_args(["train", "--data", "X", *flags])
+    assert run_config_from_args(args) == expected
 
 
 def test_missing_subcommand_is_usage_error():

@@ -11,7 +11,6 @@ from compound_kge.training import (
     TrainConfig,
     batch_loss_and_grads,
     loss,
-    make_optimizer,
     normalize_entities,
     sample_negatives,
     self_adversarial_weights,
@@ -347,7 +346,9 @@ def test_train_step_zero_lr_is_noop():
     model = fresh_model()
     normalize_entities(model.entities, np.random.default_rng(0))
     before = model.entities.copy()
-    value = train_step(model, store.train[:4], config, np.random.default_rng(1), make_optimizer(config))
+    value = train_step(
+        model, store.train[:4], config, np.random.default_rng(1), Adam(config.learning_rate)
+    )
     assert np.isfinite(value)
     np.testing.assert_array_equal(model.entities, before)
 
@@ -357,7 +358,7 @@ def test_train_step_entities_stay_unit():
     config = TrainConfig(learning_rate=0.05, batch_size=4, negative_size=4, max_steps=1)
     model = fresh_model()
     normalize_entities(model.entities, np.random.default_rng(0))
-    opt = make_optimizer(config)
+    opt = Adam(config.learning_rate)
     rng = np.random.default_rng(2)
     for _ in range(5):
         train_step(model, store.train[:4], config, rng, opt)
@@ -372,7 +373,7 @@ def test_train_step_diverged_reports_triples():
     with np.errstate(invalid="ignore"):
         with pytest.raises(TrainingDivergedError) as err:
             train_step(
-                model, store.train[:4], config, np.random.default_rng(0), make_optimizer(config)
+                model, store.train[:4], config, np.random.default_rng(0), Adam(config.learning_rate)
             )
     assert err.value.triples  # offending ids are reported
 
@@ -384,7 +385,7 @@ def test_train_step_loss_decreases_on_tiny_kg():
     )
     model = fresh_model(dim=8)
     normalize_entities(model.entities, np.random.default_rng(0))
-    opt = make_optimizer(config)
+    opt = Adam(config.learning_rate)
     rng = np.random.default_rng(3)
     losses = [
         train_step(model, store.train, config, rng, opt) for _ in range(200)
@@ -399,7 +400,7 @@ def test_train_step_deterministic_trace():
     def run():
         model = fresh_model(seed=11)
         normalize_entities(model.entities, np.random.default_rng(11))
-        opt = make_optimizer(config)
+        opt = Adam(config.learning_rate)
         rng = np.random.default_rng(42)
         return [train_step(model, store.train[:4], config, rng, opt) for _ in range(20)], model
 
@@ -441,6 +442,31 @@ def test_train_log_row_count_equals_steps(tmp_path):
     for line in lines[1:]:
         step, _, mrr, _ = line.split(",")
         assert (mrr != "") == (int(step) % 10 == 0)
+
+
+@pytest.mark.parametrize("valid_interval, builds", [(26, 0), (5, 1)])
+def test_train_builds_filter_index_once_and_only_to_validate(
+    monkeypatch, valid_interval, builds
+):
+    import compound_kge.training as training
+
+    calls = []
+    original = training.build_filter_index
+
+    def counting(store):
+        calls.append(1)
+        return original(store)
+
+    monkeypatch.setattr(training, "build_filter_index", counting)
+    store = generate_synthetic_kg(SyntheticPattern.ANTISYMMETRIC, seed=0)
+    model = fresh_model(dim=8, n_entities=store.n_entities, n_relations=store.n_relations)
+    config = TrainConfig(
+        batch_size=16, negative_size=4, max_steps=25, valid_interval=valid_interval,
+        valid_limit=5,
+    )
+    result = train(store, model, config)
+    assert sum(1 for row in result.log_rows if row[2] != "") == 25 // valid_interval
+    assert len(calls) == builds
 
 
 def test_train_empty_dataset_rejected():
