@@ -7,9 +7,12 @@ rank among the survivors determines the metrics.  Ties contribute the
 mean rank among the tied candidates (floored), so a constant-score
 model cannot inflate its numbers.
 
-Candidates are scored in fixed-size chunks to bound peak memory on
-large entity sets; the chunked computation is exactly equivalent to
-materializing and sorting all candidate scores.
+Candidates are scored in fixed-size blocks of entity rows, by default
+``DEFAULT_CHUNK_SIZE`` = 65,536 rows, which bounds peak memory on large
+entity sets.  Smaller blocks (``chunk_size=512``) are faster but less
+steady; the comment on the constant has the measurements.  The block
+size changes only speed: the chunked computation is exactly equivalent
+to materializing and sorting all candidate scores.
 """
 
 from __future__ import annotations
@@ -35,6 +38,21 @@ __all__ = [
     "TIE_POLICY_NOTE",
 ]
 
+# Candidate rows per block.  Small blocks are faster while the host is
+# quiet: timed with one BLAS thread on a 2-core Xeon VM (2 MiB of L2 per
+# core) over the generated graphs of benchmarks/graphs.py at d=200,
+# 512-row blocks ranked 1.4-1.7x as many queries/s as one whole-table
+# block (FB15k-237 shape, SRT/SRT, L1: 28.6 against 16.8; WN18RR shape,
+# rotate, L2: 14.5 against 7.9), with identical ranks.  Their speed
+# follows the load that a shared host's other tenants put on the core
+# and its caches, though.  Interleaved on the WN shape for five minutes,
+# the fastest call of each 20-call window ranged 15.6-21.6 queries/s at
+# 512 rows (quartile spread 0.19 of the median; 1024 and 4096 rows
+# alike) against 10.8-13.4 (0.12) for the whole table, which is bounded
+# by memory; over ten benchmark runs each the WN eval read 13.8-19.1
+# against 9.8-11.9.  So the default keeps tables of up to 65,536 rows in
+# one block, and ``evaluate(..., chunk_size=512)`` trades that steadiness
+# for speed.
 DEFAULT_CHUNK_SIZE = 2**16
 
 # Comparability caveat carried in every report header: published numbers

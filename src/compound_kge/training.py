@@ -378,7 +378,7 @@ def train(
     normalize_entities(model.entities, rng)
 
     filter_index = None
-    best_model = model.copy()
+    best_model = None  # the best validation's snapshot, else the final model's
     best_mrr = -np.inf
     best_step = 0
     best_rng_state = rng.bit_generator.state

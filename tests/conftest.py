@@ -1,3 +1,5 @@
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,26 @@ from compound_kge.model import init_model
 from compound_kge.scoring import compound_spec
 from compound_kge.synthetic import SyntheticPattern, generate_synthetic_kg
 from compound_kge.training import TrainConfig, train
+
+HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    """Hypothesis caches the literals it finds in local modules under its home
+    directory, ``.hypothesis/`` in the working directory by default; give it a
+    temporary one for the session instead, so a test run leaves nothing in the
+    checkout."""
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    home = config.stash[HYPOTHESIS_HOME] = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    if HYPOTHESIS_HOME in config.stash:
+        config.stash[HYPOTHESIS_HOME].cleanup()
 
 
 @pytest.fixture(scope="session")

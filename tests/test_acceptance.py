@@ -58,8 +58,25 @@ from compound_kge.training import (
 from compound_kge.transforms import (
     OperatorKind,
     TransformParams,
+    apply_chain,
     compound_matrix_2d,
     invert_compound_2d,
+)
+
+from oracles import (
+    central_difference_at,
+    central_differences,
+    frozen_weight_loss,
+    known_answers,
+    linearre_score,
+    oracle_rank,
+    pairre_score,
+    random_model,
+    random_relation,
+    random_store,
+    rel_err,
+    rotate_score,
+    transe_score,
 )
 
 T, R, S = OperatorKind.TRANSLATION, OperatorKind.ROTATION, OperatorKind.SCALING
@@ -118,41 +135,23 @@ def test_criterion_1_closed_form_algebra():
 # 2. preset reductions
 # ---------------------------------------------------------------------------
 
-def _preset_oracles():
-    def transe(h, r, t):
-        return np.sum(np.abs(h + r.head.translation - t))
-
-    def rotate(h, r, t):
-        hc = h[0::2] + 1j * h[1::2]
-        tc = t[0::2] + 1j * t[1::2]
-        diff = hc * np.exp(1j * r.head.angles) - tc
-        return np.sum(np.abs(diff.real)) + np.sum(np.abs(diff.imag))
-
-    def pairre(h, r, t):
-        return np.sum(np.abs(h * r.head.scale - t * r.tail.scale))
-
-    def linearre(h, r, t):
-        return np.sum(
-            np.abs(h * r.head.scale + r.head.translation - t * r.tail.scale)
-        )
-
-    return {
-        "transe": (preset_transe, transe, ("head", "translation")),
-        "rotate": (preset_rotate, rotate, ("head", "angles")),
-        "pairre": (preset_pairre, pairre, ("head", "scale", "tail", "scale")),
-        "linearre": (
-            preset_linearre,
-            linearre,
-            ("head", "translation", "head", "scale", "tail", "scale"),
-        ),
-    }
+PRESET_ORACLES = {
+    "transe": (preset_transe, transe_score, ("head", "translation")),
+    "rotate": (preset_rotate, rotate_score, ("head", "angles")),
+    "pairre": (preset_pairre, pairre_score, ("head", "scale", "tail", "scale")),
+    "linearre": (
+        preset_linearre,
+        linearre_score,
+        ("head", "translation", "head", "scale", "tail", "scale"),
+    ),
+}
 
 
 def test_criterion_2_reduction_equivalence():
     rng = np.random.default_rng(20)
     start = time.perf_counter()
     worst = {}
-    for name, (factory, oracle, fields) in _preset_oracles().items():
+    for name, (factory, oracle, fields) in PRESET_ORACLES.items():
         preset = factory(16)
         err = 0.0
         for _ in range(1000):
@@ -167,7 +166,7 @@ def test_criterion_2_reduction_equivalence():
                 )
                 setattr(params, field, value)
             h, t = rng.normal(size=16), rng.normal(size=16)
-            err = max(err, abs(float(score(h, r, t, preset.spec)) - oracle(h, r, t)))
+            err = max(err, abs(float(score(h, r, t, preset.spec)) - oracle(h, r, t, Norm.L1)))
         worst[name] = err
     elapsed = time.perf_counter() - start
     ok = all(v < 1e-9 for v in worst.values()) and elapsed < 5.0
@@ -182,25 +181,7 @@ def test_criterion_2_reduction_equivalence():
 FD_STEP = 1e-5
 
 
-def _fd(fn, x, step=FD_STEP):
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp.flat[i] += step
-        xm.flat[i] -= step
-        g.flat[i] = (fn(xp) - fn(xm)) / (2 * step)
-    return g
-
-
-def _rel_err(analytic, numeric):
-    denom = max(np.max(np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric))) / denom
-
-
 def _clear_of_l1_kinks(h, r, t, spec):
-    from compound_kge.transforms import apply_chain
-
     u = apply_chain(h, spec.head_chain, r.head)
     v = apply_chain(t, spec.tail_chain, r.tail)
     return np.min(np.abs(u - v)) > 1e-3
@@ -211,24 +192,14 @@ def _score_grad_worst_error(spec, rng, instances):
     d = spec.dim
     for _ in range(instances):
         while True:
-            r = RelationParams(
-                TransformParams(
-                    rng.normal(size=d),
-                    rng.uniform(-np.pi, np.pi, d // 2),
-                    rng.normal(size=d),
-                ),
-                TransformParams(
-                    rng.normal(size=d),
-                    rng.uniform(-np.pi, np.pi, d // 2),
-                    rng.normal(size=d),
-                ),
-            )
+            r = random_relation(rng, d)
             h, t = rng.normal(size=d), rng.normal(size=d)
             if spec.norm is Norm.L2 or _clear_of_l1_kinks(h, r, t, spec):
                 break
         g = grad_score(h, r, t, spec)
-        worst = max(worst, _rel_err(g.h, _fd(lambda v: score(v, r, t, spec), h)))
-        worst = max(worst, _rel_err(g.t, _fd(lambda v: score(h, r, v, spec), t)))
+        fd_h = central_differences(lambda v: score(v, r, t, spec), h, FD_STEP)
+        fd_t = central_differences(lambda v: score(h, r, v, spec), t, FD_STEP)
+        worst = max(worst, rel_err(g.h, fd_h), rel_err(g.t, fd_t))
 
         for side_name, chain, grads in (
             ("head", spec.head_chain, g.head),
@@ -248,15 +219,13 @@ def _score_grad_worst_error(spec, rng, instances):
                     return score(h, r2, t, spec)
 
                 base = getattr(getattr(r, side_name), field)
-                worst = max(worst, _rel_err(got, _fd(probe, base)))
+                worst = max(worst, rel_err(got, central_differences(probe, base, FD_STEP)))
     return worst
 
 
 def _batch_gaps(model, positives, neg_ids, corrupt_head):
     """Every transformed head/tail gap the batch loss takes a norm of: each
     positive's and each of its negatives', flattened."""
-    from compound_kge.transforms import apply_chain
-
     spec, ents = model.spec, model.entities
     gaps = []
     for (h, rid, t), negs, head_side in zip(positives, neg_ids, corrupt_head):
@@ -291,38 +260,10 @@ def _loss_grad_worst_error(spec, rng):
         if spec.norm is Norm.L2 or np.min(np.abs(gaps)) > 1e-3:
             break
     config = TrainConfig(batch_size=B, negative_size=N, margin=3.0, max_steps=1)
-
-    from compound_kge.scoring import score as score_fn
-
-    f_neg = np.empty((B, N))
-    for i in range(B):
-        r = model.relation_params(int(positives[i, 1]))
-        for j in range(N):
-            if corrupt_head[i]:
-                f_neg[i, j] = score_fn(
-                    model.entities[neg_ids[i, j]],
-                    r,
-                    model.entities[positives[i, 2]],
-                    spec,
-                )
-            else:
-                f_neg[i, j] = score_fn(
-                    model.entities[positives[i, 0]],
-                    r,
-                    model.entities[neg_ids[i, j]],
-                    spec,
-                )
-    frozen_w = self_adversarial_weights(f_neg, config.adversarial_temperature)
-
+    frozen_w, loss_value = frozen_weight_loss(model, positives, neg_ids, corrupt_head, config)
     _, _, grads = batch_loss_and_grads(
         model, positives, neg_ids, corrupt_head, config, weights=frozen_w
     )
-
-    def loss_value():
-        _, per_pos, _ = batch_loss_and_grads(
-            model, positives, neg_ids, corrupt_head, config, weights=frozen_w
-        )
-        return float(np.mean(per_pos))
 
     worst = 0.0
     for name, (rows, analytic) in grads.items():
@@ -330,16 +271,8 @@ def _loss_grad_worst_error(spec, rng):
         probes = [(k, c) for k in range(len(rows)) for c in range(analytic.shape[1])]
         rng.shuffle(probes)
         for k, c in probes[:6]:
-            row = rows[k]
-            original = table[row, c]
-            table[row, c] = original + FD_STEP
-            up = loss_value()
-            table[row, c] = original - FD_STEP
-            down = loss_value()
-            table[row, c] = original
-            fd = (up - down) / (2 * FD_STEP)
-            denom = max(abs(fd), 1e-6)
-            worst = max(worst, abs(analytic[k, c] - fd) / denom)
+            fd = central_difference_at(loss_value, table, (rows[k], c), FD_STEP)
+            worst = max(worst, rel_err(analytic[k, c], fd, floor=1e-6))
     return worst
 
 
@@ -390,78 +323,24 @@ def test_criterion_4_adversarial_softmax():
 # 5. evaluation against a full-sort oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_rank(model, triple, direction, index):
-    h, rid, t = (int(x) for x in triple)
-    n = model.n_entities
-    r = model.relation_params(rid)
-    if direction is Direction.TAIL:
-        fixed = score(
-            np.broadcast_to(model.entities[h], (n, model.dim)),
-            r,
-            model.entities,
-            model.spec,
-        )
-        truth, known = t, index.true_tails(h, rid)
-        scores = np.asarray(fixed)
-    else:
-        scores = np.asarray(
-            score(
-                model.entities,
-                r,
-                np.broadcast_to(model.entities[t], (n, model.dim)),
-                model.spec,
-            )
-        )
-        truth, known = h, index.true_heads(rid, t)
-    keep = np.ones(n, dtype=bool)
-    for e in known:
-        if e != truth:
-            keep[e] = False
-    kept = np.sort(scores[keep])
-    s = scores[truth]
-    less = int(np.searchsorted(kept, s, "left"))
-    ties = int(np.searchsorted(kept, s, "right")) - less - 1
-    return 1 + less + ties // 2
-
-
 def test_criterion_5_evaluation_oracle():
     rng = np.random.default_rng(50)
     start = time.perf_counter()
     checked = 0
     for state in range(100):
         n = int(rng.integers(8, 51))
-        triples = set()
-        while len(triples) < 4 * n:
-            triples.add(
-                (int(rng.integers(0, n)), int(rng.integers(0, 2)), int(rng.integers(0, n)))
-            )
-        triples = sorted(triples)
-        from compound_kge.dataset import TripleStore
-
-        store = TripleStore(
-            n_entities=n,
-            n_relations=2,
-            train=np.array(triples[: 3 * n]),
-            valid=np.array(triples[3 * n : 3 * n + n // 2]),
-            test=np.array(triples[3 * n + n // 2 :]),
-            entity_names=[f"e{i}" for i in range(n)],
-            relation_names=["r0", "r1"],
-        )
-        spec = compound_spec("full", "SRT", "SRT", dim=6)
-        model = init_model(spec, n, 2, rng)
-        model.entities = rng.normal(size=(n, 6))
-        model.head.translations = rng.normal(size=model.head.translations.shape)
-        model.tail.scales = rng.normal(size=model.tail.scales.shape)
+        store = random_store(rng, n, 2, 3 * n, n // 2, n - n // 2, separate_draws=True)
+        model = random_model(rng, n, 2)
         if state % 3 == 0:
             # quantized states force heavy score ties
             model.entities = np.round(model.entities * 2) / 2
             model.head.translations = np.round(model.head.translations)
             model.tail.scales = np.round(model.tail.scales)
-        index = build_filter_index(store)
+        index, known = build_filter_index(store), known_answers(store)
         for triple in store.test[:4]:
             for direction in Direction:
                 got = filtered_rank(model, triple, direction, index, chunk_size=16)
-                want = _oracle_rank(model, triple, direction, index)
+                want = oracle_rank(model, triple, direction, known, score_fn=score)
                 assert got == want, (state, triple, direction)
                 checked += 1
     elapsed = time.perf_counter() - start
@@ -515,17 +394,6 @@ def test_criterion_7_dataset_statistics():
 # 8. proposition suite
 # ---------------------------------------------------------------------------
 
-def _random_relation(rng, d):
-    return RelationParams(
-        TransformParams(
-            rng.normal(size=d), rng.uniform(-np.pi, np.pi, d // 2), rng.normal(size=d)
-        ),
-        TransformParams(
-            rng.normal(size=d), rng.uniform(-np.pi, np.pi, d // 2), rng.normal(size=d)
-        ),
-    )
-
-
 def test_criterion_8_proposition_suite():
     rng = np.random.default_rng(80)
     spec = compound_spec("full", "SRT", "SRT", dim=8)
@@ -533,24 +401,24 @@ def test_criterion_8_proposition_suite():
     checks = {}
 
     # symmetric: equal maps satisfy, generic pairs do not
-    r = _random_relation(rng, 8)
+    r = random_relation(rng, 8)
     r.tail = r.head.copy()
     m, m_hat = relation_matrices(r, spec)
     checks["symmetric_zero"] = symmetry_residual(m, m_hat)
-    m, m_hat = relation_matrices(_random_relation(rng, 8), spec)
+    m, m_hat = relation_matrices(random_relation(rng, 8), spec)
     checks["symmetric_counter"] = symmetry_residual(m, m_hat)
 
     # inverse: relation 2 realizes the block-inverse of relation 1
-    r1 = _random_relation(rng, 8)
+    r1 = random_relation(rng, 8)
     m1, m1_hat = relation_matrices(r1, spec)
     m2 = np.stack([invert_compound_2d(a) @ h for a, h in zip(m1, m1_hat)])
     eye = np.stack([np.eye(3)] * len(m1))
     checks["inverse_zero"] = inversion_residual(m1, m1_hat, m2, eye)
-    mo, mo_hat = relation_matrices(_random_relation(rng, 8), spec)
+    mo, mo_hat = relation_matrices(random_relation(rng, 8), spec)
     checks["inverse_counter"] = inversion_residual(m1, m1_hat, mo, mo_hat)
 
     # transitive: relation 3 constructed as the composition of 1 and 2
-    r2 = _random_relation(rng, 8)
+    r2 = random_relation(rng, 8)
     m2f, m2f_hat = relation_matrices(r2, spec)
     comp = np.stack(
         [

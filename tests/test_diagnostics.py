@@ -30,18 +30,9 @@ from compound_kge.transforms import (
     invert_compound_2d,
 )
 
+from oracles import random_relation
+
 T, R, S = OperatorKind.TRANSLATION, OperatorKind.ROTATION, OperatorKind.SCALING
-
-
-def random_relation(rng, d):
-    return RelationParams(
-        TransformParams(
-            rng.normal(size=d), rng.uniform(-np.pi, np.pi, d // 2), rng.normal(size=d)
-        ),
-        TransformParams(
-            rng.normal(size=d), rng.uniform(-np.pi, np.pi, d // 2), rng.normal(size=d)
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,113 +6,9 @@ import pytest
 from compound_kge.dataset import TripleStore, build_filter_index, categorize_relations
 from compound_kge.evaluation import Direction, evaluate, filtered_rank
 from compound_kge.model import init_model
-from compound_kge.scoring import Norm, compound_spec
-from compound_kge.transforms import OperatorKind
+from compound_kge.scoring import compound_spec
 
-T, R, S = OperatorKind.TRANSLATION, OperatorKind.ROTATION, OperatorKind.SCALING
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle: per-block homogeneous matrices, fully materialized
-# candidate scores, a complete sort, mean-of-ties rank from the sorted array.
-# ---------------------------------------------------------------------------
-
-def block_matrix(chain, v_x, v_y, theta, s_x, s_y):
-    mats = {
-        T: np.array([[1, 0, v_x], [0, 1, v_y], [0, 0, 1]], dtype=float),
-        R: np.array(
-            [
-                [np.cos(theta), -np.sin(theta), 0],
-                [np.sin(theta), np.cos(theta), 0],
-                [0, 0, 1],
-            ]
-        ),
-        S: np.array([[s_x, 0, 0], [0, s_y, 0], [0, 0, 1]], dtype=float),
-    }
-    m = np.eye(3)
-    for op in chain:
-        m = m @ mats[op]
-    return m
-
-
-def oracle_transform(x, chain, params):
-    out = np.array(x, dtype=float)
-    for i in range(len(x) // 2):
-        m = block_matrix(
-            chain,
-            params.translation[2 * i],
-            params.translation[2 * i + 1],
-            params.angles[i],
-            params.scale[2 * i],
-            params.scale[2 * i + 1],
-        )
-        v = m @ np.array([x[2 * i], x[2 * i + 1], 1.0])
-        out[2 * i : 2 * i + 2] = v[:2]
-    return out
-
-
-def oracle_score(model, h_vec, rid, t_vec):
-    r = model.relation_params(rid)
-    u = oracle_transform(h_vec, model.spec.head_chain, r.head)
-    v = oracle_transform(t_vec, model.spec.tail_chain, r.tail)
-    if model.spec.norm is Norm.L1:
-        return float(np.sum(np.abs(u - v)))
-    return float(np.linalg.norm(u - v))
-
-
-def oracle_rank(model, triple, direction, filter_index):
-    h, rid, t = (int(x) for x in triple)
-    n = model.n_entities
-    if direction is Direction.TAIL:
-        scores = np.array(
-            [oracle_score(model, model.entities[h], rid, model.entities[c]) for c in range(n)]
-        )
-        truth = t
-        known = filter_index.true_tails(h, rid)
-    else:
-        scores = np.array(
-            [oracle_score(model, model.entities[c], rid, model.entities[t]) for c in range(n)]
-        )
-        truth = h
-        known = filter_index.true_heads(rid, t)
-    keep = np.ones(n, dtype=bool)
-    for e in known:
-        if e != truth:
-            keep[e] = False
-    kept_sorted = np.sort(scores[keep])
-    s_true = scores[truth]
-    less = int(np.searchsorted(kept_sorted, s_true, side="left"))
-    ties = int(np.searchsorted(kept_sorted, s_true, side="right")) - less - 1
-    return 1 + less + ties // 2
-
-
-def random_store(rng, n_entities, n_relations, n_train, n_eval):
-    triples = set()
-    while len(triples) < n_train + 2 * n_eval:
-        h, t = rng.integers(0, n_entities, size=2)
-        r = rng.integers(0, n_relations)
-        triples.add((int(h), int(r), int(t)))
-    triples = sorted(triples)
-    return TripleStore(
-        n_entities=n_entities,
-        n_relations=n_relations,
-        train=np.array(triples[:n_train]),
-        valid=np.array(triples[n_train : n_train + n_eval]),
-        test=np.array(triples[n_train + n_eval :]),
-        entity_names=[f"e{i}" for i in range(n_entities)],
-        relation_names=[f"r{i}" for i in range(n_relations)],
-    )
-
-
-def random_model(rng, n_entities, n_relations, dim=6, norm="l1"):
-    spec = compound_spec("full", "SRT", "SRT", dim=dim, norm=norm)
-    model = init_model(spec, n_entities, n_relations, rng)
-    # rough parameters, entities off the unit sphere: the ranking code
-    # must not assume anything about the state it evaluates
-    model.entities = rng.normal(size=(n_entities, dim))
-    model.head.translations = rng.normal(size=model.head.translations.shape)
-    model.tail.scales = rng.normal(size=model.tail.scales.shape)
-    return model
+from oracles import known_answers, oracle_rank, random_model, random_store
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +48,11 @@ def test_rank_matches_full_sort_oracle(norm):
         n = int(rng.integers(5, 30))
         store = random_store(rng, n, 2, 3 * n, n // 2)
         model = random_model(rng, n, 2, dim=6, norm=norm)
-        index = build_filter_index(store)
+        index, known = build_filter_index(store), known_answers(store)
         for triple in store.test[:5]:
             for direction in Direction:
                 got = filtered_rank(model, triple, direction, index)
-                want = oracle_rank(model, triple, direction, index)
+                want = oracle_rank(model, triple, direction, known)
                 assert got == want
 
 
@@ -216,7 +112,7 @@ def test_tie_handling_mean_rank():
     rank = filtered_rank(model, store.test[0], Direction.TAIL, index)
     # 7 candidates, none filtered (no shared (h, r)); 6 ties -> 1 + 6 // 2
     assert rank == 4
-    assert rank == oracle_rank(model, store.test[0], Direction.TAIL, index)
+    assert rank == oracle_rank(model, store.test[0], Direction.TAIL, known_answers(store))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +148,7 @@ def test_evaluate_matches_oracle_cells():
     store = random_store(rng, 15, 2, 50, 6)
     model = random_model(rng, 15, 2)
     cats = categorize_relations(store)
-    index = build_filter_index(store)
+    known = known_answers(store)
     report = evaluate(model, store, "test", cats)
 
     cat_of = {c.relation: c.category.value for c in cats}
@@ -260,7 +156,7 @@ def test_evaluate_matches_oracle_cells():
     for direction in Direction:
         buckets = {}
         for triple in store.test:
-            r = oracle_rank(model, triple, direction, index)
+            r = oracle_rank(model, triple, direction, known)
             buckets.setdefault(cat_of[int(triple[1])], []).append(r)
         expected[direction.value] = buckets
 

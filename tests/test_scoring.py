@@ -7,7 +7,6 @@ from compound_kge.scoring import (
     CompoundSpec,
     Norm,
     RelationParams,
-    TrainableMask,
     Variant,
     compound_spec,
     grad_score,
@@ -19,87 +18,20 @@ from compound_kge.scoring import (
 )
 from compound_kge.transforms import OperatorKind, TransformParams, apply_chain
 
+from oracles import (
+    block_transform,
+    central_differences,
+    linearre_score,
+    pairre_score,
+    random_relation,
+    random_transform,
+    rel_err,
+    rotate_score,
+    transe_score,
+    two_sided_score,
+)
+
 T, R, S = OperatorKind.TRANSLATION, OperatorKind.ROTATION, OperatorKind.SCALING
-
-
-def rel_params(rng, d, shared_rotation=False):
-    head = TransformParams(
-        rng.normal(size=d), rng.uniform(-np.pi, np.pi, size=d // 2), rng.normal(size=d)
-    )
-    tail = TransformParams(
-        rng.normal(size=d), rng.uniform(-np.pi, np.pi, size=d // 2), rng.normal(size=d)
-    )
-    return RelationParams(head, tail, shared_rotation)
-
-
-# ---------------------------------------------------------------------------
-# Independent oracles
-# ---------------------------------------------------------------------------
-
-def block_matrix(chain, v_x, v_y, theta, s_x, s_y):
-    mats = {
-        T: np.array([[1, 0, v_x], [0, 1, v_y], [0, 0, 1]], dtype=float),
-        R: np.array(
-            [
-                [np.cos(theta), -np.sin(theta), 0],
-                [np.sin(theta), np.cos(theta), 0],
-                [0, 0, 1],
-            ]
-        ),
-        S: np.array([[s_x, 0, 0], [0, s_y, 0], [0, 0, 1]], dtype=float),
-    }
-    m = np.eye(3)
-    for op in chain:
-        m = m @ mats[op]
-    return m
-
-
-def matrix_transform(x, chain, p: TransformParams):
-    out = np.empty_like(np.asarray(x, dtype=float))
-    for i in range(len(x) // 2):
-        m = block_matrix(
-            chain,
-            p.translation[2 * i],
-            p.translation[2 * i + 1],
-            p.angles[i],
-            p.scale[2 * i],
-            p.scale[2 * i + 1],
-        )
-        v = m @ np.array([x[2 * i], x[2 * i + 1], 1.0])
-        out[2 * i : 2 * i + 2] = v[:2]
-    return out
-
-
-def matrix_score(h, r, t, spec):
-    u = matrix_transform(h, spec.head_chain, r.head)
-    v = matrix_transform(t, spec.tail_chain, r.tail)
-    if spec.norm is Norm.L1:
-        return np.sum(np.abs(u - v))
-    return np.linalg.norm(u - v)
-
-
-def transe_formula(h, trans, t, norm):
-    d = h + trans - t
-    return np.sum(np.abs(d)) if norm is Norm.L1 else np.linalg.norm(d)
-
-
-def rotate_formula(h, angles, t, norm):
-    hc = h[0::2] + 1j * h[1::2]
-    tc = t[0::2] + 1j * t[1::2]
-    diff = hc * np.exp(1j * angles) - tc
-    if norm is Norm.L1:
-        return np.sum(np.abs(diff.real)) + np.sum(np.abs(diff.imag))
-    return np.sqrt(np.sum(diff.real**2) + np.sum(diff.imag**2))
-
-
-def pairre_formula(h, s_head, t, s_tail, norm):
-    d = h * s_head - t * s_tail
-    return np.sum(np.abs(d)) if norm is Norm.L1 else np.linalg.norm(d)
-
-
-def linearre_formula(h, s_head, trans, t, s_tail, norm):
-    d = h * s_head + trans - t * s_tail
-    return np.sum(np.abs(d)) if norm is Norm.L1 else np.linalg.norm(d)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +48,7 @@ def test_score_transe_zero_case():
 def test_score_zero_for_identical_sides():
     rng = np.random.default_rng(0)
     spec = CompoundSpec(Variant.FULL, (S, R, T), (S, R, T), 8)
-    p = TransformParams(
-        rng.normal(size=8), rng.uniform(-np.pi, np.pi, 4), rng.normal(size=8)
-    )
+    p = random_transform(rng, 8)
     r = RelationParams(p, p.copy())
     h = rng.normal(size=8)
     assert score(h, r, h, spec) == 0.0
@@ -128,10 +58,10 @@ def test_score_matches_matrix_oracle():
     rng = np.random.default_rng(1)
     spec = CompoundSpec(Variant.FULL, (S, R, T), (S, R, T), 16, Norm.L1)
     for _ in range(50):
-        r = rel_params(rng, 16)
+        r = random_relation(rng, 16)
         h, t = rng.normal(size=16), rng.normal(size=16)
         np.testing.assert_allclose(
-            score(h, r, t, spec), matrix_score(h, r, t, spec), rtol=1e-12
+            score(h, r, t, spec), two_sided_score(h, r, t, spec), rtol=1e-12
         )
 
 
@@ -145,19 +75,19 @@ def test_score_nonnegative_and_zero_iff_equal():
     rng = np.random.default_rng(2)
     spec = compound_spec("full", "TRS", "SRT", dim=8, norm="l2")
     for _ in range(100):
-        r = rel_params(rng, 8)
+        r = random_relation(rng, 8)
         h, t = rng.normal(size=8), rng.normal(size=8)
         f = score(h, r, t, spec)
         assert f >= 0.0
         if f == 0.0:
-            u = matrix_transform(h, spec.head_chain, r.head)
-            v = matrix_transform(t, spec.tail_chain, r.tail)
+            u = block_transform(h, spec.head_chain, r.head)
+            v = block_transform(t, spec.tail_chain, r.tail)
             np.testing.assert_allclose(u, v, atol=1e-12)
 
 
 def test_six_orderings_all_distinct():
     rng = np.random.default_rng(3)
-    r = rel_params(rng, 8)
+    r = random_relation(rng, 8)
     h, t = rng.normal(size=8), rng.normal(size=8)
     values = []
     for order in itertools.permutations("TRS"):
@@ -170,7 +100,7 @@ def test_six_orderings_all_distinct():
 def test_score_broadcasts_over_batches():
     rng = np.random.default_rng(4)
     spec = compound_spec("full", "SRT", "SRT", dim=8)
-    r = rel_params(rng, 8)
+    r = random_relation(rng, 8)
     h = rng.normal(size=(5, 8))
     t = rng.normal(size=(5, 8))
     batched = score(h, r, t, spec)
@@ -198,16 +128,14 @@ def test_rows_alone_equal_rows_of_a_batch_bit_for_bit(name):
     spec = BATCH_SPECS[name]
     rng = np.random.default_rng(sorted(BATCH_SPECS).index(name))
     n = 7
-    r = rel_params(rng, 8)
+    r = random_relation(rng, 8)
     h, t = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
     u = apply_chain(h, spec.head_chain, r.head)
     v = apply_chain(t, spec.tail_chain, r.tail)
     scores = score(h, r, t, spec)
     candidates = score(h[0], r, t, spec)  # one fixed side against a block
     # one relation per row, as training gathers the parameters
-    rows = TransformParams(
-        rng.normal(size=(n, 8)), rng.uniform(-np.pi, np.pi, (n, 4)), rng.normal(size=(n, 8))
-    )
+    rows = random_transform(rng, 8, (n,))
     per_row = apply_chain(h, spec.head_chain, rows)
     for i in range(n):
         row_params = TransformParams(rows.translation[i], rows.angles[i], rows.scale[i])
@@ -234,7 +162,7 @@ def test_transe_reduction(norm):
         h, t = rng.normal(size=16), rng.normal(size=16)
         np.testing.assert_allclose(
             score(h, r, t, preset.spec),
-            transe_formula(h, r.head.translation, t, norm),
+            transe_score(h, r, t, norm),
             atol=1e-12,
         )
 
@@ -258,7 +186,7 @@ def test_rotate_reduction(norm):
         h, t = rng.normal(size=8), rng.normal(size=8)
         np.testing.assert_allclose(
             score(h, r, t, preset.spec),
-            rotate_formula(h, r.head.angles, t, norm),
+            rotate_score(h, r, t, norm),
             atol=1e-12,
         )
 
@@ -281,7 +209,7 @@ def test_pairre_reduction(norm):
         h, t = rng.normal(size=16), rng.normal(size=16)
         np.testing.assert_allclose(
             score(h, r, t, preset.spec),
-            pairre_formula(h, r.head.scale, t, r.tail.scale, norm),
+            pairre_score(h, r, t, norm),
             atol=1e-12,
         )
 
@@ -306,7 +234,7 @@ def test_linearre_reduction(norm):
         h, t = rng.normal(size=16), rng.normal(size=16)
         np.testing.assert_allclose(
             score(h, r, t, preset.spec),
-            linearre_formula(h, r.head.scale, r.head.translation, t, r.tail.scale, norm),
+            linearre_score(h, r, t, norm),
             atol=1e-12,
         )
 
@@ -320,13 +248,13 @@ def test_linearre_degenerates_to_pairre_and_transe():
     r.tail.scale = rng.normal(size=8)
     np.testing.assert_allclose(
         score(h, r, t, preset.spec),
-        pairre_formula(h, r.head.scale, t, r.tail.scale, Norm.L1),
+        pairre_score(h, r, t, Norm.L1),
     )
     r2 = RelationParams.identity(8)
     r2.head.translation = rng.normal(size=8)
     np.testing.assert_allclose(
         score(h, r2, t, preset.spec),
-        transe_formula(h, r2.head.translation, t, Norm.L1),
+        transe_score(h, r2, t, Norm.L1),
     )
 
 
@@ -337,89 +265,50 @@ def test_linearre_degenerates_to_pairre_and_transe():
 FD_STEP = 1e-5
 
 
-def fd_grad(fn, x, step=FD_STEP):
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp.flat[i] += step
-        xm.flat[i] -= step
-        g.flat[i] = (fn(xp) - fn(xm)) / (2 * step)
-    return g
-
-
-def assert_close_rel(analytic, numeric, tol=1e-4):
-    denom = max(np.max(np.abs(numeric)), 1e-8)
-    assert np.max(np.abs(analytic - numeric)) / denom < tol
-
-
 def well_separated_instance(rng, spec, shared=False):
     """Random instance kept away from L1 kinks so FD is meaningful."""
     while True:
-        r = rel_params(rng, spec.dim, shared)
+        r = random_relation(rng, spec.dim, shared)
         h, t = rng.normal(size=spec.dim), rng.normal(size=spec.dim)
-        u = matrix_transform(h, spec.head_chain, r.head)
-        v = matrix_transform(t, spec.tail_chain, r.tail)
+        u = block_transform(h, spec.head_chain, r.head)
+        v = block_transform(t, spec.tail_chain, r.tail)
         if np.min(np.abs(u - v)) > 1e-3:
             return h, r, t
 
 
-@pytest.mark.parametrize("norm", ["l1", "l2"])
-@pytest.mark.parametrize(
-    "variant,head_order,tail_order",
-    [
-        ("head", "TRS", ""),
-        ("head", "SRT", ""),
-        ("tail", "", "RST"),
-        ("full", "SRT", "SRT"),
-        ("full", "TSR", "RTS"),
-    ],
-)
+GRAD_NORMS = ["l1", "l2"]
+GRAD_CHAINS = [
+    ("head", "TRS", ""),
+    ("head", "SRT", ""),
+    ("tail", "", "RST"),
+    ("full", "SRT", "SRT"),
+    ("full", "TSR", "RTS"),
+]
+
+
+@pytest.mark.parametrize("norm", GRAD_NORMS)
+@pytest.mark.parametrize("variant,head_order,tail_order", GRAD_CHAINS)
 def test_grad_matches_finite_differences(variant, head_order, tail_order, norm):
-    rng = np.random.default_rng(hash((variant, head_order, tail_order, norm)) % 2**32)
+    case = len(GRAD_NORMS) * GRAD_CHAINS.index((variant, head_order, tail_order))
+    rng = np.random.default_rng(case + GRAD_NORMS.index(norm))
     spec = compound_spec(variant, head_order, tail_order, dim=8, norm=norm)
     for _ in range(10):
         h, r, t = well_separated_instance(rng, spec)
         g = grad_score(h, r, t, spec)
-        assert_close_rel(g.h, fd_grad(lambda v: score(v, r, t, spec), h))
-        assert_close_rel(g.t, fd_grad(lambda v: score(h, r, v, spec), t))
+        assert rel_err(g.h, central_differences(lambda v: score(v, r, t, spec), h, FD_STEP)) < 1e-4
+        assert rel_err(g.t, central_differences(lambda v: score(h, r, v, spec), t, FD_STEP)) < 1e-4
+        for side, order in (("head", head_order), ("tail", tail_order)):
+            for letter, field in (("T", "translation"), ("R", "angles"), ("S", "scale")):
+                if letter not in order:
+                    continue
 
-        def with_head(field, v):
-            r2 = RelationParams(r.head.copy(), r.tail.copy())
-            setattr(r2.head, field, np.asarray(v, dtype=float))
-            return score(h, r2, t, spec)
+                def probe(v, side=side, field=field):
+                    r2 = RelationParams(r.head.copy(), r.tail.copy())
+                    setattr(getattr(r2, side), field, np.asarray(v, dtype=float))
+                    return score(h, r2, t, spec)
 
-        def with_tail(field, v):
-            r2 = RelationParams(r.head.copy(), r.tail.copy())
-            setattr(r2.tail, field, np.asarray(v, dtype=float))
-            return score(h, r2, t, spec)
-
-        if "T" in head_order:
-            assert_close_rel(
-                g.head.translation,
-                fd_grad(lambda v: with_head("translation", v), r.head.translation),
-            )
-        if "R" in head_order:
-            assert_close_rel(
-                g.head.angles, fd_grad(lambda v: with_head("angles", v), r.head.angles)
-            )
-        if "S" in head_order:
-            assert_close_rel(
-                g.head.scale, fd_grad(lambda v: with_head("scale", v), r.head.scale)
-            )
-        if "T" in tail_order:
-            assert_close_rel(
-                g.tail.translation,
-                fd_grad(lambda v: with_tail("translation", v), r.tail.translation),
-            )
-        if "R" in tail_order:
-            assert_close_rel(
-                g.tail.angles, fd_grad(lambda v: with_tail("angles", v), r.tail.angles)
-            )
-        if "S" in tail_order:
-            assert_close_rel(
-                g.tail.scale, fd_grad(lambda v: with_tail("scale", v), r.tail.scale)
-            )
+                want = central_differences(probe, getattr(getattr(r, side), field), FD_STEP)
+                assert rel_err(getattr(getattr(g, side), field), want) < 1e-4
 
 
 def test_grad_shared_rotation_accumulates_both_sides():
@@ -436,7 +325,8 @@ def test_grad_shared_rotation_accumulates_both_sides():
             head.angles = np.asarray(v, dtype=float)
             return score(h, RelationParams(head, tail, shared_rotation=True), t, spec)
 
-        assert_close_rel(g.head.angles, fd_grad(with_shared_angles, r.head.angles))
+        want = central_differences(with_shared_angles, r.head.angles, FD_STEP)
+        assert rel_err(g.head.angles, want) < 1e-4
         assert np.all(g.tail.angles == 0.0)
 
 

@@ -4,7 +4,7 @@ import scipy.stats
 
 from compound_kge.errors import TrainingDivergedError
 from compound_kge.model import init_model, model_from_preset
-from compound_kge.scoring import PRESETS, compound_spec, preset_rotate, preset_transe
+from compound_kge.scoring import PRESETS, compound_spec, preset_rotate
 from compound_kge.synthetic import SyntheticPattern, generate_synthetic_kg
 from compound_kge.training import (
     Adam,
@@ -17,6 +17,8 @@ from compound_kge.training import (
     train,
     train_step,
 )
+
+from oracles import central_difference_at, frozen_weight_loss
 
 
 def tiny_store():
@@ -259,52 +261,13 @@ def test_batch_gradients_match_finite_differences(build, B):
 
     _, _, grads = batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
 
-    # freeze the adversarial weights at their base values for the FD probe
-    from compound_kge.scoring import score as score_fn
-    from compound_kge.training import self_adversarial_weights as weights_fn
-
-    def loss_with_fixed_weights():
-        _, per_pos, _ = batch_loss_and_grads(
-            model, positives, neg_ids, corrupt_head, config, weights=frozen_w
-        )
-        return float(np.mean(per_pos))
-
-    f_neg = np.empty((B, 3))
-    for i in range(B):
-        r = model.relation_params(int(positives[i, 1]))
-        for j in range(3):
-            if corrupt_head[i]:
-                f_neg[i, j] = score_fn(
-                    model.entities[neg_ids[i, j]], r, model.entities[positives[i, 2]], model.spec
-                )
-            else:
-                f_neg[i, j] = score_fn(
-                    model.entities[positives[i, 0]], r, model.entities[neg_ids[i, j]], model.spec
-                )
-    frozen_w = weights_fn(f_neg, config.adversarial_temperature)
-
-    step = 1e-6
-    tables = {
-        "entities": model.entities,
-        "head.translations": model.head.translations,
-        "head.angles": model.head.angles,
-        "head.scales": model.head.scales,
-        "tail.translations": model.tail.translations,
-        "tail.angles": model.tail.angles,
-        "tail.scales": model.tail.scales,
-    }
+    _, loss_with_fixed_weights = frozen_weight_loss(model, positives, neg_ids, corrupt_head, config)
     for name, (rows, analytic) in grads.items():
-        table = tables[name]
+        table = model.table(name)
         for k in range(min(len(rows), 3)):
             row = rows[k]
             for col in range(min(analytic.shape[1], 4)):
-                original = table[row, col]
-                table[row, col] = original + step
-                up = loss_with_fixed_weights()
-                table[row, col] = original - step
-                down = loss_with_fixed_weights()
-                table[row, col] = original
-                fd = (up - down) / (2 * step)
+                fd = central_difference_at(loss_with_fixed_weights, table, (row, col), 1e-6)
                 assert analytic[k, col] == pytest.approx(fd, rel=1e-4, abs=1e-7), (
                     name,
                     row,
@@ -467,6 +430,26 @@ def test_train_builds_filter_index_once_and_only_to_validate(
     result = train(store, model, config)
     assert sum(1 for row in result.log_rows if row[2] != "") == 25 // valid_interval
     assert len(calls) == builds
+
+
+def test_train_without_validation_copies_the_model_once(monkeypatch):
+    from compound_kge.model import KGEModel
+
+    calls = []
+    original = KGEModel.copy
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(KGEModel, "copy", counting)
+    store = generate_synthetic_kg(SyntheticPattern.ANTISYMMETRIC, seed=0)
+    model = fresh_model(dim=8, n_entities=store.n_entities, n_relations=store.n_relations)
+    config = TrainConfig(batch_size=16, negative_size=4, max_steps=5, valid_interval=10)
+    result = train(store, model, config)
+    assert len(calls) == 1  # the returned best model, taken after the last step
+    assert result.best_model is not result.model
+    np.testing.assert_array_equal(result.best_model.entities, result.model.entities)
 
 
 def test_train_empty_dataset_rejected():

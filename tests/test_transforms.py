@@ -21,60 +21,13 @@ from compound_kge.transforms import (
     invert_compound_2d,
 )
 
+from oracles import block_matrix, block_transform, central_differences, random_transform
+
 T, R, S = OperatorKind.TRANSLATION, OperatorKind.ROTATION, OperatorKind.SCALING
 
 ALL_ORDERS = list(itertools.permutations([T, R, S]))
 # every ordered subset of {T, R, S}, the empty chain included (16 chains)
 ALL_CHAINS = [c for k in range(4) for c in itertools.permutations([T, R, S], k)]
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle: build each elementary 3x3 matrix from scratch, multiply
-# in written order, and push homogeneous block vectors through the product.
-# ---------------------------------------------------------------------------
-
-def oracle_matrix(chain, v_x, v_y, theta, s_x, s_y):
-    mats = {
-        T: np.array([[1, 0, v_x], [0, 1, v_y], [0, 0, 1]], dtype=float),
-        R: np.array(
-            [
-                [np.cos(theta), -np.sin(theta), 0],
-                [np.sin(theta), np.cos(theta), 0],
-                [0, 0, 1],
-            ]
-        ),
-        S: np.array([[s_x, 0, 0], [0, s_y, 0], [0, 0, 1]], dtype=float),
-    }
-    m = np.eye(3)
-    for op in chain:
-        m = m @ mats[op]
-    return m
-
-
-def oracle_apply(x, chain, params):
-    """Brute-force per-block homogeneous matrix-vector application."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for i in range(x.shape[-1] // 2):
-        m = oracle_matrix(
-            chain,
-            params.translation[2 * i],
-            params.translation[2 * i + 1],
-            params.angles[i],
-            params.scale[2 * i],
-            params.scale[2 * i + 1],
-        )
-        block = m @ np.array([x[2 * i], x[2 * i + 1], 1.0])
-        out[2 * i], out[2 * i + 1] = block[0], block[1]
-    return out
-
-
-def random_params(rng, d):
-    return TransformParams(
-        translation=rng.normal(size=d),
-        angles=rng.uniform(-np.pi, np.pi, size=d // 2),
-        scale=rng.normal(size=d),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +48,7 @@ def test_translation_matches_block_matrix_oracle():
     t = rng.normal(size=64)
     params = TransformParams(t, np.zeros(32), np.ones(64))
     np.testing.assert_allclose(
-        apply_translation(x, t), oracle_apply(x, [T], params), rtol=1e-12
+        apply_translation(x, t), block_transform(x, [T], params), rtol=1e-12
     )
 
 
@@ -120,7 +73,7 @@ def test_rotation_matches_block_matrix_oracle():
     angles = rng.uniform(-np.pi, np.pi, size=4)
     params = TransformParams(np.zeros(8), angles, np.ones(8))
     np.testing.assert_allclose(
-        apply_rotation(x, angles), oracle_apply(x, [R], params), rtol=1e-12
+        apply_rotation(x, angles), block_transform(x, [R], params), rtol=1e-12
     )
 
 
@@ -157,7 +110,7 @@ def test_scaling_matches_block_matrix_oracle():
     s = rng.normal(size=64)
     params = TransformParams(np.zeros(64), np.zeros(32), s)
     np.testing.assert_allclose(
-        apply_scaling(x, s), oracle_apply(x, [S], params), rtol=1e-12
+        apply_scaling(x, s), block_transform(x, [S], params), rtol=1e-12
     )
 
 
@@ -173,7 +126,7 @@ def test_scaling_dimension_mismatch():
 def test_empty_chain_is_identity():
     rng = np.random.default_rng(19)
     x = rng.normal(size=10)
-    params = random_params(rng, 10)
+    params = random_transform(rng, 10)
     np.testing.assert_array_equal(apply_chain(x, (), params), x)
 
 
@@ -187,11 +140,11 @@ def test_chain_trs_applies_right_to_left():
 def test_chain_order_matters_and_matches_oracle():
     rng = np.random.default_rng(23)
     x = rng.normal(size=2)
-    params = random_params(rng, 2)
+    params = random_transform(rng, 2)
     trs = apply_chain(x, (T, R, S), params)
     srt = apply_chain(x, (S, R, T), params)
     assert np.max(np.abs(trs - srt)) > 1e-6  # non-commutative
-    np.testing.assert_allclose(srt, oracle_apply(x, (S, R, T), params), rtol=1e-12)
+    np.testing.assert_allclose(srt, block_transform(x, (S, R, T), params), rtol=1e-12)
 
 
 @pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda c: "".join(k.value for k in c))
@@ -200,9 +153,9 @@ def test_all_orders_match_matrix_oracle(order):
     for _ in range(20):
         d = 2 * int(rng.integers(1, 8))
         x = rng.normal(size=d)
-        params = random_params(rng, d)
+        params = random_transform(rng, d)
         got = apply_chain(x, order, params)
-        want = oracle_apply(x, order, params)
+        want = block_transform(x, order, params)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -210,9 +163,9 @@ def test_partial_chains_match_oracle():
     rng = np.random.default_rng(29)
     for chain in [(T,), (R,), (S,), (T, R), (R, S), (S, T), (R, T), (T, S), (S, R)]:
         x = rng.normal(size=6)
-        params = random_params(rng, 6)
+        params = random_transform(rng, 6)
         np.testing.assert_allclose(
-            apply_chain(x, chain, params), oracle_apply(x, chain, params), rtol=1e-12
+            apply_chain(x, chain, params), block_transform(x, chain, params), rtol=1e-12
         )
 
 
@@ -321,7 +274,7 @@ def test_chain_block_matrices_consistent_with_apply():
     rng = np.random.default_rng(43)
     d = 12
     x = rng.normal(size=d)
-    params = random_params(rng, d)
+    params = random_transform(rng, d)
     mats = chain_block_matrices((S, R, T), params)
     assert mats.shape == (d // 2, 3, 3)
     applied = apply_chain(x, (S, R, T), params)
@@ -351,9 +304,7 @@ def planted_singular_stack(rng, n_relations=5, d=16):
 def test_chain_block_matrices_stacked_equals_oracle():
     rng = np.random.default_rng(44)
     d = 10
-    params = TransformParams(
-        rng.normal(size=(3, d)), rng.uniform(-np.pi, np.pi, (3, d // 2)), rng.normal(size=(3, d))
-    )
+    params = random_transform(rng, d, (3,))
     for chain in ALL_ORDERS + [(T,), (R, S), ()]:
         mats = chain_block_matrices(chain, params)
         assert mats.shape == (3, d // 2, 3, 3)
@@ -367,7 +318,7 @@ def test_chain_block_matrices_stacked_equals_oracle():
                     params.scale[k, 2 * i + 1],
                 )
                 np.testing.assert_allclose(
-                    mats[k, i], oracle_matrix(chain, *block), atol=1e-12
+                    mats[k, i], block_matrix(chain, *block), atol=1e-12
                 )
 
 
@@ -394,16 +345,6 @@ def test_invert_blocks_rejects_non_3x3():
 # The chain kernel's vector-Jacobian product
 # ---------------------------------------------------------------------------
 
-def central_differences(fn, x, step=1e-6):
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp.flat[i] += step
-        xm.flat[i] -= step
-        g.flat[i] = (fn(xp) - fn(xm)) / (2 * step)
-    return g
-
-
 @pytest.mark.parametrize("chain", ALL_CHAINS, ids=lambda c: "".join(k.value for k in c) or "empty")
 def test_chain_backward_matches_finite_differences(chain):
     """Inputs at (B, N, d) and parameters at (B, 1, d), as training passes
@@ -414,11 +355,7 @@ def test_chain_backward_matches_finite_differences(chain):
     B, N = 2, 3
     for d in (4,) if R in chain else (4, 5):
         x = rng.normal(size=(B, N, d))
-        params = TransformParams(
-            rng.normal(size=(B, 1, d)),
-            rng.uniform(-np.pi, np.pi, (B, 1, d // 2)),
-            rng.normal(size=(B, 1, d)),
-        )
+        params = random_transform(rng, d, (B, 1))
         w = rng.normal(size=(B, N, d))
 
         def objective(x_, p):
@@ -428,13 +365,13 @@ def test_chain_backward_matches_finite_differences(chain):
         gx, grads = chain_backward(w, params, tape)
         assert gx.shape == x.shape
         np.testing.assert_allclose(
-            gx, central_differences(lambda v: objective(v, params), x), rtol=1e-6, atol=1e-8
+            gx, central_differences(lambda v: objective(v, params), x, 1e-6), rtol=1e-6, atol=1e-8
         )
         for field in ("translation", "angles", "scale"):
             value = getattr(params, field)
             got = getattr(grads, field)
             assert got.shape == value.shape
             want = central_differences(
-                lambda v: objective(x, dataclasses.replace(params, **{field: v})), value
+                lambda v: objective(x, dataclasses.replace(params, **{field: v})), value, 1e-6
             )
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
