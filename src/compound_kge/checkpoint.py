@@ -125,9 +125,12 @@ def read_header(path) -> dict:
         if len(blob) != length:
             raise CheckpointError("truncated JSON header")
         try:
-            return json.loads(blob.decode("utf-8"))
+            header = json.loads(blob.decode("utf-8"))
         except ValueError as exc:
             raise CheckpointError(f"malformed header JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint header is a JSON {type(header).__name__}, not an object")
+    return header
 
 
 def _check_header(header: dict) -> None:

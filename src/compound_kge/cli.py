@@ -66,7 +66,16 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
+        """Parse a ``to_json`` text; malformed input raises ValueError."""
+        values = json.loads(text)
+        if not isinstance(values, dict):
+            raise ValueError(f"run config must be a JSON object, got {type(values).__name__}")
+        unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"run config has unknown key {unknown[0]!r}")
+        if "data" not in values:
+            raise ValueError("run config is missing 'data'")
+        return cls(**values)
 
 
 def run_config_from_args(args) -> RunConfig:

@@ -316,7 +316,8 @@ def categorize_relations(store: TripleStore, eta: float = 1.5) -> list[RelationC
 
     Statistics come from the training split only (test structure must
     not leak into evaluation buckets): ``hpt`` is the mean number of
-    distinct heads per distinct tail of the relation, ``tph`` the mean
+    distinct heads per distinct tail of the relation, that is its
+    distinct triples over its distinct (r, t) pairs, and ``tph`` the mean
     number of distinct tails per distinct head.  Both below ``eta``
     means one-to-one; each side at or above ``eta`` flips that side to
     many.  Relations absent from the training split are classified
@@ -324,23 +325,25 @@ def categorize_relations(store: TripleStore, eta: float = 1.5) -> list[RelationC
     """
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    heads_per_tail: dict[int, dict[int, set[int]]] = defaultdict(lambda: defaultdict(set))
-    tails_per_head: dict[int, dict[int, set[int]]] = defaultdict(lambda: defaultdict(set))
-    for h, r, t in store.train:
-        h, r, t = int(h), int(r), int(t)
-        heads_per_tail[r][t].add(h)
-        tails_per_head[r][h].add(t)
+    n, m = store.n_entities, store.n_relations
+    train = np.asarray(store.train, dtype=np.int64)
+    # distinct (r, h, t) triples as integer keys (r * n + h) * n + t
+    keys = np.unique((train[:, 1] * n + train[:, 0]) * n + train[:, 2])
+    rels = keys // (n * n)
+    n_triples = np.bincount(rels, minlength=m)
+    n_heads = np.bincount(np.unique(keys // n) // n, minlength=m)  # distinct (r, h) pairs
+    n_tails = np.bincount(np.unique(rels * n + keys % n) // n, minlength=m)  # distinct (r, t)
     out = []
-    for r in range(store.n_relations):
-        if r not in heads_per_tail:
+    for r in range(m):
+        if n_triples[r] == 0:
             log.warning(
                 "relation %r has no training triples; categorized 1-to-1",
                 store.relation_names[r] if r < len(store.relation_names) else r,
             )
             out.append(RelationCategory(r, 0.0, 0.0, Category.ONE_TO_ONE, False))
             continue
-        hpt = float(np.mean([len(s) for s in heads_per_tail[r].values()]))
-        tph = float(np.mean([len(s) for s in tails_per_head[r].values()]))
+        hpt = float(n_triples[r] / n_tails[r])
+        tph = float(n_triples[r] / n_heads[r])
         out.append(RelationCategory(r, hpt, tph, _categorize(hpt, tph, eta)))
     return out
 
@@ -352,8 +355,5 @@ def complex_triple_fraction(
     triples = store.split(split)
     if len(triples) == 0:
         return 0.0
-    by_rel = {c.relation: c.category for c in categories}
-    complex_count = sum(
-        1 for _, r, _ in triples if by_rel[int(r)] is not Category.ONE_TO_ONE
-    )
-    return complex_count / len(triples)
+    complex_relations = [c.relation for c in categories if c.category is not Category.ONE_TO_ONE]
+    return float(np.mean(np.isin(triples[:, 1], complex_relations)))

@@ -7,14 +7,14 @@ temperature-scaled softmax of their own scores, and those weights are
 treated as constants during backpropagation.  After every optimizer
 step entity rows are projected back to unit norm.
 
-A batch runs four chain passes through the same affine-map kernel and
-distance that ``scoring.score`` and evaluation use: positive heads,
-positive tails, head-corrupted negatives and tail-corrupted negatives.
-The backward walks the four passes in that order and collects row ids
-and gradients per table name (``entities``, ``head.angles``, ...; see
-``model.table_names``); a negative pass's operator gradients arrive
-summed over its negatives, and under shared rotation both chains'
-angle gradients go to ``head.angles``.
+A positive is candidate 0 of its corrupted side, ahead of its N
+negatives, so a batch scores one (B, 1+N) array.  The rows run in two
+corruption groups (head-corrupted, tail-corrupted), each one chain pass
+per side through the affine-map kernel and distance that
+``scoring.score`` and evaluation use, with the relation parameters
+broadcast over the candidates.  Gradients are collected per table name
+(``entities``, ``head.angles``, ...; see ``model.table_names``); under
+shared rotation both chains' angle gradients go to ``head.angles``.
 
 The filtered index for validation is built on the first validation
 step, so a run that never validates never builds it.
@@ -217,43 +217,34 @@ def batch_loss_and_grads(
     ``weights`` overrides the self-adversarial weights (used by
     gradient checks, which must hold them constant).
 
-    Four chain passes carry the batch: positive heads, positive tails,
-    head-corrupted negatives and tail-corrupted negatives.  A pass with
-    no rows runs on empty arrays.
+    A group's corrupted side transforms (B_g, 1+N) candidates, the
+    positive first, and its other side (B_g, 1) entities; the corrupted
+    side's upstream gradient is the candidates' own and the other side's
+    their negated sum.  A group with no rows runs on empty arrays.
 
     Returns ``(mean_loss, per_positive_loss, grads)`` with ``grads``
     mapping table names (see :meth:`KGEModel.table`) to
     ``(rows, grad_rows)`` pairs.
     """
     spec = model.spec
-    h_ids, r_ids, t_ids = positives[:, 0], positives[:, 1], positives[:, 2]
     B, N = neg_ids.shape
-    idx_h = np.where(corrupt_head)[0]
-    idx_t = np.where(~corrupt_head)[0]
-    passes = []  # (side, relation rows, entity ids, params, tape)
-
-    def forward(side, rows, ids):
-        """Transform entity rows ``ids`` by ``side``'s chain of relations ``rows``."""
-        r = rows[:, None] if ids.ndim == 2 else rows  # broadcast over the negatives
-        p = getattr(model, side)[r]
-        y, tape = chain_forward_tape(model.entities[ids], getattr(spec, f"{side}_chain"), p)
-        passes.append((side, rows, ids, p, tape))
-        return y
-
-    u = forward("head", r_ids, h_ids)
-    v = forward("tail", r_ids, t_ids)
-    f_pos, g_u = _norm_and_grad(u - v, spec.norm)
-    # a negative pass's gap is formed in place in its transformed vectors
-    y = forward("head", r_ids[idx_h], neg_ids[idx_h])
-    y -= v[idx_h][:, None, :]
-    f_h, g_h = _norm_and_grad(y, spec.norm)
-    y = forward("tail", r_ids[idx_t], neg_ids[idx_t])
-    np.subtract(u[idx_t][:, None, :], y, out=y)
-    f_t, g_t = _norm_and_grad(y, spec.norm)
-    del y
-    f_neg = np.empty((B, N))
-    f_neg[idx_h] = f_h
-    f_neg[idx_t] = f_t
+    f = np.empty((B, 1 + N))
+    groups = []  # (corrupted side, batch rows, relation ids, {side: (ids, params, tape)}, dgap)
+    for side, in_group in (("head", corrupt_head), ("tail", ~corrupt_head)):
+        rows = np.flatnonzero(in_group)
+        r = positives[rows, 1]
+        ids = {"head": positives[rows, :1], "tail": positives[rows, 2:]}
+        ids[side] = np.hstack([ids[side], neg_ids[rows]])
+        passes, out = {}, {}
+        for s in ("head", "tail"):
+            chain, p = getattr(spec, f"{s}_chain"), getattr(model, s)[r[:, None]]
+            out[s], tape = chain_forward_tape(model.entities[ids[s]], chain, p)
+            passes[s] = (ids[s], p, tape)
+        # the gap (head - tail) is formed in place in the corrupted side's output
+        f[rows], g = _norm_and_grad(np.subtract(out["head"], out["tail"], out=out[side]), spec.norm)
+        del out
+        groups.append((side, rows, r, passes, g))
+    f_pos, f_neg = f[:, 0], f[:, 1:]
 
     if weights is None:
         weights = self_adversarial_weights(f_neg, config.adversarial_temperature)
@@ -261,17 +252,9 @@ def batch_loss_and_grads(
     mean_loss = float(np.mean(per_pos))
 
     # d loss / d score, already divided by the batch size
-    c_pos = _sigmoid(f_pos - config.margin) / B
-    c_neg = -weights * _sigmoid(config.margin - f_neg) / B
-
-    # upstream gradients of each pass's transformed vectors
-    g_u *= c_pos[:, None]
-    g_v = -g_u
-    g_h *= c_neg[idx_h][:, :, None]
-    g_v[idx_h] -= np.sum(g_h, axis=1)
-    g_t *= c_neg[idx_t][:, :, None]
-    g_u[idx_t] += np.sum(g_t, axis=1)
-    np.negative(g_t, out=g_t)
+    c = np.empty((B, 1 + N))
+    c[:, 0] = _sigmoid(f_pos - config.margin) / B
+    c[:, 1:] = -weights * _sigmoid(config.margin - f_neg) / B
 
     tables = {}  # table name -> (row id arrays, gradient arrays)
 
@@ -280,20 +263,24 @@ def batch_loss_and_grads(
         row_list.append(rows)
         grad_list.append(grad)
 
-    # each pass's tape and upstream are released once it has been walked,
-    # so the (B, N, d) intermediates do not pile up
-    upstreams = [g_u, g_v, g_h, g_t]
-    del g_u, g_v, g_h, g_t
-    while passes:
-        (side, rows, ids, p, tape), upstream = passes.pop(0), upstreams.pop(0)
-        gx, g_par = chain_backward(upstream, p, tape)
-        collect("entities", ids.ravel(), gx.reshape(-1, spec.dim))
-        for group, field, table in _PARAM_GROUPS:
-            # under shared rotation the head's rotation group owns both sides
-            owner = "head" if model.shared_rotation and group == "rotation" else side
-            if getattr(model.trainable, f"{owner}_{group}"):
-                g = getattr(g_par, field)
-                collect(f"{owner}.{table}", rows, g.reshape(len(rows), g.shape[-1]))
+    # each group's tapes and upstreams are released once it has been walked,
+    # so the (B, 1+N, d) intermediates do not pile up
+    while groups:
+        side, rows, r, passes, g = groups.pop(0)
+        # the tail is subtracted in the gap, so its candidates' sign is folded into c
+        g *= (c[rows] if side == "head" else -c[rows])[:, :, None]
+        upstreams = {s: g if s == side else -np.sum(g, axis=1, keepdims=True) for s in passes}
+        del g
+        for s, (ids, p, tape) in passes.items():
+            gx, g_par = chain_backward(upstreams.pop(s), p, tape)
+            collect("entities", ids.ravel(), gx.reshape(-1, spec.dim))
+            for group, field, table in _PARAM_GROUPS:
+                # under shared rotation the head's rotation group owns both sides
+                owner = "head" if model.shared_rotation and group == "rotation" else s
+                if getattr(model.trainable, f"{owner}_{group}"):
+                    grad = getattr(g_par, field)
+                    collect(f"{owner}.{table}", r, grad.reshape(len(r), grad.shape[-1]))
+    del passes, tape  # the last group's tapes, before the row sums
 
     grads = {
         name: _accumulate_rows(np.concatenate(row_list), np.concatenate(grad_list))

@@ -1,9 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from compound_kge.checkpoint import load_checkpoint
+from compound_kge.checkpoint import MAGIC, load_checkpoint
 from compound_kge.cli import RunConfig, build_parser, main, run_config_from_args
 from compound_kge.dataset import (
     build_filter_index,
@@ -109,6 +110,22 @@ def test_train_replay_from_persisted_config(data_dir, tmp_path):
     )
     assert code == 0
     assert (first / "last.ckpt").read_bytes() == (second / "last.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"data": "kg", "epochs": 3}, "unknown key 'epochs'"),
+        ({"dim": 8, "steps": 0}, "missing 'data'"),
+        (["kg"], "must be a JSON object, got list"),
+    ],
+)
+def test_train_malformed_run_config_fails_cleanly(tmp_path, capsys, config, message):
+    path = tmp_path / "run_config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run config") and message in err
 
 
 def test_train_preset_conflicts_with_order_flags(data_dir, capsys):
@@ -345,6 +362,14 @@ def test_categorize_duplicate_entity_id_fails_cleanly(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # diagnose
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("blob", [b"[1, 2]", b'"header"', b"null"])
+def test_diagnose_checkpoint_header_not_an_object_fails_cleanly(tmp_path, capsys, blob):
+    path = tmp_path / "odd.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob)
+    assert run_cli(["diagnose", "--checkpoint", str(path), "--all"]) == 1
+    assert capsys.readouterr().err.startswith("error: checkpoint header is a JSON ")
+
 
 def test_diagnose_identity_checkpoint_zero_residuals(data_dir, tmp_path, capsys):
     save = tmp_path / "run"

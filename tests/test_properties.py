@@ -8,6 +8,8 @@ planted ties, block sizes) is drawn by Hypothesis itself.
 """
 
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,18 +18,24 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compound_kge.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from compound_kge.dataset import build_filter_index
 from compound_kge.diagnostics import relation_matrices
 from compound_kge.evaluation import Direction, filtered_rank
+from compound_kge.model import init_model
 from compound_kge.scoring import compound_spec, score
+from compound_kge.training import TrainConfig, batch_loss_and_grads
 from compound_kge.transforms import invert_blocks
 
 from oracles import (
+    central_difference_at,
+    frozen_weight_loss,
     known_answers,
     oracle_rank,
     random_model,
     random_relation,
     random_store,
+    rel_err,
     two_sided_score,
 )
 
@@ -74,18 +82,27 @@ def test_filtered_rank_equals_full_sort_oracle(case):
 
 
 @st.composite
-def score_cases(draw):
-    """A spec over variant x chain orders x norm, a random relation with or
-    without shared rotation, and a head and a tail.  Chains without rotation
+def specs(draw, max_dim=8):
+    """A spec over variant x chain orders x norm.  Chains without rotation
     also run at odd dimensions."""
     variant = draw(st.sampled_from(["head", "tail", "full"]))
     head = "" if variant == "tail" else draw(st.sampled_from(ORDERS))
     tail = "" if variant == "head" else draw(st.sampled_from(ORDERS))
-    dim = 2 * draw(st.integers(1, 4)) if "R" in head + tail else draw(st.integers(1, 8))
-    spec = compound_spec(variant, head, tail, dim=dim, norm=draw(norms))
+    if "R" in head + tail:
+        dim = 2 * draw(st.integers(1, max_dim // 2))
+    else:
+        dim = draw(st.integers(1, max_dim))
+    return compound_spec(variant, head, tail, dim=dim, norm=draw(norms))
+
+
+@st.composite
+def score_cases(draw):
+    """A spec, a random relation with or without shared rotation, and a head
+    and a tail."""
+    spec = draw(specs())
     rng = np.random.default_rng(draw(seeds))
-    r = random_relation(rng, dim, shared_rotation=draw(st.booleans()))
-    return spec, r, rng.normal(size=dim), rng.normal(size=dim)
+    r = random_relation(rng, spec.dim, shared_rotation=draw(st.booleans()))
+    return spec, r, rng.normal(size=spec.dim), rng.normal(size=spec.dim)
 
 
 @PROPERTY
@@ -114,3 +131,95 @@ def test_composed_and_inverted_block_maps_keep_the_bottom_row(seed, head, tail, 
     bottom = (0.0, 0.0, 1.0)
     for product in (m1 @ m2, m2_hat @ m1, inv[~singular], effective, effective @ m2[~singular]):
         assert (product[..., 2, :] == bottom).all()
+
+
+def rough_model(rng, spec, n_entities, n_relations, shared_rotation):
+    """A model of ``spec`` whose every table is drawn at random, so no
+    parameter sits at its identity value and no score at a kink."""
+    model = init_model(spec, n_entities, n_relations, rng, shared_rotation=shared_rotation)
+    for table in model.tables().values():
+        table[...] = rng.normal(size=table.shape)
+    return model
+
+
+@st.composite
+def batch_cases(draw):
+    """A tiny rough model, a batch with its negatives, and a corruption mask:
+    every row head-corrupted, every row tail-corrupted, or mixed."""
+    spec = draw(specs(max_dim=4))
+    n_entities, n_relations = draw(st.integers(2, 5)), draw(st.integers(1, 2))
+    mask = draw(st.sampled_from(["head", "tail", "mixed"]))
+    B, N = draw(st.integers(2 if mask == "mixed" else 1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(seeds))
+    model = rough_model(rng, spec, n_entities, n_relations, draw(st.booleans()))
+    positives = np.stack(
+        [rng.integers(0, n, B) for n in (n_entities, n_relations, n_entities)], axis=1
+    )
+    neg_ids = rng.integers(0, n_entities, (B, N))
+    corrupt_head = {
+        "head": np.ones(B, bool), "tail": np.zeros(B, bool), "mixed": rng.permutation(B) % 2 == 0
+    }[mask]
+    config = TrainConfig(batch_size=B, negative_size=N, margin=draw(st.sampled_from([1.0, 6.0])))
+    return model, positives, neg_ids, corrupt_head, config
+
+
+@PROPERTY
+@given(batch_cases())
+def test_batch_gradients_match_central_differences(case):
+    model, positives, neg_ids, corrupt_head, config = case
+    _, _, grads = batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
+    _, frozen_loss = frozen_weight_loss(model, positives, neg_ids, corrupt_head, config)
+    for name, (rows, analytic) in grads.items():
+        table = model.table(name)
+        numeric = np.array(
+            [
+                [central_difference_at(frozen_loss, table, (row, col), 1e-6) for col in cols]
+                for row in rows
+                for cols in [range(table.shape[1])]
+            ]
+        )
+        assert rel_err(analytic, numeric) < 1e-6, name
+
+
+@st.composite
+def checkpoints(draw):
+    """A rough model, its magnitude anywhere from float32's subnormals to
+    near its largest values, with arbitrary names, step and RNG state."""
+    spec = draw(specs(max_dim=4))
+    n_entities, n_relations = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(seeds))
+    model = rough_model(rng, spec, n_entities, n_relations, draw(st.booleans()))
+    magnitude = draw(st.sampled_from([1e-42, 1e-3, 1.0, 1e30]))
+    for table in model.tables().values():
+        table *= magnitude
+    model.step = draw(st.integers(0, 2**40))
+    rng_state = np.random.default_rng(rng.integers(2**32)).bit_generator.state
+    return Checkpoint(
+        model=model,
+        entity_names=[draw(st.text()) for _ in range(n_entities)],
+        relation_names=[draw(st.text()) for _ in range(n_relations)],
+        dataset_hash=draw(st.none() | st.text()),
+        rng_state=draw(st.sampled_from([None, rng_state])),
+    )
+
+
+@PROPERTY
+@given(checkpoints())
+def test_checkpoint_round_trip_is_the_identity(ckpt):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.ckpt"), Path(tmp, "second.ckpt")
+        save_checkpoint(first, ckpt)
+        loaded = load_checkpoint(first)
+        save_checkpoint(second, loaded)
+        again = load_checkpoint(second)
+        assert first.read_bytes() == second.read_bytes()
+    for name, table in ckpt.model.tables().items():
+        np.testing.assert_array_equal(loaded.model.table(name), table.astype(np.float32))
+        assert again.model.table(name).tobytes() == loaded.model.table(name).tobytes()
+    for got in (loaded, again):
+        model = got.model
+        assert (model.spec, model.trainable, model.shared_rotation, model.step) == (
+            ckpt.model.spec, ckpt.model.trainable, ckpt.model.shared_rotation, ckpt.model.step
+        )
+        assert (got.entity_names, got.relation_names) == (ckpt.entity_names, ckpt.relation_names)
+        assert (got.dataset_hash, got.rng_state) == (ckpt.dataset_hash, ckpt.rng_state)
