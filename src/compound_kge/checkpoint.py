@@ -43,14 +43,32 @@ __all__ = [
 MAGIC = b"CMPE0001"
 FORMAT_VERSION = 1
 
-# header entries a model cannot be rebuilt without
-_REQUIRED_KEYS = (
-    "spec", "trainable", "shared_rotation", "n_entities", "n_relations",
-    "entity_names", "relation_names", "arrays",
-)
-_SPEC_FIELDS = ("variant", "head_chain", "tail_chain", "dim", "norm")
-
 _MASK_FIELDS = tuple(f.name for f in fields(TrainableMask))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# (test, description) of the values a header entry may hold
+_ANY = (lambda v: True, "anything")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_STR = (lambda v: isinstance(v, str), "a string")
+_INT = (_is_int, "an integer")
+_NAMES = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings")
+_SHAPE = (
+    lambda v: isinstance(v, list) and all(_is_int(x) and x >= 0 for x in v),
+    "a list of nonnegative integers",
+)
+
+# header entries a model cannot be rebuilt without, and their value types
+_REQUIRED_KEYS = {
+    "spec": _OBJECT, "trainable": _OBJECT, "shared_rotation": _ANY, "n_entities": _INT,
+    "n_relations": _INT, "entity_names": _NAMES, "relation_names": _NAMES, "arrays": _LIST,
+}
+_SPEC_FIELDS = {"variant": _STR, "head_chain": _STR, "tail_chain": _STR, "dim": _INT, "norm": _STR}
+_ARRAY_FIELDS = {"name": _STR, "shape": _SHAPE}
 
 
 @dataclass
@@ -135,23 +153,24 @@ def read_header(path) -> dict:
 
 def _check_header(header: dict) -> None:
     """Raise CheckpointError naming the first required header key that is
-    missing, as a dotted path such as ``spec.variant``."""
+    missing or holds a value of the wrong type, as a dotted path such as
+    ``spec.variant``."""
 
-    def need(obj, key, path):
-        if not isinstance(obj, dict) or key not in obj:
-            raise CheckpointError(f"checkpoint header is missing {path!r}")
+    def need(obj, keys, prefix=""):
+        for key, (ok, what) in keys.items():
+            path = prefix + key
+            if not isinstance(obj, dict) or key not in obj:
+                raise CheckpointError(f"checkpoint header is missing {path!r}")
+            if not ok(obj[key]):
+                raise CheckpointError(
+                    f"checkpoint header {path!r} must be {what}, got {obj[key]!r:.60}"
+                )
 
-    for key in _REQUIRED_KEYS:
-        need(header, key, key)
-    for key in _SPEC_FIELDS:
-        need(header["spec"], key, f"spec.{key}")
-    for key in _MASK_FIELDS:
-        need(header["trainable"], key, f"trainable.{key}")
-    if not isinstance(header["arrays"], list):
-        raise CheckpointError("checkpoint header 'arrays' must be a list")
+    need(header, _REQUIRED_KEYS)
+    need(header["spec"], _SPEC_FIELDS, "spec.")
+    need(header["trainable"], dict.fromkeys(_MASK_FIELDS, _ANY), "trainable.")
     for i, entry in enumerate(header["arrays"]):
-        for key in ("name", "shape"):
-            need(entry, key, f"arrays[{i}].{key}")
+        need(entry, _ARRAY_FIELDS, f"arrays[{i}].")
 
 
 def load_checkpoint(path) -> Checkpoint:

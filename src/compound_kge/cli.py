@@ -13,6 +13,7 @@ import difflib
 import json
 import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,13 @@ class RunConfig:
             raise ValueError(f"run config has unknown key {unknown[0]!r}")
         if "data" not in values:
             raise ValueError("run config is missing 'data'")
+        hints = typing.get_type_hints(cls)
+        for key, value in values.items():
+            allowed = typing.get_args(hints[key]) or (hints[key],)
+            # JSON has one number type: an integer is a valid float value
+            if type(value) not in allowed and not (float in allowed and type(value) is int):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise ValueError(f"run config {key!r} must be {names}, got {value!r:.60}")
         return cls(**values)
 
 

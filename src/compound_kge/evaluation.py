@@ -7,6 +7,16 @@ rank among the survivors determines the metrics.  Ties contribute the
 mean rank among the tied candidates (floored), so a constant-score
 model cannot inflate its numbers.
 
+A candidate's transform depends only on the relation and the predicted
+side, so :func:`evaluate` ranks a split one (relation, direction) group
+at a time.  Per group the queries' fixed sides and their ground truths
+are transformed as one batch each, and every block of candidate rows is
+transformed once; each query is then scored against the block through
+one preallocated block-sized buffer.  Filtering needs no entity-sized
+mask: a query's counts of better and tied candidates over the whole
+block, minus the same counts over its known-true ids inside the block,
+are its filtered counts.  :func:`filtered_rank` is the one-query case.
+
 Candidates are scored in fixed-size blocks of entity rows, by default
 ``DEFAULT_CHUNK_SIZE`` = 65,536 rows, which bounds peak memory on large
 entity sets.  Smaller blocks (``chunk_size=512``) are faster but less
@@ -71,23 +81,74 @@ class Direction(enum.Enum):
     TAIL = "tail"
 
 
-def _score_block(model: KGEModel, rid: int, fixed: np.ndarray, direction: Direction, block: np.ndarray):
-    """Scores of candidate entity rows substituted on the predicted side."""
-    spec = model.spec
-    r = model.relation_params(rid)
+def _sides(model: KGEModel, rid: int, direction: Direction):
+    """``(chain, params)`` of the fixed side, then of the predicted side."""
+    spec, r = model.spec, model.relation_params(rid)
+    head, tail = (spec.head_chain, r.head), (spec.tail_chain, r.tail)
+    return (head, tail) if direction is Direction.TAIL else (tail, head)
+
+
+def _filtered_ids(filter_index: FilterIndex, triple, direction: Direction) -> np.ndarray:
+    """Sorted known-true candidates of one query, its ground truth excluded."""
+    h, rid, t = triple
     if direction is Direction.TAIL:
-        moved = apply_chain(block, spec.tail_chain, r.tail)
+        known, true_id = filter_index.true_tails(h, rid), t
     else:
-        moved = apply_chain(block, spec.head_chain, r.head)
-    return _distance(moved - fixed, spec.norm)
+        known, true_id = filter_index.true_heads(rid, t), h
+    ids = np.fromiter(known, dtype=np.int64, count=len(known))
+    return np.sort(ids[ids != true_id])
 
 
-def _fixed_side(model: KGEModel, triple, direction: Direction) -> np.ndarray:
-    h, rid, t = (int(x) for x in triple)
-    r = model.relation_params(rid)
-    if direction is Direction.TAIL:
-        return apply_chain(model.entities[h], model.spec.head_chain, r.head)
-    return apply_chain(model.entities[t], model.spec.tail_chain, r.tail)
+def _score_block(model, rid, direction, block, start, fixed, true_scores, filtered, buf):
+    """Filtered ``(less, equal)`` counts of one block of candidates, per query.
+
+    The block (entity rows from ``start`` on) is transformed once for the
+    whole group; each query's gap to it is formed in ``buf``.  A query's
+    counts over the whole block, minus those at its filtered ids inside the
+    block, are its filtered counts: the ids are distinct and exclude the
+    ground truth.
+    """
+    _, (chain, params) = _sides(model, rid, direction)
+    moved = apply_chain(block, chain, params)
+    gap = buf[: len(block)]
+    counts = np.empty((len(fixed), 2), dtype=np.int64)
+    for q, (anchor, true_score, ids) in enumerate(zip(fixed, true_scores, filtered)):
+        scores = _distance(np.subtract(moved, anchor, out=gap), model.spec.norm, out=gap)
+        lo, hi = np.searchsorted(ids, (start, start + len(block)))
+        known = scores[ids[lo:hi] - start]
+        counts[q] = (
+            np.count_nonzero(scores < true_score) - np.count_nonzero(known < true_score),
+            np.count_nonzero(scores == true_score) - np.count_nonzero(known == true_score),
+        )
+    return counts
+
+
+def _rank_group(model: KGEModel, triples, direction: Direction, filter_index, chunk_size):
+    """Filtered ranks of queries that share one relation and direction.
+
+    The fixed sides and the ground truths are transformed as one batch each.
+    A chain's map is applied elementwise, so a truth's score equals its
+    score inside its candidate block bit for bit, which the tie count
+    relies on.
+    """
+    rid = int(triples[0, 1])
+    (fixed_chain, fixed_params), (chain, params) = _sides(model, rid, direction)
+    anchor, truth = (0, 2) if direction is Direction.TAIL else (2, 0)
+    ents, n = model.entities, model.n_entities
+    fixed = apply_chain(ents[triples[:, anchor]], fixed_chain, fixed_params)
+    truths = apply_chain(ents[triples[:, truth]], chain, params)
+    true_scores = _distance(truths - fixed, model.spec.norm)
+    filtered = [_filtered_ids(filter_index, triple, direction) for triple in triples.tolist()]
+    buf = np.empty((min(chunk_size, n), model.dim))
+    counts = np.zeros((len(triples), 2), dtype=np.int64)
+    for start in range(0, n, chunk_size):
+        block = ents[start : start + chunk_size]
+        counts += _score_block(
+            model, rid, direction, block, start, fixed, true_scores, filtered, buf
+        )
+    less, equal = counts.T
+    ties = equal - 1  # the ground truth always matches its own score
+    return 1 + less + ties // 2
 
 
 def filtered_rank(
@@ -101,34 +162,11 @@ def filtered_rank(
 
     rank = 1 + #strictly-better candidates + floor(#tied candidates / 2),
     computed after removing every known-true candidate except the
-    ground truth itself.  Lower score is better.
+    ground truth itself.  Lower score is better.  This is the one-query
+    case of the grouped ranking that :func:`evaluate` runs.
     """
-    h, rid, t = (int(x) for x in triple)
-    true_id = t if direction is Direction.TAIL else h
-    if direction is Direction.TAIL:
-        known = filter_index.true_tails(h, rid)
-    else:
-        known = filter_index.true_heads(rid, t)
-    filtered = np.fromiter((e for e in known if e != true_id), dtype=np.int64)
-
-    fixed = _fixed_side(model, triple, direction)
-    true_score = float(
-        _score_block(model, rid, fixed, direction, model.entities[true_id : true_id + 1])[0]
-    )
-
-    n = model.n_entities
-    drop = np.zeros(n, dtype=bool)
-    drop[filtered] = True
-    less = 0
-    equal = 0
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        scores = _score_block(model, rid, fixed, direction, model.entities[start:stop])
-        keep = ~drop[start:stop]
-        less += int(np.count_nonzero((scores < true_score) & keep))
-        equal += int(np.count_nonzero((scores == true_score) & keep))
-    ties = equal - 1  # the ground truth always matches its own score
-    return 1 + less + ties // 2
+    triples = np.array([[int(x) for x in triple]], dtype=np.int64)
+    return int(_rank_group(model, triples, direction, filter_index, chunk_size)[0])
 
 
 @dataclass
@@ -241,9 +279,10 @@ def evaluate(
         filter_index = build_filter_index(store)
 
     ranks = np.empty((len(triples), 2), dtype=np.int64)
-    for i, triple in enumerate(triples):
-        ranks[i, 0] = filtered_rank(model, triple, Direction.HEAD, filter_index, chunk_size)
-        ranks[i, 1] = filtered_rank(model, triple, Direction.TAIL, filter_index, chunk_size)
+    for rid in np.unique(triples[:, 1]):
+        rows = np.flatnonzero(triples[:, 1] == rid)
+        for j, direction in enumerate((Direction.HEAD, Direction.TAIL)):
+            ranks[rows, j] = _rank_group(model, triples[rows], direction, filter_index, chunk_size)
 
     if categories is not None:
         cat_of = {c.relation: c.category.value for c in categories}

@@ -174,11 +174,15 @@ class ModelPreset:
     shared_rotation: bool = False
 
 
-def _distance(diff: np.ndarray, norm: Norm) -> np.ndarray:
-    """L1 or L2 norm of the transformed gap along the last axis."""
+def _distance(diff: np.ndarray, norm: Norm, out: np.ndarray | None = None) -> np.ndarray:
+    """L1 or L2 norm of the transformed gap along the last axis.
+
+    ``out`` (``diff``'s shape, or ``diff`` itself) receives the elementwise
+    absolute values or squares, so no gap-sized temporary is allocated.
+    """
     if norm is Norm.L1:
-        return np.sum(np.abs(diff), axis=-1)
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+        return np.sum(np.abs(diff, out=out), axis=-1)
+    return np.sqrt(np.sum(np.multiply(diff, diff, out=out), axis=-1))
 
 
 def _norm_and_grad(diff: np.ndarray, norm: Norm):

@@ -246,6 +246,42 @@ def test_incomplete_nested_header_names_dotted_key(tmp_path, path):
         load_checkpoint(ckpt_path)
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("entity_names", 5),
+        ("entity_names", ["e0", 1, "e2", "e3", "e4", "e5"]),
+        ("relation_names", "r0"),
+        ("n_entities", "6"),
+        ("n_relations", 2.0),
+        ("n_relations", True),
+        ("arrays", {"name": "entities"}),
+        ("spec.dim", "8"),
+        ("spec.variant", 5),
+        ("spec.head_chain", ["S", "R", "T"]),
+        ("arrays[0].name", 0),
+        ("arrays[0].shape", "6x8"),
+        ("arrays[2].shape", [2, -4]),
+        ("arrays[3].shape", [2.0, 4]),
+    ],
+)
+def test_header_value_of_wrong_type_names_dotted_key(tmp_path, path, value):
+    ckpt_path = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt_path, sample_checkpoint())
+    parent, _, key = path.rpartition(".")
+    head, _, index = parent.partition("[")
+
+    def put(header):
+        owner = header[head] if head else header
+        if index:
+            owner = owner[int(index.rstrip("]"))]
+        owner[key] = value
+
+    rewrite_header(ckpt_path, put)
+    with pytest.raises(CheckpointError, match=re.escape(f"header '{path}' must be ")):
+        load_checkpoint(ckpt_path)
+
+
 def test_fingerprint_sensitive_to_names_and_order():
     a = dataset_fingerprint(["x", "y"], ["r"])
     b = dataset_fingerprint(["y", "x"], ["r"])

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from compound_kge.checkpoint import MAGIC, load_checkpoint
+from compound_kge.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
 from compound_kge.cli import RunConfig, build_parser, main, run_config_from_args
 from compound_kge.dataset import (
     build_filter_index,
@@ -14,6 +14,8 @@ from compound_kge.dataset import (
     save_splits,
 )
 from compound_kge.evaluation import evaluate
+from compound_kge.model import init_model
+from compound_kge.scoring import compound_spec
 from compound_kge.synthetic import SyntheticPattern, generate_synthetic_kg
 
 
@@ -123,6 +125,27 @@ def test_train_replay_from_persisted_config(data_dir, tmp_path):
 def test_train_malformed_run_config_fails_cleanly(tmp_path, capsys, config, message):
     path = tmp_path / "run_config.json"
     path.write_text(json.dumps(config))
+    assert run_cli(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run config") and message in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dim", "eight", "'dim' must be int, got 'eight'"),
+        ("dim", [8], "'dim' must be int, got [8]"),
+        ("steps", 0.5, "'steps' must be int"),
+        ("valid_limit", "all", "'valid_limit' must be int or null"),
+        ("shared_rotation", "yes", "'shared_rotation' must be bool"),
+        ("learning_rate", "fast", "'learning_rate' must be float"),
+    ],
+)
+def test_train_run_config_value_of_wrong_type_fails_cleanly(
+    data_dir, tmp_path, capsys, key, value, message
+):
+    path = tmp_path / "run_config.json"
+    path.write_text(json.dumps({"data": str(data_dir), "steps": 0, key: value}))
     assert run_cli(["train", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: run config") and message in err
@@ -247,12 +270,8 @@ def test_eval_report_matches_library(data_dir, trained_run, tmp_path, capsys):
 def test_eval_perfect_memorization_prints_mrr_one(tmp_path, capsys):
     # a self-loop store plus identical head/tail transforms scores the
     # ground truth at exactly zero, uniquely
-    import numpy as np
-
-    from compound_kge.checkpoint import Checkpoint, dataset_fingerprint, save_checkpoint
+    from compound_kge.checkpoint import dataset_fingerprint
     from compound_kge.dataset import TripleStore
-    from compound_kge.model import init_model
-    from compound_kge.scoring import compound_spec
 
     n = 5
     store = TripleStore(
@@ -371,6 +390,26 @@ def test_diagnose_checkpoint_header_not_an_object_fails_cleanly(tmp_path, capsys
     assert capsys.readouterr().err.startswith("error: checkpoint header is a JSON ")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("entity_names", 5), ("n_relations", "2"), ("arrays", [{"name": "entities", "shape": 8}])],
+)
+def test_diagnose_checkpoint_header_value_of_wrong_type_fails_cleanly(
+    tmp_path, capsys, key, value
+):
+    path = tmp_path / "m.ckpt"
+    model = init_model(compound_spec("full", "SRT", "SRT", dim=4), 3, 2, np.random.default_rng(0))
+    save_checkpoint(path, Checkpoint(model, ["a", "b", "c"], ["r0", "r1"]))
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + length])
+    header[key] = value
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[12 + length :])
+    assert run_cli(["diagnose", "--checkpoint", str(path), "--all"]) == 1
+    assert capsys.readouterr().err.startswith("error: checkpoint header ")
+
+
 def test_diagnose_identity_checkpoint_zero_residuals(data_dir, tmp_path, capsys):
     save = tmp_path / "run"
     code = run_cli(
@@ -388,8 +427,6 @@ def test_diagnose_identity_checkpoint_zero_residuals(data_dir, tmp_path, capsys)
     ckpt.model.head.translations[:] = 0
     ckpt.model.head.angles[:] = 0
     ckpt.model.tail.translations[:] = 0
-    from compound_kge.checkpoint import save_checkpoint
-
     save_checkpoint(save / "identity.ckpt", ckpt)
     capsys.readouterr()
     code = run_cli(["diagnose", "--checkpoint", str(save / "identity.ckpt"), "--all"])

@@ -9,6 +9,7 @@ planted ties, block sizes) is drawn by Hypothesis itself.
 
 import itertools
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compound_kge.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from compound_kge.dataset import build_filter_index
+from compound_kge.dataset import build_filter_index, categorize_relations
 from compound_kge.diagnostics import relation_matrices
-from compound_kge.evaluation import Direction, filtered_rank
+from compound_kge.evaluation import Direction, MetricCell, evaluate, filtered_rank
 from compound_kge.model import init_model
 from compound_kge.scoring import compound_spec, score
 from compound_kge.training import TrainConfig, batch_loss_and_grads
@@ -79,6 +80,52 @@ def test_filtered_rank_equals_full_sort_oracle(case):
         for direction in Direction:
             got = filtered_rank(model, triple, direction, index, chunk_size=chunk_size)
             assert got == oracle_rank(model, triple, direction, known, score_fn=score)
+
+
+@st.composite
+def grouped_eval_graphs(draw):
+    """A planted-tie graph whose test split repeats relations: queries that
+    share a (relation, direction) group, a duplicated test triple, and test
+    triples that share a head (or a tail) and relation with another, so one
+    query's ground truth is another query's filtered answer."""
+    store, model, chunk_size = draw(planted_tie_graphs())
+    n, test = store.n_entities, [tuple(t) for t in store.test.tolist()]
+    taken = {tuple(t) for t in store.all_triples().tolist()}
+    h, r, t = test[0]
+    siblings = [(h, r, e) for e in range(n)] + [(e, r, t) for e in range(n)]
+    for triple in draw(st.lists(st.sampled_from(siblings), max_size=3, unique=True)):
+        if triple not in taken:
+            taken.add(triple)
+            test.append(triple)
+    test += draw(st.lists(st.sampled_from(test), min_size=1, max_size=2))  # duplicates
+    test = draw(st.permutations(test))
+    store = replace(store, test=np.array(test, dtype=np.int64))
+    return store, model, chunk_size, draw(st.booleans())
+
+
+@PROPERTY
+@given(grouped_eval_graphs())
+def test_evaluate_cells_equal_full_sort_oracle(case):
+    store, model, chunk_size, by_category = case
+    categories = categorize_relations(store) if by_category else None
+    report = evaluate(model, store, "test", categories, chunk_size=chunk_size)
+    known = known_answers(store)
+    ranks = np.array(
+        [
+            [oracle_rank(model, triple, d, known, score_fn=score) for d in Direction]
+            for triple in store.test
+        ]
+    )
+    labels = np.array(
+        [categories[r].category.value if categories else "all" for r in store.test[:, 1]]
+    )
+    for j, direction in enumerate(Direction):
+        want = {c: MetricCell.from_ranks(ranks[labels == c, j]) for c in set(labels)}
+        assert report.by_direction_category[direction.value] == want
+    overall = MetricCell.from_ranks(ranks.ravel())
+    assert (report.mrr, report.hits1, report.hits3, report.hits10, report.triple_count) == (
+        overall.mrr, overall.hits1, overall.hits3, overall.hits10, len(store.test)
+    )
 
 
 @st.composite
