@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -96,6 +98,9 @@ def dataset_fingerprint(entity_names, relation_names) -> str:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write ``ckpt`` to ``path`` atomically: the bytes go to a sibling
+    temporary file that then replaces ``path``, so a failed write leaves any
+    earlier checkpoint there untouched and removes the temporary file."""
     model = ckpt.model
     spec = model.spec
     tables = model.tables()
@@ -121,12 +126,19 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in tables.items()],
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for array in tables.values():
-            fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for array in tables.values():
+                fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_header(path) -> dict:

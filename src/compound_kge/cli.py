@@ -26,7 +26,7 @@ from .diagnostics import (
     export_relation_histograms,
     relation_diagnostics,
 )
-from .errors import CheckpointError, DatasetError
+from .errors import CheckpointError, DatasetError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import init_model, model_from_preset
 from .scoring import PRESETS, compound_spec
@@ -83,6 +83,11 @@ class RunConfig:
             if type(value) not in allowed and not (float in allowed and type(value) is int):
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
                 raise ValueError(f"run config {key!r} must be {names}, got {value!r:.60}")
+        if values.get("preset") is not None and values["preset"] not in PRESETS:
+            raise ValueError(
+                f"run config 'preset' must be one of {', '.join(sorted(PRESETS))} or null, "
+                f"got {values['preset']!r:.60}"
+            )
         return cls(**values)
 
 
@@ -155,6 +160,7 @@ def cmd_train(args) -> int:
                     return USAGE_ERROR
         config = run_config_from_args(args)
     print(config.to_json())
+    train_config = _train_config(config)
 
     store = load_dataset(config.data)
     print(
@@ -171,7 +177,7 @@ def cmd_train(args) -> int:
         (save_dir / "run_config.json").write_text(config.to_json() + "\n")
         log_path = save_dir / "training_log.csv"
 
-    result = train(store, model, _train_config(config), log_path=log_path)
+    result = train(store, model, train_config, log_path=log_path)
 
     if save_dir:
         for name, m, state in (
@@ -354,7 +360,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, CheckpointError, OSError, ValueError, KeyError) as exc:
+    except (
+        DatasetError, CheckpointError, TrainingDivergedError, OSError, ValueError, KeyError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

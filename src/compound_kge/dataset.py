@@ -66,19 +66,37 @@ class TripleStore:
         return np.concatenate([self.train, self.valid, self.test], axis=0)
 
 
+def _numbered_lines(path: Path):
+    """``(line number, line)`` of a UTF-8 text file's nonempty lines, without
+    their newline.  A byte that is not UTF-8 raises DatasetParseError on its
+    line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise DatasetParseError(
+                path, lineno, f"byte 0x{data[exc.start]:02x} is not valid UTF-8"
+            ) from None
+        raise
+
+
 def _read_triple_file(path: Path) -> list[tuple[str, str, str]]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DatasetParseError(
-                    path, lineno, f"expected 3 tab-separated fields, got {len(parts)}"
-                )
-            rows.append((parts[0], parts[1], parts[2]))
+    for lineno, line in _numbered_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DatasetParseError(
+                path, lineno, f"expected 3 tab-separated fields, got {len(parts)}"
+            )
+        rows.append((parts[0], parts[1], parts[2]))
     return rows
 
 
@@ -87,29 +105,25 @@ def _read_dict_file(path: Path) -> dict[str, int]:
     ids exactly 0..n-1."""
     mapping: dict[str, int] = {}
     line_of_id: dict[int, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DatasetParseError(
-                    path, lineno, f"expected 'id<TAB>name', got {len(parts)} fields"
-                )
-            idx, name = parts
-            try:
-                i = int(idx)
-            except ValueError:
-                raise DatasetParseError(path, lineno, f"non-integer id {idx!r}") from None
-            if name in mapping:
-                raise DatasetParseError(path, lineno, f"repeated name {name!r}")
-            if i in line_of_id:
-                raise DatasetParseError(
-                    path, lineno, f"id {i} already used on line {line_of_id[i]}"
-                )
-            mapping[name] = i
-            line_of_id[i] = lineno
+    for lineno, line in _numbered_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DatasetParseError(
+                path, lineno, f"expected 'id<TAB>name', got {len(parts)} fields"
+            )
+        idx, name = parts
+        try:
+            i = int(idx)
+        except ValueError:
+            raise DatasetParseError(path, lineno, f"non-integer id {idx!r}") from None
+        if name in mapping:
+            raise DatasetParseError(path, lineno, f"repeated name {name!r}")
+        if i in line_of_id:
+            raise DatasetParseError(
+                path, lineno, f"id {i} already used on line {line_of_id[i]}"
+            )
+        mapping[name] = i
+        line_of_id[i] = lineno
     n = len(mapping)
     for i, lineno in line_of_id.items():
         if not 0 <= i < n:

@@ -10,12 +10,18 @@ model cannot inflate its numbers.
 A candidate's transform depends only on the relation and the predicted
 side, so :func:`evaluate` ranks a split one (relation, direction) group
 at a time.  Per group the queries' fixed sides and their ground truths
-are transformed as one batch each, and every block of candidate rows is
-transformed once; each query is then scored against the block through
-one preallocated block-sized buffer.  Filtering needs no entity-sized
-mask: a query's counts of better and tied candidates over the whole
-block, minus the same counts over its known-true ids inside the block,
-are its filtered counts.  :func:`filtered_rank` is the one-query case.
+are transformed as one batch each.  Under L1 every block of candidate
+rows is transformed once, and each query is scored against the block
+through one preallocated block-sized buffer.  Under L2 the candidate
+table is never transformed: a squared score is a quadratic form in the
+raw entity row, so a block is screened by matrix products against the
+group's weights, and only the candidates whose screened score lies
+within a proven rounding bound of the ground truth's are rescored on the
+direct path (:func:`_screen_block`).  The ranks equal the direct path's
+exactly.  Filtering needs no entity-sized mask: a query's counts of
+better and tied candidates over the whole block, minus the same counts
+over its known-true ids inside the block, are its filtered counts.
+:func:`filtered_rank` is the one-query case.
 
 Candidates are scored in fixed-size blocks of entity rows, by default
 ``DEFAULT_CHUNK_SIZE`` = 65,536 rows, which bounds peak memory on large
@@ -35,8 +41,8 @@ import numpy as np
 
 from .dataset import FilterIndex, RelationCategory, TripleStore, build_filter_index
 from .model import KGEModel
-from .scoring import _distance
-from .transforms import apply_chain
+from .scoring import Norm, _distance
+from .transforms import apply_chain, chain_affine_map
 
 __all__ = [
     "Direction",
@@ -64,6 +70,17 @@ __all__ = [
 # one block, and ``evaluate(..., chunk_size=512)`` trades that steadiness
 # for speed.
 DEFAULT_CHUNK_SIZE = 2**16
+
+# Candidate rows per L2 screen chunk: the chunk and its features stay in a
+# core's L2 cache.  Timed with one BLAS thread on a 2-core x86-64 VM over a
+# WN18RR-shaped rotate model (40,943 x 200), a group of two queries took
+# 19-20, 17.5, 21-21.5 and 33-34 ms in chunks of 128, 256, 512 and 1024 rows.
+_SCREEN_ROWS = 256
+# The screen's band is this multiple of its proven error bound; the margin
+# absorbs the second-order terms and the roundings of the band itself.
+_BAND_SAFETY = 2.0
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 # Comparability caveat carried in every report header: published numbers
 # do not always state their tie rule, and optimistic tie-breaking can
@@ -102,12 +119,14 @@ def _filtered_ids(filter_index: FilterIndex, triple, direction: Direction) -> np
 def _score_block(model, rid, direction, block, start, fixed, true_scores, filtered, buf):
     """Filtered ``(less, equal)`` counts of one block of candidates, per query.
 
-    The block (entity rows from ``start`` on) is transformed once for the
-    whole group; each query's gap to it is formed in ``buf``.  A query's
-    counts over the whole block, minus those at its filtered ids inside the
-    block, are its filtered counts: the ids are distinct and exclude the
-    ground truth.
+    A query's counts over the whole block, minus those at its filtered ids
+    inside the block, are its filtered counts: the ids are distinct and
+    exclude the ground truth.  L2 blocks go through :func:`_screen_block`.
+    Under L1 the block (entity rows from ``start`` on) is transformed once
+    for the whole group, and each query's gap to it is formed in ``buf``.
     """
+    if model.spec.norm is Norm.L2:
+        return _screen_block(model, rid, direction, block, start, fixed, true_scores, filtered)
     _, (chain, params) = _sides(model, rid, direction)
     moved = apply_chain(block, chain, params)
     gap = buf[: len(block)]
@@ -121,6 +140,132 @@ def _score_block(model, rid, direction, block, start, fixed, true_scores, filter
             np.count_nonzero(scores == true_score) - np.count_nonzero(known == true_score),
         )
     return counts
+
+
+def _gamma(k):
+    """Higham's ``k u / (1 - k u)``: the relative error bound of ``k`` chained
+    roundings."""
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+
+
+def _screen_block(model, rid, direction, block, start, fixed, true_scores, filtered):
+    """L2 ``(less, equal)`` counts of one block, screened without
+    transforming it.
+
+    Per 2D block the predicted side's chain is ``y = A x + b``, so a
+    candidate ``x``'s squared score against an anchor ``f`` is
+
+        ||A x + c||^2 = x^T G x + 2 (A^T c)^T x + ||c||^2,
+        G = A^T A,  c = b - f,
+
+    linear in the features ``[x*x, x_even*x_odd]`` (weights ``diag G`` and
+    ``2 G_01``, the same for every query of the group) and in ``x`` (weights
+    ``2 A^T c``, one column per query).  ``A`` and ``b`` are the arrays the
+    direct path applies.  Each chunk of ``_SCREEN_ROWS`` rows takes one
+    product for its quadratic part and its band, and one for the group's
+    linear parts.  Queries are tiled by ``d // 8`` so that a (rows, queries)
+    buffer stays within an eighth of L1's block-by-dimension gap buffer.
+
+    **The bound.**  With ``u`` the unit roundoff and ``g_k = gamma(k)``, let
+    ``p = |A||x|`` and ``r = |b| + |f|`` per coordinate, ``P = sum p^2`` and
+    ``R = sum r^2``.  The direct path (:func:`_block_map`, subtract, square,
+    sum, ``sqrt``) gives ``D`` with each gap coordinate within
+    ``g_4 (p + r)`` of exact (three roundings in the map, one in the
+    subtraction), then ``g_d`` for the squares and the sum and ``2u`` for
+    ``sqrt``, so ``|D^2 - ||A x + c||^2| <= 2 g_{d+11} (P + R)``.  The screen
+    rounds ``G`` by ``g_2 |A|^T|A|``, which with the feature products and the
+    ``3d/2``-term sum costs ``g_{3d/2+4} P`` since ``|x|^T |A|^T|A| |x| = P``;
+    ``c`` and ``2 A^T c`` cost ``2 g_3 |x|^T|A|^T|c|`` and the ``d``-term
+    product ``g_d`` more, together ``g_{d+4} (P + R)`` since
+    ``2 p |c| <= p^2 + r^2``; ``||c||^2`` costs ``g_{d+4} R``; the truth's
+    ``t^2`` and the three sums that fold ``S - t^2`` cost
+    ``g_2 (2P + 2R + t^2)`` and ``2u t^2``.  So the screened ``S - t^2``
+    is within
+
+        beta = g_{5d+40} (P + R) + g_4 t^2 + eta (3 ||x||^2 + W + 5d + 4)
+
+    of ``D^2 - t^2``, where the last term covers gradual underflow (each
+    product may lose ``eta/2``, the smallest subnormal; ``W`` sums the
+    quadratic weights' magnitudes).  ``P`` is over-estimated by the row
+    sums of ``|A|^T|A|`` against ``x*x``, one more column of the chunk's
+    quadratic product.
+
+    **Classification.**  A candidate with ``|S - t^2| > 2 beta`` is ranked
+    by the sign of ``S - t^2``, which is then the sign of ``D - t``.  Every
+    other candidate, and every one whose screened value or band is not
+    finite, is rescored on the direct path: ``apply_chain`` over its rows
+    is bit-identical to transforming the block, so the ground truth, whose
+    screen always falls inside its band, matches ``true_score`` exactly.
+    Filtered ids inside the block are rescored and subtracted; a certified
+    sign equals the direct comparison, so the subtraction is exact too.
+    """
+    _, (chain, params) = _sides(model, rid, direction)
+    a, b = chain_affine_map(chain, params)
+    n_queries, d, pairs = len(fixed), model.dim, model.dim // 2
+    # G = A^T A and the row sums of |A|^T |A| per block, written out
+    # elementwise: a rotation's G_01 is then exactly zero
+    (a00, a01), (a10, a11) = np.moveaxis(a, (-2, -1), (0, 1))
+    diag = np.stack([a00 * a00 + a10 * a10, a01 * a01 + a11 * a11], axis=-1)
+    abs_off = np.abs(a00 * a01) + np.abs(a10 * a11)
+    quad_weights = np.zeros((d + pairs, 2))
+    quad_weights[:d, 0] = diag.reshape(-1)[:d]
+    quad_weights[d:, 0] = 2 * (a00 * a01 + a10 * a11)[:pairs]
+    gamma = _gamma(5 * d + 40)
+    quad_weights[:d, 1] = _BAND_SAFETY * (
+        gamma * (diag + abs_off[:, None]).reshape(-1)[:d] + 3 * _SMALLEST_SUBNORMAL
+    )
+    anchors = np.zeros((n_queries, b.size))
+    anchors[:, :d] = fixed
+    c = b.reshape(-1) - anchors
+    lin_weights = 2 * np.einsum("kji,qkj->qki", a, c.reshape(n_queries, -1, 2))
+    lin_weights = lin_weights.reshape(n_queries, -1)[:, :d].T  # (d, queries), column-major
+    t2 = true_scores * true_scores
+    offset = t2 - np.sum(c * c, axis=-1)
+    r2 = np.sum(np.square(np.abs(b).reshape(-1) + np.abs(anchors)), axis=-1)
+    underflow = _SMALLEST_SUBNORMAL * (np.abs(quad_weights[:, 0]).sum() + 5 * d + 4)
+    band_q = _BAND_SAFETY * (gamma * r2 + _gamma(4) * t2 + underflow)
+
+    counts = np.zeros((n_queries, 2), dtype=np.int64)
+    cross = np.any(quad_weights[d:, 0])  # zero for a rotation, translation or scaling alone
+    chunk = min(_SCREEN_ROWS, len(block))
+    features = np.empty((chunk, d + pairs if cross else d))
+    quad_band = np.empty((len(block), 2))
+    tile = max(1, d // 8)
+    for q0 in range(0, n_queries, tile):
+        cols = slice(q0, q0 + tile)
+        diff = np.empty((len(block), len(offset[cols])))
+        for r0 in range(0, len(block), chunk):
+            x, r1 = block[r0 : r0 + chunk], min(r0 + chunk, len(block))
+            phi = features[: len(x)]
+            np.multiply(x, x, out=phi[:, :d])
+            if cross:
+                np.multiply(x[:, 0 : 2 * pairs : 2], x[:, 1 : 2 * pairs : 2], out=phi[:, d:])
+            np.matmul(phi, quad_weights[: phi.shape[1]], out=quad_band[r0:r1])
+            np.matmul(x, lin_weights[:, cols], out=diff[r0:r1])
+        diff += quad_band[:, :1]
+        diff -= offset[cols]
+        size = np.abs(diff)
+        certain = (size > quad_band[:, 1:] + band_q[cols]) & (size < np.inf)
+        counts[cols, 0] += np.count_nonzero(certain & (diff < 0), axis=0)
+        rows, queries = np.nonzero(~certain)
+        _add_direct(counts, 1, block, chain, params, fixed, true_scores, rows, queries + q0)
+    known = [ids[slice(*np.searchsorted(ids, (start, start + len(block))))] for ids in filtered]
+    rows = np.concatenate(known) - start
+    queries = np.repeat(np.arange(n_queries), [len(ids) for ids in known])
+    _add_direct(counts, -1, block, chain, params, fixed, true_scores, rows, queries)
+    return counts
+
+
+def _add_direct(counts, sign, block, chain, params, fixed, true_scores, rows, queries):
+    """Add ``sign`` times the direct-path ``(less, equal)`` outcomes of
+    ``(block row, query)`` pairs to ``counts``, ``_SCREEN_ROWS`` pairs at a
+    time."""
+    for i in range(0, len(rows), _SCREEN_ROWS):
+        q = queries[i : i + _SCREEN_ROWS]
+        gap = apply_chain(block[rows[i : i + _SCREEN_ROWS]], chain, params)
+        scores = _distance(np.subtract(gap, fixed[q], out=gap), Norm.L2, out=gap)
+        np.add.at(counts, (q, 0), sign * (scores < true_scores[q]))
+        np.add.at(counts, (q, 1), sign * (scores == true_scores[q]))
 
 
 def _rank_group(model: KGEModel, triples, direction: Direction, filter_index, chunk_size):
@@ -139,7 +284,7 @@ def _rank_group(model: KGEModel, triples, direction: Direction, filter_index, ch
     truths = apply_chain(ents[triples[:, truth]], chain, params)
     true_scores = _distance(truths - fixed, model.spec.norm)
     filtered = [_filtered_ids(filter_index, triple, direction) for triple in triples.tolist()]
-    buf = np.empty((min(chunk_size, n), model.dim))
+    buf = np.empty((min(chunk_size, n), model.dim)) if model.spec.norm is Norm.L1 else None
     counts = np.zeros((len(triples), 2), dtype=np.int64)
     for start in range(0, n, chunk_size):
         block = ents[start : start + chunk_size]

@@ -23,6 +23,7 @@ step, so a run that never validates never builds it.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -68,6 +69,9 @@ class TrainConfig:
     valid_limit: int | None = None
 
     def __post_init__(self):
+        for name in ("learning_rate", "adversarial_temperature", "margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
         if self.batch_size < 1 or self.negative_size < 1:

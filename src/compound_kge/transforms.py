@@ -46,6 +46,7 @@ __all__ = [
     "invert_compound_2d",
     "invert_blocks",
     "chain_block_matrices",
+    "chain_affine_map",
     "DET_TOLERANCE",
 ]
 
@@ -341,6 +342,35 @@ def _pad(a, value):
     return np.concatenate([a, np.full(a.shape[:-1] + (1,), value)], axis=-1)
 
 
+def _compile_chain(chain, params: TransformParams):
+    """Each operator's block stack paired with the chain's product up to it;
+    the last product is the chain's map.  At an odd dimension the last
+    coordinate forms a block with a padding coordinate that no operator
+    moves."""
+    if params.dim % 2:
+        params = TransformParams(
+            _pad(params.translation, 0.0), _pad(params.angles, 0.0), _pad(params.scale, 1.0)
+        )
+    factors = [_operator_blocks(op, params) for op in chain]
+    return list(zip(factors, itertools.accumulate(factors, np.matmul)))
+
+
+def chain_affine_map(chain, params: TransformParams):
+    """The per-block map ``y = A x + b`` that :func:`apply_chain` runs.
+
+    Returns ``(A, b)`` of shapes (..., ceil(d/2), 2, 2) and
+    (..., ceil(d/2), 2), the very arrays the chain's forward pass applies;
+    an odd dimension's last block carries the padding coordinate.  An
+    empty chain gives identity blocks and zero offsets.
+    """
+    chain = validate_chain(chain)
+    if not chain:
+        shape = params.angles.shape[:-1] + ((params.dim + 1) // 2,)
+        return np.broadcast_to(np.eye(2), shape + (2, 2)), np.zeros(shape + (2,))
+    m = _compile_chain(chain, params)[-1][1]
+    return m[..., :2, :2], m[..., :2, 2]
+
+
 def chain_forward_tape(x, chain, params: TransformParams):
     """Apply a chain as one affine map per block, recording it for backprop.
 
@@ -354,13 +384,9 @@ def chain_forward_tape(x, chain, params: TransformParams):
         return x, (chain, x, [])
     _check_same_dim(x, params.translation, "translation")
     d = x.shape[-1]
-    if d % 2:  # the last coordinate forms a block with a coordinate no operator moves
+    if d % 2:
         x = _pad(x, 0.0)
-        params = TransformParams(
-            _pad(params.translation, 0.0), _pad(params.angles, 0.0), _pad(params.scale, 1.0)
-        )
-    factors = [_operator_blocks(op, params) for op in chain]
-    blocks = list(zip(factors, itertools.accumulate(factors, np.matmul)))
+    blocks = _compile_chain(chain, params)
     m = blocks[-1][1]
     return _block_map(m[..., :2, :2], x, m[..., :2, 2])[..., :d], (chain, x, blocks)
 

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from compound_kge import checkpoint as ckpt_mod
 from compound_kge.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -70,6 +71,39 @@ def test_round_trip_is_identity_on_storage_lattice(tmp_path):
     assert loaded.relation_names == ckpt.relation_names
     assert loaded.dataset_hash == ckpt.dataset_hash
     assert loaded.rng_state == ckpt.rng_state
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, sample_checkpoint(seed=0))
+    before = path.read_bytes()
+
+    class FailingFile:
+        """A binary file whose third write (the header JSON) raises."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(ckpt_mod, "open", lambda *a: FailingFile(open(*a)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, sample_checkpoint(seed=1))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    save_checkpoint(path, sample_checkpoint(seed=1))
+    assert path.read_bytes() != before and load_checkpoint(path).model.step == 0
 
 
 def test_shared_rotation_aliasing_restored(tmp_path):

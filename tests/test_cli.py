@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from compound_kge import cli as cli_mod
 from compound_kge.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
 from compound_kge.cli import RunConfig, build_parser, main, run_config_from_args
 from compound_kge.dataset import (
@@ -13,6 +14,7 @@ from compound_kge.dataset import (
     save_dictionaries,
     save_splits,
 )
+from compound_kge.errors import TrainingDivergedError
 from compound_kge.evaluation import evaluate
 from compound_kge.model import init_model
 from compound_kge.scoring import compound_spec
@@ -149,6 +151,46 @@ def test_train_run_config_value_of_wrong_type_fails_cleanly(
     assert run_cli(["train", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: run config") and message in err
+
+
+def test_train_run_config_unknown_preset_names_the_presets(data_dir, tmp_path, capsys):
+    path = tmp_path / "run_config.json"
+    path.write_text(json.dumps({"data": str(data_dir), "steps": 0, "preset": "nosuch"}))
+    assert run_cli(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: run config 'preset' must be one of linearre, pairre, rotate, transe "
+        "or null, got 'nosuch'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--lr", "nan", "learning_rate"),
+        ("--margin", "nan", "margin"),
+        ("--lr", "inf", "learning_rate"),
+    ],
+)
+def test_train_non_finite_hyperparameter_fails_cleanly(
+    data_dir, tmp_path, capsys, flag, value, field
+):
+    save = tmp_path / "run"
+    args = ["train", "--data", str(data_dir), "--dim", "8", "--steps", "2", "--save", str(save)]
+    assert run_cli(args + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {field} must be finite, got {float(value)}\n"
+    assert not save.exists()
+
+
+def test_train_divergence_fails_cleanly(data_dir, capsys, monkeypatch):
+    def diverge(store, model, config, log_path=None):
+        raise TrainingDivergedError(7, [(0, 1, 2)])
+
+    monkeypatch.setattr(cli_mod, "train", diverge)
+    assert run_cli(["train", "--data", str(data_dir), "--dim", "8", "--steps", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite loss at step 7; offending triples (h,r,t): [(0, 1, 2)]\n"
 
 
 def test_train_preset_conflicts_with_order_flags(data_dir, capsys):

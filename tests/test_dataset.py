@@ -100,6 +100,18 @@ def test_malformed_line_reports_position(tmp_path):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("name, line", [("train.txt", 3), ("entities.dict", 2)])
+def test_non_utf8_byte_reports_file_and_line(tmp_path, name, line):
+    write_dataset(tmp_path, TOY_TRAIN, TOY_VALID, TOY_TEST)
+    save_dictionaries(load_dataset(tmp_path), tmp_path)
+    path = tmp_path / name
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(DatasetParseError, match=rf"{name}:{line}: byte 0xff is not valid UTF-8"):
+        load_dataset(tmp_path)
+
+
 def test_repeated_dictionary_name_rejected(tmp_path):
     write_dataset(tmp_path, TOY_TRAIN, TOY_VALID, TOY_TEST)
     (tmp_path / "relations.dict").write_text(

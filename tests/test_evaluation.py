@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from compound_kge import evaluation
 from compound_kge.dataset import TripleStore, build_filter_index, categorize_relations
-from compound_kge.evaluation import Direction, evaluate, filtered_rank
+from compound_kge.evaluation import Direction, MetricCell, evaluate, filtered_rank
 from compound_kge.model import init_model
-from compound_kge.scoring import compound_spec
+from compound_kge.scoring import compound_spec, score
 
 from oracles import known_answers, oracle_rank, random_model, random_store
 
@@ -113,6 +114,37 @@ def test_tie_handling_mean_rank():
     # 7 candidates, none filtered (no shared (h, r)); 6 ties -> 1 + 6 // 2
     assert rank == 4
     assert rank == oracle_rank(model, store.test[0], Direction.TAIL, known_answers(store))
+
+
+def test_l2_screen_rescores_under_one_percent_of_candidates(monkeypatch):
+    # planted ties: 5% of rows copy another row exactly, 5% sit one ulp from
+    # one, and a fifth of the scales are zero
+    rng = np.random.default_rng(15)
+    n = 1000
+    store = random_store(rng, n, 2, 3000, 10, 30)
+    model = random_model(rng, n, 2, dim=8, norm="l2")
+    for scales in (model.head.scales, model.tail.scales):
+        scales[rng.random(scales.shape) < 0.2] = 0.0
+    ents = model.entities
+    ents[rng.integers(0, n, 50)] = ents[rng.integers(0, n, 50)]
+    ents[rng.integers(0, n, 50)] = np.nextafter(ents[rng.integers(0, n, 50)], np.inf)
+
+    rescored = []
+    direct = evaluation._add_direct
+
+    def counting(counts, sign, *args):
+        if sign > 0:  # the screen's uncertain pairs, not the filtered ids
+            rescored.append(len(args[-1]))
+        return direct(counts, sign, *args)
+
+    monkeypatch.setattr(evaluation, "_add_direct", counting)
+    report = evaluate(model, store, "test", None)
+    monkeypatch.undo()
+    candidates = 2 * len(store.test) * n
+    assert 2 * len(store.test) <= sum(rescored) <= 0.01 * candidates  # every truth is rescored
+    known = known_answers(store)
+    ranks = [oracle_rank(model, t, d, known, score_fn=score) for t in store.test for d in Direction]
+    assert report.mrr == MetricCell.from_ranks(np.array(ranks)).mrr
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,16 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from compound_kge.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from compound_kge.dataset import build_filter_index, categorize_relations
 from compound_kge.diagnostics import relation_matrices
+from compound_kge import evaluation
 from compound_kge.evaluation import Direction, MetricCell, evaluate, filtered_rank
-from compound_kge.model import init_model
-from compound_kge.scoring import compound_spec, score
+from compound_kge.model import init_model, model_from_preset
+from compound_kge.scoring import PRESETS, Norm, compound_spec, score
 from compound_kge.training import TrainConfig, batch_loss_and_grads
 from compound_kge.transforms import invert_blocks
 
@@ -80,6 +81,68 @@ def test_filtered_rank_equals_full_sort_oracle(case):
         for direction in Direction:
             got = filtered_rank(model, triple, direction, index, chunk_size=chunk_size)
             assert got == oracle_rank(model, triple, direction, known, score_fn=score)
+
+
+@st.composite
+def near_tie_graphs(draw):
+    """A tiny L2 store and model built against a screen that trusts rounded
+    scores: candidates one ``np.nextafter`` step from another row (often a
+    ground truth) and exact duplicates, translations and scales up to 1e6,
+    full S.R.T, ``rotate``, and ``pairre`` and ``linearre`` at odd
+    dimensions too, zeroed scales, and NaN rows on entities that no test
+    triple names (a NaN ground truth has no rank to compare)."""
+    n, n_relations = draw(st.integers(3, 10)), draw(st.integers(1, 2))
+    n_test = draw(st.integers(1, 4))
+    n_train = draw(st.integers(1, min(2 * n, n * n * n_relations - 1 - n_test)))
+    rng = np.random.default_rng(draw(seeds))
+    store = random_store(rng, n, n_relations, n_train, 1, n_test)
+    kind = draw(st.sampled_from(["full", "rotate", "pairre", "linearre"]))
+    big = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    if kind == "full":
+        model = random_model(rng, n, n_relations, dim=draw(st.sampled_from([2, 4, 6])), norm="l2")
+    else:
+        dim = draw(st.integers(1, 7)) if kind != "rotate" else 2 * draw(st.integers(1, 3))
+        model = model_from_preset(PRESETS[kind](dim, Norm.L2), n, n_relations, rng)
+        model.entities = rng.normal(size=model.entities.shape)
+    if kind != "rotate":
+        for side in (model.head, model.tail):
+            side.translations[...] = big * rng.normal(size=side.translations.shape)
+            side.scales[...] = big * rng.normal(size=side.scales.shape)
+            side.scales[rng.random(side.scales.shape) < 0.2] = 0.0
+    ents = model.entities
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for src, dst in draw(st.lists(pairs, max_size=n)):
+        step = draw(st.sampled_from([-np.inf, np.inf, None]))
+        moved = rng.random(model.dim) < 0.5
+        ents[dst] = np.where(moved, np.nextafter(ents[src], step), ents[src]) if step else ents[src]
+    named = set(store.test[:, [0, 2]].ravel().tolist())
+    unnamed = [e for e in range(n) if e not in named]
+    ents[draw(st.lists(st.sampled_from(unnamed), max_size=2)) if unnamed else []] = np.nan
+    return store, model, draw(st.integers(1, n + 1))
+
+
+def ranks_equal_oracle(case) -> bool:
+    store, model, chunk_size = case
+    index, known = build_filter_index(store), known_answers(store)
+    return all(
+        filtered_rank(model, triple, direction, index, chunk_size=chunk_size)
+        == oracle_rank(model, triple, direction, known, score_fn=score)
+        for triple in store.test
+        for direction in Direction
+    )
+
+
+@PROPERTY
+@given(near_tie_graphs())
+def test_screened_l2_ranks_equal_full_sort_oracle_on_near_ties(case):
+    assert ranks_equal_oracle(case)
+
+
+def test_screen_without_its_band_misranks_near_ties(monkeypatch):
+    # the band is what makes the screen exact: without it some near-tie
+    # graph is ranked differently from the oracle
+    monkeypatch.setattr(evaluation, "_BAND_SAFETY", 0.0)
+    find(near_tie_graphs(), lambda case: not ranks_equal_oracle(case), settings=PROPERTY)
 
 
 @st.composite

@@ -47,6 +47,13 @@ def fresh_model(dim=8, n_entities=5, n_relations=2, seed=0, **kw):
     )
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "adversarial_temperature", "margin"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("valid_limit", [0, -1])
 def test_train_config_rejects_non_positive_valid_limit(valid_limit):
     with pytest.raises(ValueError, match="^valid_limit must be positive"):

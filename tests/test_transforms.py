@@ -12,6 +12,7 @@ from compound_kge.transforms import (
     apply_rotation,
     apply_scaling,
     apply_translation,
+    chain_affine_map,
     chain_backward,
     chain_block_matrices,
     chain_forward_tape,
@@ -281,6 +282,20 @@ def test_chain_block_matrices_consistent_with_apply():
     for i in range(d // 2):
         block = mats[i] @ np.array([x[2 * i], x[2 * i + 1], 1.0])
         np.testing.assert_allclose(applied[2 * i : 2 * i + 2], block[:2], rtol=1e-12)
+
+
+@pytest.mark.parametrize("order, d", [("", 6), ("SRT", 6), ("RS", 4), ("TS", 5), ("S", 1)])
+def test_chain_affine_map_is_the_applied_map(order, d):
+    # odd dimensions pad the last block with a coordinate no operator moves
+    rng = np.random.default_rng(44)
+    x = rng.normal(size=(3, d))
+    params = random_transform(rng, d)
+    a, b = chain_affine_map(chain_from_string(order), params)
+    assert a.shape == ((d + 1) // 2, 2, 2) and b.shape == ((d + 1) // 2, 2)
+    padded = np.concatenate([x, np.zeros((3, d % 2))], axis=1).reshape(3, -1, 2)
+    mapped = (np.einsum("kij,nkj->nki", a, padded) + b).reshape(3, -1)[:, :d]
+    applied = apply_chain(x, chain_from_string(order), params)
+    np.testing.assert_allclose(mapped, applied, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
