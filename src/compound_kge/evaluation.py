@@ -5,30 +5,32 @@ entities are substituted on the predicted side, known-true candidates
 other than the ground truth are filtered out, and the ground truth's
 rank among the survivors determines the metrics.  Ties contribute the
 mean rank among the tied candidates (floored), so a constant-score
-model cannot inflate its numbers.
+model cannot inflate its numbers.  Scores are ordered as ``np.sort``
+orders them: a NaN score sorts after every number and ties every other
+NaN, so a NaN ground truth still gets a rank of at least 1.
 
 A candidate's transform depends only on the relation and the predicted
 side, so :func:`evaluate` ranks a split one (relation, direction) group
 at a time.  Per group the queries' fixed sides and their ground truths
-are transformed as one batch each.  Under L1 every block of candidate
-rows is transformed once, and each query is scored against the block
-through one preallocated block-sized buffer.  Under L2 the candidate
-table is never transformed: a squared score is a quadratic form in the
-raw entity row, so a block is screened by matrix products against the
-group's weights, and only the candidates whose screened score lies
-within a proven rounding bound of the ground truth's are rescored on the
-direct path (:func:`_screen_block`).  The ranks equal the direct path's
-exactly.  Filtering needs no entity-sized mask: a query's counts of
-better and tied candidates over the whole block, minus the same counts
-over its known-true ids inside the block, are its filtered counts.
-:func:`filtered_rank` is the one-query case.
+are transformed as one batch each, and the candidate table is screened
+in chunks of ``_SCREEN_ROWS`` rows against every query of the group.
+Under L2 a squared score is a quadratic form in the raw entity row, so
+a chunk is screened by matrix products against the group's weights
+(:func:`_screen_l2`).  Under L1 a chunk is cast to complex64, moved by
+the group's map in complex form and summed in float32
+(:func:`_screen_l1`).  Either way only the candidates whose screened
+score lies within a proven rounding bound of the ground truth's are
+rescored on the direct float64 path, so the ranks equal the direct
+path's exactly.  Filtering needs no entity-sized mask: a query's counts
+of better and tied candidates over the whole block, minus the same
+counts over its known-true ids inside the block, are its filtered
+counts.  :func:`filtered_rank` is the one-query case.
 
-Candidates are scored in fixed-size blocks of entity rows, by default
-``DEFAULT_CHUNK_SIZE`` = 65,536 rows, which bounds peak memory on large
-entity sets.  Smaller blocks (``chunk_size=512``) are faster but less
-steady; the comment on the constant has the measurements.  The block
-size changes only speed: the chunked computation is exactly equivalent
-to materializing and sorting all candidate scores.
+``chunk_size`` (by default ``DEFAULT_CHUNK_SIZE`` = 65,536 rows) splits
+the entity table into blocks, which bounds the memory that a group's
+screened values take on large entity sets; the screens work in their
+own fixed chunks, so the block size does not change speed much, and it
+never changes a rank.
 """
 
 from __future__ import annotations
@@ -54,33 +56,29 @@ __all__ = [
     "TIE_POLICY_NOTE",
 ]
 
-# Candidate rows per block.  Small blocks are faster while the host is
-# quiet: timed with one BLAS thread on a 2-core Xeon VM (2 MiB of L2 per
-# core) over the generated graphs of benchmarks/graphs.py at d=200,
-# 512-row blocks ranked 1.4-1.7x as many queries/s as one whole-table
-# block (FB15k-237 shape, SRT/SRT, L1: 28.6 against 16.8; WN18RR shape,
-# rotate, L2: 14.5 against 7.9), with identical ranks.  Their speed
-# follows the load that a shared host's other tenants put on the core
-# and its caches, though.  Interleaved on the WN shape for five minutes,
-# the fastest call of each 20-call window ranged 15.6-21.6 queries/s at
-# 512 rows (quartile spread 0.19 of the median; 1024 and 4096 rows
-# alike) against 10.8-13.4 (0.12) for the whole table, which is bounded
-# by memory; over ten benchmark runs each the WN eval read 13.8-19.1
-# against 9.8-11.9.  So the default keeps tables of up to 65,536 rows in
-# one block, and ``evaluate(..., chunk_size=512)`` trades that steadiness
-# for speed.
+# Candidate rows per block: it bounds memory (the L2 screen's (block rows,
+# queries) buffer, and the rescored pairs), not speed, since both screens
+# work in chunks of _SCREEN_ROWS.  Tables of up to 65,536 rows form one block.
 DEFAULT_CHUNK_SIZE = 2**16
 
-# Candidate rows per L2 screen chunk: the chunk and its features stay in a
+# Candidate rows per screen chunk: the chunk and its buffers stay in a
 # core's L2 cache.  Timed with one BLAS thread on a 2-core x86-64 VM over a
-# WN18RR-shaped rotate model (40,943 x 200), a group of two queries took
-# 19-20, 17.5, 21-21.5 and 33-34 ms in chunks of 128, 256, 512 and 1024 rows.
+# WN18RR-shaped rotate model (40,943 x 200), a group of two L2 queries took
+# 19-20, 17.5, 21-21.5 and 33-34 ms in chunks of 128, 256, 512 and 1024 rows;
+# over 4,096 rows of a full S.R.T / S.R.T L1 model (d = 200), two L1 queries
+# took 3.7, 2.8, 2.6, 2.9 and 3.9 ms in chunks of 64 to 1024 rows.
 _SCREEN_ROWS = 256
-# The screen's band is this multiple of its proven error bound; the margin
+# Screened L1 values classified in one pass, over all of a group's queries:
+# a small group classifies a whole block at once (a one-query group over a
+# 14,541-row table took 7.8 ms against 9.2 ms classified chunk by chunk).
+_SCREEN_SPAN = 2**16
+# The screens' band is this multiple of their proven error bound; the margin
 # absorbs the second-order terms and the roundings of the band itself.
 _BAND_SAFETY = 2.0
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+_UNIT_ROUNDOFF_32 = np.finfo(np.float32).eps / 2
+_SMALLEST_SUBNORMAL_32 = float(np.finfo(np.float32).smallest_subnormal)
 
 # Comparability caveat carried in every report header: published numbers
 # do not always state their tie rule, and optimistic tie-breaking can
@@ -116,41 +114,42 @@ def _filtered_ids(filter_index: FilterIndex, triple, direction: Direction) -> np
     return np.sort(ids[ids != true_id])
 
 
-def _score_block(model, rid, direction, block, start, fixed, true_scores, filtered, buf):
+def _score_block(model, rid, direction, block, start, fixed, true_scores, filtered):
     """Filtered ``(less, equal)`` counts of one block of candidates, per query.
 
-    A query's counts over the whole block, minus those at its filtered ids
-    inside the block, are its filtered counts: the ids are distinct and
-    exclude the ground truth.  L2 blocks go through :func:`_screen_block`.
-    Under L1 the block (entity rows from ``start`` on) is transformed once
-    for the whole group, and each query's gap to it is formed in ``buf``.
+    The block (entity rows from ``start`` on) is screened by the norm's
+    screen, which counts the candidates it certifies better than the
+    ground truth and returns the ``(block row, query)`` pairs it cannot
+    certify; those are rescored on the direct path.  A query's counts over
+    the whole block, minus those at its filtered ids inside the block, are
+    its filtered counts: the ids are distinct and exclude the ground truth.
+    A certified sign equals the direct comparison, so rescoring the
+    filtered ids and subtracting their outcome is exact.
     """
-    if model.spec.norm is Norm.L2:
-        return _screen_block(model, rid, direction, block, start, fixed, true_scores, filtered)
     _, (chain, params) = _sides(model, rid, direction)
-    moved = apply_chain(block, chain, params)
-    gap = buf[: len(block)]
-    counts = np.empty((len(fixed), 2), dtype=np.int64)
-    for q, (anchor, true_score, ids) in enumerate(zip(fixed, true_scores, filtered)):
-        scores = _distance(np.subtract(moved, anchor, out=gap), model.spec.norm, out=gap)
-        lo, hi = np.searchsorted(ids, (start, start + len(block)))
-        known = scores[ids[lo:hi] - start]
-        counts[q] = (
-            np.count_nonzero(scores < true_score) - np.count_nonzero(known < true_score),
-            np.count_nonzero(scores == true_score) - np.count_nonzero(known == true_score),
-        )
+    norm = model.spec.norm
+    screen = _screen_l1 if norm is Norm.L1 else _screen_l2
+    counts = np.zeros((len(fixed), 2), dtype=np.int64)
+    rows, queries = screen(counts, block, *chain_affine_map(chain, params), fixed, true_scores)
+    direct = (block, chain, params, norm, fixed, true_scores)
+    _add_direct(counts, 1, *direct, rows, queries)
+    known = [ids[slice(*np.searchsorted(ids, (start, start + len(block))))] for ids in filtered]
+    rows = np.concatenate(known) - start
+    queries = np.repeat(np.arange(len(fixed)), [len(ids) for ids in known])
+    _add_direct(counts, -1, *direct, rows, queries)
     return counts
 
 
-def _gamma(k):
+def _gamma(k, unit_roundoff=_UNIT_ROUNDOFF):
     """Higham's ``k u / (1 - k u)``: the relative error bound of ``k`` chained
     roundings."""
-    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+    return k * unit_roundoff / (1 - k * unit_roundoff)
 
 
-def _screen_block(model, rid, direction, block, start, fixed, true_scores, filtered):
-    """L2 ``(less, equal)`` counts of one block, screened without
-    transforming it.
+def _screen_l2(counts, block, a, b, fixed, true_scores):
+    """Add the L2 candidates of ``block`` certified better than each query's
+    ground truth to ``counts[:, 0]``, screened without transforming the
+    block; return the uncertain ``(rows, queries)``.
 
     Per 2D block the predicted side's chain is ``y = A x + b``, so a
     candidate ``x``'s squared score against an anchor ``f`` is
@@ -163,8 +162,8 @@ def _screen_block(model, rid, direction, block, start, fixed, true_scores, filte
     ``2 A^T c``, one column per query).  ``A`` and ``b`` are the arrays the
     direct path applies.  Each chunk of ``_SCREEN_ROWS`` rows takes one
     product for its quadratic part and its band, and one for the group's
-    linear parts.  Queries are tiled by ``d // 8`` so that a (rows, queries)
-    buffer stays within an eighth of L1's block-by-dimension gap buffer.
+    linear parts.  Queries are tiled by ``d // 8`` so that the (block rows,
+    queries) buffer stays within an eighth of the block itself.
 
     **The bound.**  With ``u`` the unit roundoff and ``g_k = gamma(k)``, let
     ``p = |A||x|`` and ``r = |b| + |f|`` per coordinate, ``P = sum p^2`` and
@@ -193,15 +192,12 @@ def _screen_block(model, rid, direction, block, start, fixed, true_scores, filte
     **Classification.**  A candidate with ``|S - t^2| > 2 beta`` is ranked
     by the sign of ``S - t^2``, which is then the sign of ``D - t``.  Every
     other candidate, and every one whose screened value or band is not
-    finite, is rescored on the direct path: ``apply_chain`` over its rows
-    is bit-identical to transforming the block, so the ground truth, whose
-    screen always falls inside its band, matches ``true_score`` exactly.
-    Filtered ids inside the block are rescored and subtracted; a certified
-    sign equals the direct comparison, so the subtraction is exact too.
+    finite (a NaN ground truth among them), is left to the direct path,
+    on which the ground truth, whose screen always falls inside its band,
+    matches ``true_score`` exactly.
     """
-    _, (chain, params) = _sides(model, rid, direction)
-    a, b = chain_affine_map(chain, params)
-    n_queries, d, pairs = len(fixed), model.dim, model.dim // 2
+    n_queries, d = fixed.shape
+    pairs = d // 2
     # G = A^T A and the row sums of |A|^T |A| per block, written out
     # elementwise: a rotation's G_01 is then exactly zero
     (a00, a01), (a10, a11) = np.moveaxis(a, (-2, -1), (0, 1))
@@ -225,12 +221,12 @@ def _screen_block(model, rid, direction, block, start, fixed, true_scores, filte
     underflow = _SMALLEST_SUBNORMAL * (np.abs(quad_weights[:, 0]).sum() + 5 * d + 4)
     band_q = _BAND_SAFETY * (gamma * r2 + _gamma(4) * t2 + underflow)
 
-    counts = np.zeros((n_queries, 2), dtype=np.int64)
     cross = np.any(quad_weights[d:, 0])  # zero for a rotation, translation or scaling alone
     chunk = min(_SCREEN_ROWS, len(block))
     features = np.empty((chunk, d + pairs if cross else d))
     quad_band = np.empty((len(block), 2))
     tile = max(1, d // 8)
+    uncertain = []
     for q0 in range(0, n_queries, tile):
         cols = slice(q0, q0 + tile)
         diff = np.empty((len(block), len(offset[cols])))
@@ -248,24 +244,131 @@ def _screen_block(model, rid, direction, block, start, fixed, true_scores, filte
         certain = (size > quad_band[:, 1:] + band_q[cols]) & (size < np.inf)
         counts[cols, 0] += np.count_nonzero(certain & (diff < 0), axis=0)
         rows, queries = np.nonzero(~certain)
-        _add_direct(counts, 1, block, chain, params, fixed, true_scores, rows, queries + q0)
-    known = [ids[slice(*np.searchsorted(ids, (start, start + len(block))))] for ids in filtered]
-    rows = np.concatenate(known) - start
-    queries = np.repeat(np.arange(n_queries), [len(ids) for ids in known])
-    _add_direct(counts, -1, block, chain, params, fixed, true_scores, rows, queries)
-    return counts
+        uncertain.append((rows, queries + q0))
+    return tuple(map(np.concatenate, zip(*uncertain)))
 
 
-def _add_direct(counts, sign, block, chain, params, fixed, true_scores, rows, queries):
+# float32 overflow is expected: it leaves a screened value non-finite, and so
+# sends its candidate to the direct path
+@np.errstate(over="ignore", invalid="ignore")
+def _screen_l1(counts, block, a, b, fixed, true_scores):
+    """Add the L1 candidates of ``block`` certified better than each query's
+    ground truth to ``counts[:, 0]``, screened in float32; return the
+    uncertain ``(rows, queries)``.
+
+    Per 2D block the predicted side's chain is ``y = A x + b``.  In complex
+    form, with ``z = x_even + i x_odd``, that is
+
+        y = alpha z + beta conj(z) + b,
+        alpha = ((A00 + A11) + i (A10 - A01)) / 2,
+        beta = ((A00 - A11) + i (A10 + A01)) / 2,
+
+    so a chunk of ``_SCREEN_ROWS`` rows is cast once into a complex64
+    buffer (an odd ``d`` padded with a zero coordinate) and moved once for
+    the whole group, and each query adds ``c = b - f``, takes ``abs`` of
+    the float32 view and sums it by a float32 product against ones.  ``A``
+    and ``b`` are the arrays the direct path applies.  The screened values
+    of a span of chunks (``_SCREEN_SPAN`` values over all the queries) are
+    classified at once.
+
+    **The bound.**  With ``u`` float32's unit roundoff, ``g_k = gamma(k)``
+    in it, ``eta`` float32's smallest subnormal, ``m = ceil(d/2)`` and
+    ``w_i = max(|A00|, |A11|) + max(|A01|, |A10|)`` per block (which is
+    ``|Re alpha| + |Im alpha| + |Re beta| + |Im beta|``, and bounds both
+    column sums of ``|A|``), let ``B = sum_i w_i (|x_2i| + |x_2i+1|)`` and
+    ``R = sum |b| + |f|``, so the exact score ``E = ||A x + c||_1`` is at
+    most ``B + R``.  The direct path (three roundings in
+    :func:`_block_map`, one in the subtraction, then a ``d``-term float64
+    sum) is within ``g^64_{d+3} (B + R) + 2 d eta_64 <= g_1 (B + R) + eta``
+    of ``E``.  In the screen, ``alpha``, ``beta`` and ``c`` are rounded in
+    float64 and again by the cast (``g_2`` relative) and ``x`` by the cast
+    (``u``), so each product of rounded inputs is within ``g_3`` of the
+    exact one; a coordinate's four products and ``c`` then pass through
+    at most four float32 roundings (the product, the complex product's
+    add, ``+ beta conj(z)`` and ``+ c``).  The products' magnitudes sum to
+    ``B`` over the coordinates, so every coordinate together is within
+    ``g_7 (B + ||c||_1)``.  The ``2m``-term float32 sum of the absolute
+    values, in any order, adds ``g_{2m-1}`` of at most ``E`` plus those
+    errors.  Every rounded product and cast may also lose ``eta/2`` to
+    gradual underflow, scaled by at most ``|x|``, a coefficient or 1.  So
+    the screened ``S`` is within
+
+        beta = g_{2m+7} (B + R) + eta (16 ||x||_1 + 16 m + 4 sum w + 1)
+
+    of the direct ``D``.  The per-row part is one float32 product of
+    ``|x|`` (as cast) against the weights ``g_{2m+7} w_i + 16 eta``; its
+    own roundings, and those of the rest of the band, are within the
+    safety factor.  The padding coordinate of an odd ``d`` is exactly
+    zero in both ``E`` and the screen.  An overflow anywhere in float32 (a
+    cast, product or sum past 3.4e38) leaves ``S`` infinite or NaN.
+
+    **Classification.**  A candidate with ``|S - t| > 2 beta`` is ranked by
+    the sign of ``S - t``, which is then the sign of ``D - t``.  Every other
+    candidate, and every one whose screened value or band is not finite (a
+    NaN ground truth among them), is left to the direct path, on which the
+    ground truth, whose screen always falls inside its band, matches
+    ``true_score`` exactly.
+    """
+    n_queries, d = fixed.shape
+    pairs = b.shape[-2]
+    chunk = min(_SCREEN_ROWS, len(block))
+    (a00, a01), (a10, a11) = np.moveaxis(a, (-2, -1), (0, 1))
+    # whole chunk-sized operands: numpy's complex loops run faster on them
+    # than on broadcast ones
+    alpha, beta = np.empty((2, chunk, pairs), dtype=np.complex64)
+    alpha.real, alpha.imag = (a00 + a11) / 2, (a10 - a01) / 2
+    beta.real, beta.imag = (a00 - a11) / 2, (a10 + a01) / 2
+    weight = np.maximum(np.abs(a00), np.abs(a11)) + np.maximum(np.abs(a01), np.abs(a10))
+    anchors = np.zeros((n_queries, 2 * pairs))
+    anchors[:, :d] = fixed
+    c = (b.reshape(-1) - anchors).astype(np.float32).view(np.complex64)
+    gamma, eta = _gamma(2 * pairs + 7, _UNIT_ROUNDOFF_32), _SMALLEST_SUBNORMAL_32
+    row_weights = (_BAND_SAFETY * (gamma * np.repeat(weight, 2) + 16 * eta)).astype(np.float32)
+    r1 = np.sum(np.abs(b).reshape(-1) + np.abs(anchors), axis=-1)
+    band_q = _BAND_SAFETY * (gamma * r1 + eta * (16 * pairs + 4 * weight.sum() + 1))
+
+    z, y, g = np.zeros((3, chunk, pairs), dtype=np.complex64)
+    z_flat, g_flat = z.view(np.float32), g.view(np.float32)
+    ones = np.ones(2 * pairs, dtype=np.float32)
+    span = chunk * max(1, _SCREEN_SPAN // (n_queries * chunk))
+    screened = np.empty((n_queries, span), dtype=np.float32)
+    band = np.empty(span, dtype=np.float32)
+    uncertain = []
+    for s0 in range(0, len(block), span):
+        s1 = min(s0 + span, len(block))
+        for r0 in range(s0, s1, chunk):
+            n = min(chunk, s1 - r0)
+            rows = slice(r0 - s0, r0 - s0 + n)
+            z_flat[:n, :d] = block[r0 : r0 + n]
+            zn, yn, gn, gn_flat = z[:n], y[:n], g[:n], g_flat[:n]
+            np.matmul(np.abs(z_flat[:n], out=gn_flat), row_weights, out=band[rows])
+            np.multiply(zn, alpha[:n], out=yn)
+            np.multiply(np.conjugate(zn, out=gn), beta[:n], out=gn)
+            yn += gn
+            for q in range(n_queries):
+                np.add(yn, c[q], out=gn)
+                np.matmul(np.abs(gn_flat, out=gn_flat), ones, out=screened[q, rows])
+        diff = screened[:, : s1 - s0] - true_scores[:, None]
+        size = np.abs(diff)
+        certain = (size > band[: s1 - s0] + band_q[:, None]) & (size < np.inf)
+        counts[:, 0] += np.count_nonzero(certain & (diff < 0), axis=1)
+        queries, rows = np.nonzero(~certain)
+        uncertain.append((rows + s0, queries))
+    return tuple(map(np.concatenate, zip(*uncertain)))
+
+
+def _add_direct(counts, sign, block, chain, params, norm, fixed, true_scores, rows, queries):
     """Add ``sign`` times the direct-path ``(less, equal)`` outcomes of
     ``(block row, query)`` pairs to ``counts``, ``_SCREEN_ROWS`` pairs at a
-    time."""
+    time.  Scores compare as ``np.sort`` orders them: NaN after every
+    number, and equal to NaN."""
     for i in range(0, len(rows), _SCREEN_ROWS):
         q = queries[i : i + _SCREEN_ROWS]
         gap = apply_chain(block[rows[i : i + _SCREEN_ROWS]], chain, params)
-        scores = _distance(np.subtract(gap, fixed[q], out=gap), Norm.L2, out=gap)
-        np.add.at(counts, (q, 0), sign * (scores < true_scores[q]))
-        np.add.at(counts, (q, 1), sign * (scores == true_scores[q]))
+        scores = _distance(np.subtract(gap, fixed[q], out=gap), norm, out=gap)
+        truth_nan, nan = np.isnan(true_scores[q]), np.isnan(scores)
+        np.add.at(counts, (q, 0), sign * ((scores < true_scores[q]) | (truth_nan & ~nan)))
+        np.add.at(counts, (q, 1), sign * ((scores == true_scores[q]) | (truth_nan & nan)))
 
 
 def _rank_group(model: KGEModel, triples, direction: Direction, filter_index, chunk_size):
@@ -284,13 +387,10 @@ def _rank_group(model: KGEModel, triples, direction: Direction, filter_index, ch
     truths = apply_chain(ents[triples[:, truth]], chain, params)
     true_scores = _distance(truths - fixed, model.spec.norm)
     filtered = [_filtered_ids(filter_index, triple, direction) for triple in triples.tolist()]
-    buf = np.empty((min(chunk_size, n), model.dim)) if model.spec.norm is Norm.L1 else None
     counts = np.zeros((len(triples), 2), dtype=np.int64)
     for start in range(0, n, chunk_size):
         block = ents[start : start + chunk_size]
-        counts += _score_block(
-            model, rid, direction, block, start, fixed, true_scores, filtered, buf
-        )
+        counts += _score_block(model, rid, direction, block, start, fixed, true_scores, filtered)
     less, equal = counts.T
     ties = equal - 1  # the ground truth always matches its own score
     return 1 + less + ties // 2

@@ -183,11 +183,22 @@ class Adam:
         if name not in self._moments:
             self._moments[name] = (np.zeros_like(param), np.zeros_like(param))
         m, v = self._moments[name]
-        m[rows] = self.beta1 * m[rows] + (1 - self.beta1) * grads
-        v[rows] = self.beta2 * v[rows] + (1 - self.beta2) * grads * grads
-        m_hat = m[rows] / (1 - self.beta1**self.t)
-        v_hat = v[rows] / (1 - self.beta2**self.t)
-        param[rows] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        # Each moment's rows are gathered once and updated in place (rows are
+        # distinct, so they are what the scatter stores); the operations and
+        # their order are those of the textbook expressions.
+        m_rows, v_rows = m[rows], v[rows]
+        m_rows *= self.beta1
+        m_rows += (1 - self.beta1) * grads
+        v_rows *= self.beta2
+        v_rows += (1 - self.beta2) * grads * grads
+        m[rows], v[rows] = m_rows, v_rows
+        m_rows /= 1 - self.beta1**self.t  # m_hat
+        v_rows /= 1 - self.beta2**self.t  # v_hat
+        np.sqrt(v_rows, out=v_rows)
+        v_rows += self.eps
+        m_rows *= self.learning_rate
+        m_rows /= v_rows
+        param[rows] -= m_rows
 
 
 # ---------------------------------------------------------------------------

@@ -116,13 +116,14 @@ def test_tie_handling_mean_rank():
     assert rank == oracle_rank(model, store.test[0], Direction.TAIL, known_answers(store))
 
 
-def test_l2_screen_rescores_under_one_percent_of_candidates(monkeypatch):
-    # planted ties: 5% of rows copy another row exactly, 5% sit one ulp from
-    # one, and a fifth of the scales are zero
+def rescored_pairs_and_mrr(monkeypatch, norm):
+    """The pairs a screen leaves to the direct path, and the MRR against the
+    oracle's, on planted ties: 5% of rows copy another row exactly, 5% sit
+    one ulp from one, and a fifth of the scales are zero."""
     rng = np.random.default_rng(15)
     n = 1000
     store = random_store(rng, n, 2, 3000, 10, 30)
-    model = random_model(rng, n, 2, dim=8, norm="l2")
+    model = random_model(rng, n, 2, dim=8, norm=norm)
     for scales in (model.head.scales, model.tail.scales):
         scales[rng.random(scales.shape) < 0.2] = 0.0
     ents = model.entities
@@ -140,10 +141,36 @@ def test_l2_screen_rescores_under_one_percent_of_candidates(monkeypatch):
     monkeypatch.setattr(evaluation, "_add_direct", counting)
     report = evaluate(model, store, "test", None)
     monkeypatch.undo()
-    candidates = 2 * len(store.test) * n
-    assert 2 * len(store.test) <= sum(rescored) <= 0.01 * candidates  # every truth is rescored
     known = known_answers(store)
     ranks = [oracle_rank(model, t, d, known, score_fn=score) for t in store.test for d in Direction]
+    assert report.mrr == MetricCell.from_ranks(np.array(ranks)).mrr
+    return sum(rescored), 2 * len(store.test), n
+
+
+def test_l2_screen_rescores_under_one_percent_of_candidates(monkeypatch):
+    rescored, queries, n = rescored_pairs_and_mrr(monkeypatch, "l2")
+    assert queries <= rescored <= 0.01 * queries * n  # every truth is rescored
+
+
+def test_l1_screen_rescores_under_one_percent_of_candidates(monkeypatch):
+    rescored, queries, n = rescored_pairs_and_mrr(monkeypatch, "l1")
+    assert queries <= rescored <= 0.01 * queries * n  # every truth is rescored
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_nan_entity_rows_rank_as_the_oracle(norm):
+    # a NaN score sorts after every number and ties every other NaN, as in
+    # np.sort: a NaN ground truth or fixed side never ranks 0 (MRR inf)
+    rng = np.random.default_rng(16)
+    store = random_store(rng, 20, 2, 40, 4, 6)
+    model = random_model(rng, 20, 2, dim=6, norm=norm)
+    # a NaN truth among finite candidates, and a NaN fixed side (all NaN)
+    model.entities[[store.test[0, 0], store.test[1, 2]]] = np.nan
+    with np.errstate(divide="raise"):
+        report = evaluate(model, store, "test", None)
+    known = known_answers(store)
+    ranks = [oracle_rank(model, t, d, known, score_fn=score) for t in store.test for d in Direction]
+    assert np.isfinite(report.mrr)
     assert report.mrr == MetricCell.from_ranks(np.array(ranks)).mrr
 
 

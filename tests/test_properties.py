@@ -84,13 +84,16 @@ def test_filtered_rank_equals_full_sort_oracle(case):
 
 
 @st.composite
-def near_tie_graphs(draw):
-    """A tiny L2 store and model built against a screen that trusts rounded
+def near_tie_graphs(draw, norms=norms, magnitudes=st.sampled_from([1.0, 1e-40, 1e36, 1e39])):
+    """A tiny store and model built against screens that trust rounded
     scores: candidates one ``np.nextafter`` step from another row (often a
     ground truth) and exact duplicates, translations and scales up to 1e6,
-    full S.R.T, ``rotate``, and ``pairre`` and ``linearre`` at odd
-    dimensions too, zeroed scales, and NaN rows on entities that no test
-    triple names (a NaN ground truth has no rank to compare)."""
+    entity rows and translations near float32's subnormal range (1e-40),
+    just within its largest value (1e36, which the scales carry past it)
+    or past it (1e39), full S.R.T, ``rotate``, and ``pairre``
+    and ``linearre`` at odd dimensions too, zeroed scales, and NaN rows on
+    any entity, ground truths and fixed sides included."""
+    norm = Norm(draw(norms))
     n, n_relations = draw(st.integers(3, 10)), draw(st.integers(1, 2))
     n_test = draw(st.integers(1, 4))
     n_train = draw(st.integers(1, min(2 * n, n * n * n_relations - 1 - n_test)))
@@ -98,26 +101,28 @@ def near_tie_graphs(draw):
     store = random_store(rng, n, n_relations, n_train, 1, n_test)
     kind = draw(st.sampled_from(["full", "rotate", "pairre", "linearre"]))
     big = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    magnitude = draw(magnitudes)
     if kind == "full":
-        model = random_model(rng, n, n_relations, dim=draw(st.sampled_from([2, 4, 6])), norm="l2")
+        dim = draw(st.sampled_from([2, 4, 6]))
+        model = random_model(rng, n, n_relations, dim=dim, norm=norm.value)
     else:
         dim = draw(st.integers(1, 7)) if kind != "rotate" else 2 * draw(st.integers(1, 3))
-        model = model_from_preset(PRESETS[kind](dim, Norm.L2), n, n_relations, rng)
+        model = model_from_preset(PRESETS[kind](dim, norm), n, n_relations, rng)
         model.entities = rng.normal(size=model.entities.shape)
-    if kind != "rotate":
-        for side in (model.head, model.tail):
+    for side in (model.head, model.tail):
+        if kind != "rotate":
             side.translations[...] = big * rng.normal(size=side.translations.shape)
             side.scales[...] = big * rng.normal(size=side.scales.shape)
             side.scales[rng.random(side.scales.shape) < 0.2] = 0.0
+        side.translations *= magnitude
     ents = model.entities
+    ents *= magnitude
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     for src, dst in draw(st.lists(pairs, max_size=n)):
         step = draw(st.sampled_from([-np.inf, np.inf, None]))
         moved = rng.random(model.dim) < 0.5
         ents[dst] = np.where(moved, np.nextafter(ents[src], step), ents[src]) if step else ents[src]
-    named = set(store.test[:, [0, 2]].ravel().tolist())
-    unnamed = [e for e in range(n) if e not in named]
-    ents[draw(st.lists(st.sampled_from(unnamed), max_size=2)) if unnamed else []] = np.nan
+    ents[draw(st.lists(st.integers(0, n - 1), max_size=2))] = np.nan
     return store, model, draw(st.integers(1, n + 1))
 
 
@@ -134,15 +139,31 @@ def ranks_equal_oracle(case) -> bool:
 
 @PROPERTY
 @given(near_tie_graphs())
-def test_screened_l2_ranks_equal_full_sort_oracle_on_near_ties(case):
+def test_screened_ranks_equal_full_sort_oracle_on_near_ties(case):
     assert ranks_equal_oracle(case)
 
 
-def test_screen_without_its_band_misranks_near_ties(monkeypatch):
-    # the band is what makes the screen exact: without it some near-tie
-    # graph is ranked differently from the oracle
+@PROPERTY
+@given(near_tie_graphs(magnitudes=st.sampled_from([1e-40, 1e36, 1e39])))
+def test_screened_ranks_equal_full_sort_oracle_at_float32_extremes(case):
+    # the L1 screen's float32 underflows near 1e-40 and overflows past 3.4e38
+    assert ranks_equal_oracle(case)
+
+
+def misranked_without_the_band(monkeypatch, norm):
+    # the band is what makes a screen exact: without it some near-tie graph
+    # is ranked differently from the oracle
     monkeypatch.setattr(evaluation, "_BAND_SAFETY", 0.0)
-    find(near_tie_graphs(), lambda case: not ranks_equal_oracle(case), settings=PROPERTY)
+    graphs = near_tie_graphs(st.just(norm))
+    find(graphs, lambda case: not ranks_equal_oracle(case), settings=PROPERTY)
+
+
+def test_screen_without_its_band_misranks_near_ties(monkeypatch):
+    misranked_without_the_band(monkeypatch, "l2")
+
+
+def test_l1_screen_without_its_band_misranks_near_ties(monkeypatch):
+    misranked_without_the_band(monkeypatch, "l1")
 
 
 @st.composite
