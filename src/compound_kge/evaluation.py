@@ -293,7 +293,7 @@ def _screen_l1(counts, block, a, b, fixed, true_scores):
     gradual underflow, scaled by at most ``|x|``, a coefficient or 1.  So
     the screened ``S`` is within
 
-        beta = g_{2m+7} (B + R) + eta (16 ||x||_1 + 16 m + 4 sum w + 1)
+        delta = g_{2m+7} (B + R) + eta (16 ||x||_1 + 16 m + 4 sum w + 1)
 
     of the direct ``D``.  The per-row part is one float32 product of
     ``|x|`` (as cast) against the weights ``g_{2m+7} w_i + 16 eta``; its
@@ -302,7 +302,7 @@ def _screen_l1(counts, block, a, b, fixed, true_scores):
     zero in both ``E`` and the screen.  An overflow anywhere in float32 (a
     cast, product or sum past 3.4e38) leaves ``S`` infinite or NaN.
 
-    **Classification.**  A candidate with ``|S - t| > 2 beta`` is ranked by
+    **Classification.**  A candidate with ``|S - t| > 2 delta`` is ranked by
     the sign of ``S - t``, which is then the sign of ``D - t``.  Every other
     candidate, and every one whose screened value or band is not finite (a
     NaN ground truth among them), is left to the direct path, on which the
