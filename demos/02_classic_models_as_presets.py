@@ -1,10 +1,10 @@
 """Classic distance-based models as restrictions of the compound score.
 
-Freezing parts of the operator cascade recovers well-known scoring
-functions: translation only (TransE), per-block rotation only (RotatE),
-two-sided scaling (PairRE), and scaling plus a head translation
-(LinearRE).  The script checks each reduction numerically and shows the
-analytic gradients against finite differences.
+Shorter operator chains recover well-known scoring functions:
+translation only (TransE), per-block rotation only (RotatE), two-sided
+scaling (PairRE), and scaling plus a head translation (LinearRE).  The
+script checks each reduction numerically and shows the analytic
+gradients against finite differences.
 """
 
 import numpy as np
@@ -67,7 +67,7 @@ print(f"linearre  score {ours:.10f}  formula {direct:.10f}  diff {abs(ours-direc
 # --- analytic gradients vs central finite differences ----------------------
 
 print("\ngradient check on the linearre preset (central differences, step 1e-5):")
-g = grad_score(h, r, t, preset.spec, trainable=preset.trainable)
+g = grad_score(h, r, t, preset.spec)
 step = 1e-5
 fd = np.zeros_like(h)
 for i in range(d):
@@ -76,4 +76,4 @@ for i in range(d):
     hm[i] -= step
     fd[i] = (score(hp, r, t, preset.spec) - score(hm, r, t, preset.spec)) / (2 * step)
 print("  max |analytic - fd| over d(h):", np.max(np.abs(g.h - fd)))
-print("  frozen rotation gradient is exactly zero:", np.all(g.head.angles == 0.0))
+print("  rotation (not in the chain) gradient is exactly zero:", np.all(g.head.angles == 0.0))

@@ -45,7 +45,6 @@ from .scoring import (
     ModelPreset,
     Norm,
     RelationParams,
-    TrainableMask,
     Variant,
     compound_spec,
     grad_score,
@@ -78,4 +77,4 @@ from .transforms import (
     invert_compound_2d,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -8,12 +8,18 @@ Layout::
     remainder     raw little-endian float32 arrays, concatenated in the
                   order declared by the header's "arrays" manifest
 
-The header alone is enough to reconstruct the model shape: spec,
-trainable mask, entity/relation names, training step, RNG state, and a
-content hash of the dataset dictionaries the model was trained against.
-Model arrays are computed in float64 but stored as float32; loading
-returns float64 arrays holding the float32 values, so a second
-save/load round trip is the exact identity.
+The header alone is enough to reconstruct the model shape: spec (whose
+chains say which operators act and train), entity/relation names,
+training step, RNG state, and a content hash of the dataset dictionaries
+the model was trained against.  Model arrays are computed in float64 but
+stored as float32; loading returns float64 arrays holding the float32
+values, so a second save/load round trip is the exact identity.
+
+Format 1 also stored a mask of operators frozen at their initial values.
+Loading a format-1 file drops each frozen operator from its chain, which
+is exact when its table holds the identity (translation 0, angle 0,
+scale 1); a frozen operator holding anything else cannot be represented
+and is refused.
 """
 
 from __future__ import annotations
@@ -22,15 +28,15 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError
-from .model import KGEModel, ParamTables, table_names
-from .scoring import CompoundSpec, Norm, TrainableMask, Variant
-from .transforms import chain_from_string, chain_to_string
+from .model import _PARAM_GROUPS, KGEModel, ParamTables, table_names
+from .scoring import CompoundSpec, Norm, Variant
+from .transforms import OperatorKind, chain_from_string, chain_to_string
 
 __all__ = [
     "MAGIC",
@@ -43,9 +49,17 @@ __all__ = [
 ]
 
 MAGIC = b"CMPE0001"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_MASK_FIELDS = tuple(f.name for f in fields(TrainableMask))
+# format 1's header key of its mask of frozen operators, and each
+# operator's mask key suffix and identity value
+_V1_MASK = "trainable"
+_V1_FROZEN = {
+    OperatorKind.TRANSLATION: ("translation", 0.0),
+    OperatorKind.ROTATION: ("rotation", 0.0),
+    OperatorKind.SCALING: ("scale", 1.0),
+}
+_V1_MASK_KEYS = [f"{side}_{key}" for side in ("head", "tail") for key, _ in _V1_FROZEN.values()]
 
 
 def _is_int(value) -> bool:
@@ -66,7 +80,7 @@ _SHAPE = (
 
 # header entries a model cannot be rebuilt without, and their value types
 _REQUIRED_KEYS = {
-    "spec": _OBJECT, "trainable": _OBJECT, "shared_rotation": _ANY, "n_entities": _INT,
+    "spec": _OBJECT, "shared_rotation": _ANY, "n_entities": _INT,
     "n_relations": _INT, "entity_names": _NAMES, "relation_names": _NAMES, "arrays": _LIST,
 }
 _SPEC_FIELDS = {"variant": _STR, "head_chain": _STR, "tail_chain": _STR, "dim": _INT, "norm": _STR}
@@ -82,7 +96,6 @@ class Checkpoint:
     relation_names: list[str]
     dataset_hash: str | None = None
     rng_state: dict | None = None
-    format_version: int = FORMAT_VERSION
 
 
 def dataset_fingerprint(entity_names, relation_names) -> str:
@@ -105,7 +118,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     spec = model.spec
     tables = model.tables()
     header = {
-        "format_version": ckpt.format_version,
+        "format_version": FORMAT_VERSION,
         "spec": {
             "variant": spec.variant.value,
             "head_chain": chain_to_string(spec.head_chain),
@@ -115,7 +128,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         },
         "shared_rotation": model.shared_rotation,
         "preset": model.preset_name,
-        "trainable": {f: getattr(model.trainable, f) for f in _MASK_FIELDS},
         "n_entities": model.n_entities,
         "n_relations": model.n_relations,
         "step": model.step,
@@ -163,7 +175,7 @@ def read_header(path) -> dict:
     return header
 
 
-def _check_header(header: dict) -> None:
+def _check_header(header: dict, version: int) -> None:
     """Raise CheckpointError naming the first required header key that is
     missing or holds a value of the wrong type, as a dotted path such as
     ``spec.variant``."""
@@ -180,19 +192,51 @@ def _check_header(header: dict) -> None:
 
     need(header, _REQUIRED_KEYS)
     need(header["spec"], _SPEC_FIELDS, "spec.")
-    need(header["trainable"], dict.fromkeys(_MASK_FIELDS, _ANY), "trainable.")
+    if version == 1:
+        need(header, {_V1_MASK: _OBJECT})
+        need(header[_V1_MASK], dict.fromkeys(_V1_MASK_KEYS, _ANY), f"{_V1_MASK}.")
     for i, entry in enumerate(header["arrays"]):
         need(entry, _ARRAY_FIELDS, f"arrays[{i}].")
 
 
+def _spec_without_frozen(spec: CompoundSpec, mask: dict, model: KGEModel) -> CompoundSpec:
+    """``spec`` with each operator a format-1 ``mask`` froze dropped from its
+    side's chain, after checking that the operator's table is the identity."""
+    chains, dropped = {}, []
+    for side in ("head", "tail"):
+        chain = getattr(spec, f"{side}_chain")
+        for op, _, table in _PARAM_GROUPS:
+            key, identity = _V1_FROZEN[op]
+            if op in chain and not mask[f"{side}_{key}"]:
+                name = f"{side}.{table}"
+                if not np.all(model.table(name) == identity):
+                    raise CheckpointError(
+                        f"format-1 checkpoint freezes {name!r} at values other than "
+                        f"the identity ({identity:g}), which format {FORMAT_VERSION} "
+                        "cannot represent"
+                    )
+                chain = tuple(o for o in chain if o is not op)
+                dropped.append(name)
+        chains[side] = chain
+    try:
+        return replace(spec, head_chain=chains["head"], tail_chain=chains["tail"])
+    except ValueError as exc:
+        raise CheckpointError(
+            f"format-1 checkpoint: dropping frozen {', '.join(map(repr, dropped))} "
+            f"leaves no valid spec ({exc})"
+        ) from None
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint of format 1 or 2 (see the module docstring for
+    how format 1 converts)."""
     header = read_header(path)
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise CheckpointError(
-            f"unsupported format version {version!r} (supported: {FORMAT_VERSION})"
+            f"unsupported format version {version!r} (supported: 1, {FORMAT_VERSION})"
         )
-    _check_header(header)
+    _check_header(header, version)
     spec_h = header["spec"]
     spec = CompoundSpec(
         variant=Variant(spec_h["variant"]),
@@ -201,7 +245,6 @@ def load_checkpoint(path) -> Checkpoint:
         dim=int(spec_h["dim"]),
         norm=Norm(spec_h["norm"]),
     )
-    trainable = TrainableMask(**{f: bool(header["trainable"][f]) for f in _MASK_FIELDS})
 
     arrays = {}
     with open(path, "rb") as fh:
@@ -242,18 +285,18 @@ def load_checkpoint(path) -> Checkpoint:
         entities=arrays["entities"],
         head=head,
         tail=tail,
-        trainable=trainable,
         shared_rotation=shared,
         preset_name=header.get("preset"),
         step=int(header.get("step", 0)),
     )
     if model.n_entities != header["n_entities"] or model.n_relations != header["n_relations"]:
         raise CheckpointError("array shapes disagree with header counts")
+    if version == 1:
+        model.spec = _spec_without_frozen(spec, header[_V1_MASK], model)
     return Checkpoint(
         model=model,
         entity_names=list(header["entity_names"]),
         relation_names=list(header["relation_names"]),
         dataset_hash=header.get("dataset_hash"),
         rng_state=header.get("rng_state"),
-        format_version=version,
     )

@@ -15,10 +15,18 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .scoring import CompoundSpec, ModelPreset, RelationParams, TrainableMask
-from .transforms import TransformParams
+from .scoring import CompoundSpec, ModelPreset, RelationParams
+from .transforms import OperatorKind, TransformParams
 
 __all__ = ["ParamTables", "KGEModel", "init_model", "model_from_preset", "table_names"]
+
+
+# each operator's TransformParams field and ParamTables field
+_PARAM_GROUPS = (
+    (OperatorKind.TRANSLATION, "translation", "translations"),
+    (OperatorKind.ROTATION, "angles", "angles"),
+    (OperatorKind.SCALING, "scale", "scales"),
+)
 
 
 def table_names(shared_rotation: bool) -> list[str]:
@@ -68,7 +76,6 @@ class KGEModel:
     entities: np.ndarray
     head: ParamTables
     tail: ParamTables
-    trainable: TrainableMask
     shared_rotation: bool = False
     preset_name: str | None = None
     step: int = 0
@@ -111,26 +118,19 @@ class KGEModel:
             entities=self.entities.copy(),
             head=self.head.copy(),
             tail=self.tail.copy(),
-            trainable=self.trainable,
             shared_rotation=self.shared_rotation,
             preset_name=self.preset_name,
             step=self.step,
         )
 
 
-def _init_side(
-    rng: np.random.Generator,
-    m: int,
-    d: int,
-    translation_trainable: bool,
-    rotation_trainable: bool,
-) -> ParamTables:
+def _init_side(rng: np.random.Generator, m: int, d: int, chain) -> ParamTables:
     scale_init = 0.5 / np.sqrt(d)
-    if translation_trainable:
+    if OperatorKind.TRANSLATION in chain:
         translations = rng.uniform(-scale_init, scale_init, size=(m, d))
     else:
         translations = np.zeros((m, d))
-    if rotation_trainable:
+    if OperatorKind.ROTATION in chain:
         angles = rng.uniform(-np.pi, np.pi, size=(m, d // 2))
     else:
         angles = np.zeros((m, d // 2))
@@ -142,37 +142,29 @@ def init_model(
     n_entities: int,
     n_relations: int,
     rng: np.random.Generator,
-    trainable: TrainableMask | None = None,
     shared_rotation: bool = False,
     preset_name: str | None = None,
 ) -> KGEModel:
     """Fresh model state.
 
     Entities start uniform in [-0.5, 0.5] / sqrt(d) and are projected to
-    unit norm.  Trainable translations start in the same range, trainable
-    angles uniform in [-pi, pi]; scales start at one; frozen groups start
-    at their identity values (0 / 0 / 1).
+    unit norm.  Translations in a side's chain start in the same range,
+    angles in its chain uniform in [-pi, pi]; scales start at one, and
+    tables of operators a chain lacks hold the identity (0 / 0 / 1).
     """
     if n_entities < 1 or n_relations < 1:
         raise ValueError("need at least one entity and one relation")
     d = spec.dim
-    if trainable is None:
-        trainable = TrainableMask.for_spec(spec)
     entities = rng.uniform(-0.5, 0.5, size=(n_entities, d)) / np.sqrt(d)
     norms = np.linalg.norm(entities, axis=1, keepdims=True)
     entities = entities / np.where(norms < 1e-12, 1.0, norms)
-    head = _init_side(
-        rng, n_relations, d, trainable.head_translation, trainable.head_rotation
-    )
-    tail = _init_side(
-        rng, n_relations, d, trainable.tail_translation, trainable.tail_rotation
-    )
+    head = _init_side(rng, n_relations, d, spec.head_chain)
+    tail = _init_side(rng, n_relations, d, spec.tail_chain)
     return KGEModel(
         spec=spec,
         entities=entities,
         head=head,
         tail=tail,
-        trainable=trainable,
         shared_rotation=shared_rotation and spec.both_rotations,
         preset_name=preset_name,
     )
@@ -184,12 +176,4 @@ def model_from_preset(
     n_relations: int,
     rng: np.random.Generator,
 ) -> KGEModel:
-    return init_model(
-        preset.spec,
-        n_entities,
-        n_relations,
-        rng,
-        trainable=preset.trainable,
-        shared_rotation=preset.shared_rotation,
-        preset_name=preset.name,
-    )
+    return init_model(preset.spec, n_entities, n_relations, rng, preset_name=preset.name)

@@ -11,7 +11,7 @@ translation only (TransE), rotation only (RotatE), two-sided scaling
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "Norm",
     "CompoundSpec",
     "RelationParams",
-    "TrainableMask",
     "ModelPreset",
     "ScoreGradients",
     "score",
@@ -125,53 +124,12 @@ class RelationParams:
 
 
 @dataclass(frozen=True)
-class TrainableMask:
-    """Which parameter groups receive gradient updates.
-
-    Frozen groups keep their initial values and report zero gradients.
-    """
-
-    head_translation: bool = True
-    head_rotation: bool = True
-    head_scale: bool = True
-    tail_translation: bool = True
-    tail_rotation: bool = True
-    tail_scale: bool = True
-
-    @classmethod
-    def none(cls) -> "TrainableMask":
-        return cls(False, False, False, False, False, False)
-
-    @classmethod
-    def for_spec(cls, spec: CompoundSpec) -> "TrainableMask":
-        """Everything present in the chains is trainable."""
-        return cls(
-            head_translation=_T in spec.head_chain,
-            head_rotation=_R in spec.head_chain,
-            head_scale=_S in spec.head_chain,
-            tail_translation=_T in spec.tail_chain,
-            tail_rotation=_R in spec.tail_chain,
-            tail_scale=_S in spec.tail_chain,
-        )
-
-
-# Each parameter group: its TrainableMask suffix, TransformParams field and
-# ParamTables field (the table name is "<side>.<ParamTables field>").
-_PARAM_GROUPS = (
-    ("translation", "translation", "translations"),
-    ("rotation", "angles", "angles"),
-    ("scale", "scale", "scales"),
-)
-
-
-@dataclass(frozen=True)
 class ModelPreset:
-    """A named scoring restriction plus its frozen-parameter contract."""
+    """A classic model as a named compound spec: its chains hold only the
+    operators the model has, so they are all it trains."""
 
     name: str
     spec: CompoundSpec
-    trainable: TrainableMask
-    shared_rotation: bool = False
 
 
 def _distance(diff: np.ndarray, norm: Norm, out: np.ndarray | None = None) -> np.ndarray:
@@ -220,7 +178,7 @@ class ScoreGradients:
     """Partial derivatives of a score.
 
     ``head``/``tail`` hold the per-chain parameter gradients in the
-    parameters' shapes; absent or frozen groups are zero.  With shared
+    parameters' shapes; groups absent from a chain are zero.  With shared
     rotation the total angle gradient (both sides) is reported under
     ``head.angles`` and ``tail.angles`` is zero.
     """
@@ -231,18 +189,8 @@ class ScoreGradients:
     tail: TransformParams
 
 
-def grad_score(
-    h,
-    r: RelationParams,
-    t,
-    spec: CompoundSpec,
-    trainable: TrainableMask | None = None,
-) -> ScoreGradients:
-    """Analytic gradients of :func:`score` for one triple.
-
-    Entity gradients are always reported; parameter groups frozen by
-    ``trainable`` come back as zeros.
-    """
+def grad_score(h, r: RelationParams, t, spec: CompoundSpec) -> ScoreGradients:
+    """Analytic gradients of :func:`score` for one triple."""
     h = np.asarray(h, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     u, tape_h = chain_forward_tape(h, spec.head_chain, r.head)
@@ -253,11 +201,6 @@ def grad_score(
     if r.shared_rotation:
         head_grads.angles = head_grads.angles + tail_grads.angles
         tail_grads.angles = np.zeros_like(tail_grads.angles)
-    if trainable is not None:
-        for side, grads in (("head", head_grads), ("tail", tail_grads)):
-            for group, field, _ in _PARAM_GROUPS:
-                if not getattr(trainable, f"{side}_{group}"):
-                    setattr(grads, field, np.zeros_like(getattr(grads, field)))
     return ScoreGradients(h=gh, t=gt, head=head_grads, tail=tail_grads)
 
 
@@ -266,42 +209,24 @@ def grad_score(
 # ---------------------------------------------------------------------------
 
 def preset_transe(dim: int, norm: Norm = Norm.L1) -> ModelPreset:
-    """Head-side chain with rotation and scaling frozen at identity.
-
-    Only the translation trains, so the score reduces to ||h + r - t||.
-    """
-    spec = CompoundSpec(Variant.HEAD, (_T, _R, _S), (), dim, norm)
-    mask = TrainableMask.none()
-    return ModelPreset("transe", spec, replace(mask, head_translation=True))
+    """Head translation only: ||h + r - t||."""
+    return ModelPreset("transe", CompoundSpec(Variant.HEAD, (_T,), (), dim, norm))
 
 
 def preset_rotate(dim: int, norm: Norm = Norm.L1) -> ModelPreset:
-    """Head-side chain with translation and scaling frozen at identity.
-
-    Only the block rotations train: score of h rotated per block minus t.
-    """
-    spec = CompoundSpec(Variant.HEAD, (_T, _R, _S), (), dim, norm)
-    mask = TrainableMask.none()
-    return ModelPreset("rotate", spec, replace(mask, head_rotation=True))
+    """Head block rotation only: h rotated per block, minus t."""
+    return ModelPreset("rotate", CompoundSpec(Variant.HEAD, (_R,), (), dim, norm))
 
 
 def preset_pairre(dim: int, norm: Norm = Norm.L1) -> ModelPreset:
     """Scaling-only chains on both sides: ||h*s_head - t*s_tail||."""
-    spec = CompoundSpec(Variant.FULL, (_S,), (_S,), dim, norm)
-    mask = TrainableMask.none()
-    return ModelPreset("pairre", spec, replace(mask, head_scale=True, tail_scale=True))
+    return ModelPreset("pairre", CompoundSpec(Variant.FULL, (_S,), (_S,), dim, norm))
 
 
 def preset_linearre(dim: int, norm: Norm = Norm.L1) -> ModelPreset:
     """Two-sided scaling plus a head translation:
     ||h*s_head + r - t*s_tail||."""
-    spec = CompoundSpec(Variant.FULL, (_T, _S), (_S,), dim, norm)
-    mask = TrainableMask.none()
-    return ModelPreset(
-        "linearre",
-        spec,
-        replace(mask, head_translation=True, head_scale=True, tail_scale=True),
-    )
+    return ModelPreset("linearre", CompoundSpec(Variant.FULL, (_T, _S), (_S,), dim, norm))
 
 
 def compound_spec(

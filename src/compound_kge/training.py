@@ -13,8 +13,9 @@ corruption groups (head-corrupted, tail-corrupted), each one chain pass
 per side through the affine-map kernel and distance that
 ``scoring.score`` and evaluation use, with the relation parameters
 broadcast over the candidates.  Gradients are collected per table name
-(``entities``, ``head.angles``, ...; see ``model.table_names``); under
-shared rotation both chains' angle gradients go to ``head.angles``.
+(``entities``, ``head.angles``, ...; see ``model.table_names``) for the
+tables of the operators each side's chain holds; under shared rotation
+both chains' angle gradients go to ``head.angles``.
 
 The filtered index for validation is built on the first validation
 step, so a run that never validates never builds it.
@@ -31,9 +32,9 @@ import numpy as np
 
 from .dataset import TripleStore, build_filter_index
 from .errors import TrainingDivergedError
-from .model import KGEModel
-from .scoring import _PARAM_GROUPS, _norm_and_grad
-from .transforms import chain_backward, chain_forward_tape
+from .model import _PARAM_GROUPS, KGEModel
+from .scoring import _norm_and_grad
+from .transforms import OperatorKind, chain_backward, chain_forward_tape
 
 __all__ = [
     "TrainConfig",
@@ -225,7 +226,7 @@ def batch_loss_and_grads(
     config: TrainConfig,
     weights: np.ndarray | None = None,
 ):
-    """Mean loss of a batch and gradients for every trainable table.
+    """Mean loss of a batch and gradients for every table the chains use.
 
     ``positives`` is (B, 3), ``neg_ids`` (B, N), ``corrupt_head`` a
     boolean row mask choosing which side each row's negatives replace.
@@ -289,10 +290,10 @@ def batch_loss_and_grads(
         for s, (ids, p, tape) in passes.items():
             gx, g_par = chain_backward(upstreams.pop(s), p, tape)
             collect("entities", ids.ravel(), gx.reshape(-1, spec.dim))
-            for group, field, table in _PARAM_GROUPS:
-                # under shared rotation the head's rotation group owns both sides
-                owner = "head" if model.shared_rotation and group == "rotation" else s
-                if getattr(model.trainable, f"{owner}_{group}"):
+            for op, field, table in _PARAM_GROUPS:
+                if op in getattr(spec, f"{s}_chain"):
+                    # under shared rotation the head's angle table owns both sides
+                    owner = "head" if model.shared_rotation and op is OperatorKind.ROTATION else s
                     grad = getattr(g_par, field)
                     collect(f"{owner}.{table}", r, grad.reshape(len(r), grad.shape[-1]))
     del passes, tape  # the last group's tapes, before the row sums

@@ -1,6 +1,8 @@
 import json
 import re
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,20 @@ from compound_kge.checkpoint import (
     read_header,
     save_checkpoint,
 )
+from compound_kge.dataset import TripleStore
 from compound_kge.errors import CheckpointError
-from compound_kge.model import init_model, model_from_preset, table_names
-from compound_kge.scoring import compound_spec, preset_transe
+from compound_kge.evaluation import evaluate
+from compound_kge.model import KGEModel, init_model, model_from_preset, table_names
+from compound_kge.scoring import CompoundSpec, Variant, compound_spec, preset_pairre, preset_transe
+from compound_kge.transforms import OperatorKind
+
+# Format-1 checkpoints (3 entities e0-e2, 2 relations r0-r1, dim 4, L1)
+# written by save_checkpoint of release 0.1.0 from fresh models:
+# model_from_preset(preset_transe(4)) and (preset_rotate(4)) with
+# default_rng seeds 1 and 2, and init_model of a FULL SRT/SRT spec with
+# shared rotation and seed 3.  The presets' headers hold a HEAD TRS spec
+# whose mask freezes every operator but the preset's own at identity.
+V1_DATA = Path(__file__).parent / "data"
 
 
 def sample_checkpoint(seed=0, shared=True):
@@ -43,6 +56,17 @@ def rewrite_header(path, edit):
     path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[12 + length :])
 
 
+def checkpoint_with_key(tmp_path, key):
+    """A checkpoint file whose header has ``key``: the format-1 mask only
+    format-1 headers hold, any other key a sample checkpoint's."""
+    path = tmp_path / "m.ckpt"
+    if key.startswith("trainable"):
+        shutil.copy(V1_DATA / "v1_srt_shared.ckpt", path)
+    else:
+        save_checkpoint(path, sample_checkpoint())
+    return path
+
+
 def test_round_trip_is_identity_on_storage_lattice(tmp_path):
     path = tmp_path / "m.ckpt"
     ckpt = sample_checkpoint()
@@ -66,7 +90,6 @@ def test_round_trip_is_identity_on_storage_lattice(tmp_path):
         loaded.model.entities, ckpt.model.entities, atol=1e-7
     )
     assert loaded.model.spec == ckpt.model.spec
-    assert loaded.model.trainable == ckpt.model.trainable
     assert loaded.entity_names == ckpt.entity_names
     assert loaded.relation_names == ckpt.relation_names
     assert loaded.dataset_hash == ckpt.dataset_hash
@@ -156,15 +179,14 @@ def test_relation_rows_are_views_into_the_tables():
     assert not np.any(model.tail.translations[0] == 7.0)
 
 
-def test_preset_freeze_mask_persisted(tmp_path):
+def test_preset_short_chain_persisted(tmp_path):
     model = model_from_preset(preset_transe(4), 3, 1, np.random.default_rng(1))
     path = tmp_path / "transe.ckpt"
     save_checkpoint(path, Checkpoint(model, ["a", "b", "c"], ["r"]))
     loaded = load_checkpoint(path)
     assert loaded.model.preset_name == "transe"
-    assert loaded.model.trainable.head_translation
-    assert not loaded.model.trainable.head_rotation
-    assert not loaded.model.trainable.head_scale
+    assert loaded.model.spec.head_chain == (OperatorKind.TRANSLATION,)
+    assert "trainable" not in read_header(path)
 
 
 def test_header_extractable_by_skipping_magic_and_prefix(tmp_path):
@@ -174,7 +196,7 @@ def test_header_extractable_by_skipping_magic_and_prefix(tmp_path):
     assert raw[:8] == MAGIC
     (length,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + length].decode("utf-8"))
-    assert header["format_version"] == FORMAT_VERSION
+    assert header["format_version"] == FORMAT_VERSION == 2
     assert header["spec"]["head_chain"] == "SRT"
     assert [a["name"] for a in header["arrays"]][0] == "entities"
     assert read_header(path) == header
@@ -192,9 +214,8 @@ def test_bad_magic_rejected(tmp_path):
 
 def test_version_mismatch_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
-    ckpt = sample_checkpoint()
-    ckpt.format_version = 99
-    save_checkpoint(path, ckpt)
+    save_checkpoint(path, sample_checkpoint())
+    rewrite_header(path, lambda header: header.update(format_version=99))
     with pytest.raises(CheckpointError, match="format version"):
         load_checkpoint(path)
 
@@ -241,8 +262,7 @@ def test_trailing_garbage_rejected(tmp_path):
     ],
 )
 def test_incomplete_header_names_missing_key(tmp_path, key):
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, sample_checkpoint())
+    path = checkpoint_with_key(tmp_path, key)
     rewrite_header(path, lambda header: header.pop(key))
     with pytest.raises(CheckpointError, match=f"missing '{key}'"):
         load_checkpoint(path)
@@ -264,8 +284,7 @@ def test_incomplete_header_names_missing_key(tmp_path, key):
     ],
 )
 def test_incomplete_nested_header_names_dotted_key(tmp_path, path):
-    ckpt_path = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt_path, sample_checkpoint())
+    ckpt_path = checkpoint_with_key(tmp_path, path)
     parent, key = path.rsplit(".", 1)
     head, _, index = parent.partition("[")
 
@@ -314,6 +333,95 @@ def test_header_value_of_wrong_type_names_dotted_key(tmp_path, path, value):
     rewrite_header(ckpt_path, put)
     with pytest.raises(CheckpointError, match=re.escape(f"header '{path}' must be ")):
         load_checkpoint(ckpt_path)
+
+
+# ---------------------------------------------------------------------------
+# format 1
+# ---------------------------------------------------------------------------
+
+def v1_store():
+    """Triples over the format-1 files' 3 entities and 2 relations."""
+    triples = np.array([[0, 0, 1], [1, 1, 2], [2, 0, 0], [0, 1, 2], [1, 0, 2], [2, 1, 0]])
+    return TripleStore(
+        3, 2, triples[:2], triples[2:3], triples[3:], ["e0", "e1", "e2"], ["r0", "r1"]
+    )
+
+
+def report(model):
+    return evaluate(model, v1_store(), "test", None).as_dict()
+
+
+def assert_format_2_round_trip_keeps(loaded, tmp_path):
+    """Saved and loaded again, ``loaded`` keeps its spec, tables and report."""
+    model = loaded.model
+    save_checkpoint(tmp_path / "v2.ckpt", loaded)
+    again = load_checkpoint(tmp_path / "v2.ckpt").model
+    assert again.spec == model.spec
+    for table, values in model.tables().items():
+        np.testing.assert_array_equal(again.table(table), values)
+    assert report(again) == report(model)
+
+
+@pytest.mark.parametrize("name, op", [("transe", "T"), ("rotate", "R")])
+def test_v1_preset_loads_as_its_short_chain(tmp_path, name, op):
+    path = V1_DATA / f"v1_{name}.ckpt"
+    assert read_header(path)["format_version"] == 1
+    loaded = load_checkpoint(path)
+    model = loaded.model
+    assert model.spec == CompoundSpec(Variant.HEAD, (OperatorKind(op),), (), 4)
+    assert model.preset_name == name
+    # the file's own HEAD TRS spec over the same tables ranks the same
+    as_written = KGEModel(
+        compound_spec("head", "TRS", "", dim=4), model.entities, model.head, model.tail
+    )
+    assert report(model) == report(as_written)
+    # and so do the tables saved and loaded again under the current format
+    assert_format_2_round_trip_keeps(loaded, tmp_path)
+
+
+def test_v1_full_srt_loads_unchanged(tmp_path):
+    loaded = load_checkpoint(V1_DATA / "v1_srt_shared.ckpt")
+    model = loaded.model
+    assert model.spec == compound_spec("full", "SRT", "SRT", dim=4)
+    assert model.shared_rotation and model.head.angles is model.tail.angles
+    assert loaded.dataset_hash == dataset_fingerprint(["e0", "e1", "e2"], ["r0", "r1"])
+    assert_format_2_round_trip_keeps(loaded, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "name, key, table",
+    [
+        ("transe", "head_translation", "head.translations"),
+        ("rotate", "head_rotation", "head.angles"),
+    ],
+)
+def test_v1_frozen_non_identity_group_is_refused(tmp_path, name, key, table):
+    path = tmp_path / "m.ckpt"
+    shutil.copy(V1_DATA / f"v1_{name}.ckpt", path)
+    rewrite_header(path, lambda header: header["trainable"].update({key: False}))
+    with pytest.raises(CheckpointError, match=re.escape(f"freezes {table!r} at values other")):
+        load_checkpoint(path)
+
+
+def test_v1_frozen_identity_group_that_empties_a_chain_is_refused(tmp_path):
+    # PairRE's scales start at the identity; freezing the tail's leaves an
+    # empty tail chain, which a FULL spec cannot have
+    path = tmp_path / "m.ckpt"
+    model = model_from_preset(preset_pairre(4), 3, 2, np.random.default_rng(0))
+    save_checkpoint(path, Checkpoint(model, ["e0", "e1", "e2"], ["r0", "r1"]))
+    mask = {
+        f"{side}_{group}": side == "head"
+        for side in ("head", "tail")
+        for group in ("translation", "rotation", "scale")
+    }
+    rewrite_header(path, lambda header: header.update(format_version=1, trainable=mask))
+    message = "dropping frozen 'tail.scales' leaves no valid spec"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(path)
+    # unfrozen, the same file loads with its spec as written
+    mask["tail_scale"] = True
+    rewrite_header(path, lambda header: header.update(trainable=mask))
+    assert load_checkpoint(path).model.spec == model.spec
 
 
 def test_fingerprint_sensitive_to_names_and_order():

@@ -1,9 +1,12 @@
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import compound_kge
 from compound_kge import cli as cli_mod
 from compound_kge.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
 from compound_kge.cli import RunConfig, build_parser, main, run_config_from_args
@@ -17,8 +20,9 @@ from compound_kge.dataset import (
 from compound_kge.errors import TrainingDivergedError
 from compound_kge.evaluation import evaluate
 from compound_kge.model import init_model
-from compound_kge.scoring import compound_spec
+from compound_kge.scoring import CompoundSpec, Variant, compound_spec
 from compound_kge.synthetic import SyntheticPattern, generate_synthetic_kg
+from compound_kge.transforms import OperatorKind
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +42,17 @@ def run_cli(args):
 # train
 # ---------------------------------------------------------------------------
 
-def test_train_zero_steps_writes_frozen_preset_checkpoint(data_dir, tmp_path, capsys):
+@pytest.mark.parametrize("dim", [4, 7])  # TransE has no rotation, so odd dims are fine
+def test_train_zero_steps_writes_short_chain_preset_checkpoint(
+    data_dir, tmp_path, capsys, dim
+):
     save = tmp_path / "run"
     code = run_cli(
         [
             "train",
             "--data", str(data_dir),
             "--preset", "transe",
-            "--dim", "4",
+            "--dim", str(dim),
             "--steps", "0",
             "--save", str(save),
         ]
@@ -53,9 +60,7 @@ def test_train_zero_steps_writes_frozen_preset_checkpoint(data_dir, tmp_path, ca
     assert code == 0
     ckpt = load_checkpoint(save / "last.ckpt")
     assert ckpt.model.preset_name == "transe"
-    assert ckpt.model.trainable.head_translation
-    assert not ckpt.model.trainable.head_rotation
-    assert not ckpt.model.trainable.head_scale
+    assert ckpt.model.spec == CompoundSpec(Variant.HEAD, (OperatorKind.TRANSLATION,), (), dim)
     np.testing.assert_array_equal(ckpt.model.head.angles, 0.0)
     np.testing.assert_array_equal(ckpt.model.head.scales, 1.0)
     out = capsys.readouterr().out
@@ -369,6 +374,24 @@ def test_eval_hash_mismatch_refused(trained_run, tmp_path, capsys):
     assert err.count("hash") >= 2  # both hashes printed
 
 
+def test_eval_v1_checkpoint_with_frozen_non_identity_group_fails_cleanly(
+    data_dir, tmp_path, capsys
+):
+    # a format-1 TransE file whose mask also freezes the (trained) translation
+    path = tmp_path / "v1.ckpt"
+    raw = (Path(__file__).parent / "data" / "v1_transe.ckpt").read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + length])
+    assert header["format_version"] == 1
+    header["trainable"]["head_translation"] = False
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[12 + length :])
+    assert run_cli(["eval", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: format-1 checkpoint freezes 'head.translations'")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # categorize
 # ---------------------------------------------------------------------------
@@ -555,3 +578,9 @@ def test_deterministic_runs_produce_identical_artifacts(data_dir, tmp_path, caps
         reports.append(out.read_text())
     assert blobs[0] == blobs[1]
     assert reports[0] == reports[1]
+
+
+def test_package_version_matches_pyproject():
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', text, re.M)
+    assert compound_kge.__version__ == version

@@ -20,6 +20,7 @@ from compound_kge.scoring import (
     RelationParams,
     compound_spec,
     preset_pairre,
+    preset_rotate,
     preset_transe,
 )
 from compound_kge.synthetic import SyntheticPattern, generate_synthetic_kg
@@ -321,7 +322,7 @@ def test_diagnostics_identity_relation():
 def test_no_scaling_chain_reports_zero_fraction():
     preset = preset_transe(4)
     model = model_from_preset(preset, 3, 1, np.random.default_rng(12))
-    # chain contains a frozen scale op, so entries report (all ones)
+    # the TransE chain has no scale op
     d = relation_diagnostics(model, 0)
     assert d.singularity_fraction == 0.0
     spec = compound_spec("head", "TR", "", dim=4)
@@ -359,6 +360,13 @@ def test_histogram_counts_conserved(tmp_path):
     assert by_component[("scaling", "tail")] == 16
     assert by_component[("rotation", "shared")] == 8
     assert ("rotation", "head") not in by_component
+
+
+def test_histogram_of_rotate_preset_exports_only_rotation_rows():
+    model = model_from_preset(preset_rotate(8), 3, 1, np.random.default_rng(14))
+    rows = export_relation_histograms(model, 0, bins=5)
+    assert {(r["component"], r["side"]) for r in rows} == {("rotation", "head")}
+    assert sum(r["count"] for r in rows) == 4
 
 
 def test_histogram_csv_columns(tmp_path):

@@ -33,11 +33,15 @@ from oracles import (
     central_difference_at,
     frozen_weight_loss,
     known_answers,
+    linearre_score,
     oracle_rank,
+    pairre_score,
     random_model,
     random_relation,
     random_store,
     rel_err,
+    rotate_score,
+    transe_score,
     two_sided_score,
 )
 
@@ -245,6 +249,30 @@ def test_score_equals_block_matrix_oracle(case):
     )
 
 
+PRESET_FORMULAS = {
+    "transe": transe_score,
+    "rotate": rotate_score,
+    "pairre": pairre_score,
+    "linearre": linearre_score,
+}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(PRESETS)), st.integers(1, 8), norms, seeds)
+def test_preset_score_equals_classic_formula(name, dim, norm, seed):
+    """Under a preset's spec the compound score is the classic model's
+    formula, whatever the relation's other operator tables hold."""
+    if name == "rotate":
+        dim += dim % 2
+    spec = PRESETS[name](dim, Norm(norm)).spec
+    rng = np.random.default_rng(seed)
+    r = random_relation(rng, dim)
+    h, t = rng.normal(size=dim), rng.normal(size=dim)
+    np.testing.assert_allclose(
+        score(h, r, t, spec), PRESET_FORMULAS[name](h, r, t, spec.norm), rtol=1e-12, atol=1e-12
+    )
+
+
 @PROPERTY
 @given(seeds, st.sampled_from(ORDERS), st.sampled_from(ORDERS), st.sampled_from([0.0, 0.3]))
 def test_composed_and_inverted_block_maps_keep_the_bottom_row(seed, head, tail, zero):
@@ -349,8 +377,8 @@ def test_checkpoint_round_trip_is_the_identity(ckpt):
         assert again.model.table(name).tobytes() == loaded.model.table(name).tobytes()
     for got in (loaded, again):
         model = got.model
-        assert (model.spec, model.trainable, model.shared_rotation, model.step) == (
-            ckpt.model.spec, ckpt.model.trainable, ckpt.model.shared_rotation, ckpt.model.step
+        assert (model.spec, model.shared_rotation, model.step) == (
+            ckpt.model.spec, ckpt.model.shared_rotation, ckpt.model.step
         )
         assert (got.entity_names, got.relation_names) == (ckpt.entity_names, ckpt.relation_names)
         assert (got.dataset_hash, got.rng_state) == (ckpt.dataset_hash, ckpt.rng_state)

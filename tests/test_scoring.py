@@ -338,10 +338,11 @@ def test_grad_l2_trivial_case():
 
 
 def test_frozen_parameters_get_zero_gradient():
+    """Operators outside a preset's chain never train: their gradient is zero."""
     rng = np.random.default_rng(13)
     preset = preset_transe(8)
     h, r, t = well_separated_instance(rng, preset.spec)
-    g = grad_score(h, r, t, preset.spec, trainable=preset.trainable)
+    g = grad_score(h, r, t, preset.spec)
     assert np.any(g.head.translation != 0.0)
     assert np.all(g.head.angles == 0.0)
     assert np.all(g.head.scale == 0.0)

@@ -6,6 +6,7 @@ from compound_kge.errors import TrainingDivergedError
 from compound_kge.model import init_model, model_from_preset
 from compound_kge.scoring import PRESETS, compound_spec, preset_rotate
 from compound_kge.synthetic import SyntheticPattern, generate_synthetic_kg
+from compound_kge.transforms import OperatorKind
 from compound_kge.training import (
     Adam,
     TrainConfig,
@@ -284,19 +285,20 @@ def test_batch_gradients_match_finite_differences(build, B):
 
 @pytest.mark.parametrize("shape", [*PRESETS, "srt-shared-rotation", "srt-unshared-rotation"])
 def test_batch_gradients_cover_exactly_the_trainable_tables(shape):
+    """A side's operator tables get gradient exactly when its chain holds
+    the operator; under shared rotation one angle table takes both sides'."""
+    T, R, S = OperatorKind
     if shape in PRESETS:
         model = model_from_preset(PRESETS[shape](8), 5, 2, np.random.default_rng(0))
     else:
         model = fresh_model(shared_rotation=shape == "srt-shared-rotation")
-    tr = model.trainable
     expected = {"entities"}
     for side in ("head", "tail"):
-        for group, table in (("translation", "translations"), ("rotation", "angles"), ("scale", "scales")):
-            if getattr(tr, f"{side}_{group}"):
-                expected.add(f"{side}.{table}")
-    if model.shared_rotation:
-        # one angle table, reported under the head side
-        expected.discard("tail.angles")
+        chain = getattr(model.spec, f"{side}_chain")
+        for op, table in ((T, "translations"), (R, "angles"), (S, "scales")):
+            if op in chain:
+                owner = "head" if model.shared_rotation and op is R else side
+                expected.add(f"{owner}.{table}")
     store = tiny_store()
     config = TrainConfig(batch_size=4, negative_size=3)
     neg_ids = np.random.default_rng(1).integers(0, 5, size=(4, 3))
