@@ -77,4 +77,4 @@ from .transforms import (
     invert_compound_2d,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -12,9 +12,10 @@ algebraic identities between those maps:
   translation/rotation, which makes one score dominate the other.
 
 Residuals measure the max-abs deviation from the identity, per block,
-worst block reported.  Every identity is evaluated on whole (d/2, 3, 3)
-block stacks.  Singular blocks cannot enter identities that need an
-inverse; they are masked out and counted separately.
+worst block reported.  Every identity is evaluated on whole
+(ceil(d/2), 3, 3) block stacks; at an odd ``d`` the padded last block
+counts like any other.  Singular blocks cannot enter identities that need
+an inverse; they are masked out and counted separately.
 """
 
 from __future__ import annotations
@@ -153,15 +154,6 @@ class RelationDiagnostics:
     block_det_min: float
     symmetry_residual: float
     singular_blocks: int
-
-    def row(self) -> tuple:
-        return (
-            self.relation,
-            self.singularity_fraction,
-            self.block_det_min,
-            self.symmetry_residual,
-            self.singular_blocks,
-        )
 
 
 def relation_diagnostics(

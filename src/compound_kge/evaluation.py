@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -357,6 +357,15 @@ def _screen_l1(counts, block, a, b, fixed, true_scores):
     return tuple(map(np.concatenate, zip(*uncertain)))
 
 
+def _direct_scores(x, chain, params, anchors, norm):
+    """Scores of gathered rows ``x`` of the predicted side against their
+    transformed anchors; ``x`` may be overwritten.  The ground truths and
+    the rescored candidates both take this path, so a truth's score equals
+    its score as a candidate bit for bit, which the tie count relies on."""
+    gap = apply_chain(x, chain, params)
+    return _distance(np.subtract(gap, anchors, out=gap), norm, out=gap)
+
+
 def _add_direct(counts, sign, block, chain, params, norm, fixed, true_scores, rows, queries):
     """Add ``sign`` times the direct-path ``(less, equal)`` outcomes of
     ``(block row, query)`` pairs to ``counts``, ``_SCREEN_ROWS`` pairs at a
@@ -364,8 +373,7 @@ def _add_direct(counts, sign, block, chain, params, norm, fixed, true_scores, ro
     number, and equal to NaN."""
     for i in range(0, len(rows), _SCREEN_ROWS):
         q = queries[i : i + _SCREEN_ROWS]
-        gap = apply_chain(block[rows[i : i + _SCREEN_ROWS]], chain, params)
-        scores = _distance(np.subtract(gap, fixed[q], out=gap), norm, out=gap)
+        scores = _direct_scores(block[rows[i : i + _SCREEN_ROWS]], chain, params, fixed[q], norm)
         truth_nan, nan = np.isnan(true_scores[q]), np.isnan(scores)
         np.add.at(counts, (q, 0), sign * ((scores < true_scores[q]) | (truth_nan & ~nan)))
         np.add.at(counts, (q, 1), sign * ((scores == true_scores[q]) | (truth_nan & nan)))
@@ -374,18 +382,15 @@ def _add_direct(counts, sign, block, chain, params, norm, fixed, true_scores, ro
 def _rank_group(model: KGEModel, triples, direction: Direction, filter_index, chunk_size):
     """Filtered ranks of queries that share one relation and direction.
 
-    The fixed sides and the ground truths are transformed as one batch each.
-    A chain's map is applied elementwise, so a truth's score equals its
-    score inside its candidate block bit for bit, which the tie count
-    relies on.
+    The fixed sides and the ground truths are transformed as one batch each,
+    the truths on the same path as the rescored candidates.
     """
     rid = int(triples[0, 1])
     (fixed_chain, fixed_params), (chain, params) = _sides(model, rid, direction)
     anchor, truth = (0, 2) if direction is Direction.TAIL else (2, 0)
     ents, n = model.entities, model.n_entities
     fixed = apply_chain(ents[triples[:, anchor]], fixed_chain, fixed_params)
-    truths = apply_chain(ents[triples[:, truth]], chain, params)
-    true_scores = _distance(truths - fixed, model.spec.norm)
+    true_scores = _direct_scores(ents[triples[:, truth]], chain, params, fixed, model.spec.norm)
     filtered = [_filtered_ids(filter_index, triple, direction) for triple in triples.tolist()]
     counts = np.zeros((len(triples), 2), dtype=np.int64)
     for start in range(0, n, chunk_size):
@@ -433,15 +438,6 @@ class MetricCell:
             count=int(ranks.size),
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "mrr": self.mrr,
-            "hits1": self.hits1,
-            "hits3": self.hits3,
-            "hits10": self.hits10,
-            "count": self.count,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -456,18 +452,7 @@ class EvalReport:
     note: str = TIE_POLICY_NOTE
 
     def as_dict(self) -> dict:
-        return {
-            "mrr": self.mrr,
-            "hits1": self.hits1,
-            "hits3": self.hits3,
-            "hits10": self.hits10,
-            "triple_count": self.triple_count,
-            "by_direction_category": {
-                direction: {cat: cell.as_dict() for cat, cell in cells.items()}
-                for direction, cells in self.by_direction_category.items()
-            },
-            "note": self.note,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.as_dict(), **kwargs)
@@ -536,14 +521,12 @@ def evaluate(
         labels = ["all"] * len(triples)
     labels = np.array(labels)
 
-    by_dir: dict[str, dict[str, MetricCell]] = {}
-    for j, direction in enumerate((Direction.HEAD, Direction.TAIL)):
-        cells = {}
-        for cat in sorted(set(labels)):
-            sel = labels == cat
-            if np.any(sel):
-                cells[cat] = MetricCell.from_ranks(ranks[sel, j])
-        by_dir[direction.value] = cells
+    by_dir = {
+        direction.value: {
+            cat: MetricCell.from_ranks(ranks[labels == cat, j]) for cat in sorted(set(labels))
+        }
+        for j, direction in enumerate((Direction.HEAD, Direction.TAIL))
+    }
 
     overall = MetricCell.from_ranks(ranks.ravel())
     return EvalReport(

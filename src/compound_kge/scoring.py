@@ -90,10 +90,6 @@ class CompoundSpec:
             raise ValueError(f"rotation requires an even dim, got {self.dim}")
 
     @property
-    def uses_rotation(self) -> bool:
-        return _R in self.head_chain or _R in self.tail_chain
-
-    @property
     def both_rotations(self) -> bool:
         return _R in self.head_chain and _R in self.tail_chain
 

@@ -1,8 +1,9 @@
 """Affine operator algebra on 2D coordinate blocks.
 
-Embedding vectors of even dimension ``d`` are treated as ``d/2`` planar
-blocks: coordinates ``(2i, 2i+1)`` form block ``i``.  Three elementary
-operators act on the blocks:
+Embedding vectors of dimension ``d`` are treated as ``ceil(d/2)`` planar
+blocks: coordinates ``(2i, 2i+1)`` form block ``i``, and at an odd ``d``
+the last coordinate pairs with a padding coordinate that no operator
+moves.  Three elementary operators act on the blocks:
 
 * translation by a vector ``t`` (elementwise addition),
 * rotation of every block by its own angle (counterclockwise),
@@ -205,8 +206,8 @@ def apply_rotation(x, angles):
         raise ValueError(
             f"expected {d // 2} angles for dimension {d}, got {angles.shape[-1]}"
         )
-    c, s = np.cos(angles), np.sin(angles)
-    return _block_map(np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2), x)
+    m = _operator_blocks(OperatorKind.ROTATION, TransformParams(np.zeros(d), angles, np.ones(d)))
+    return _block_map(m[..., :2, :2], x)
 
 
 def apply_chain(x, chain, params: TransformParams):
@@ -241,21 +242,38 @@ def _operator_blocks(op: OperatorKind, params: TransformParams) -> np.ndarray:
     return m
 
 
+def _pad(a, value):
+    return np.concatenate([a, np.full(a.shape[:-1] + (1,), value)], axis=-1)
+
+
+def _compile_chain(chain, params: TransformParams):
+    """Each operator's block stack paired with the chain's product up to it;
+    the last product is the chain's map.  At an odd dimension the last
+    coordinate forms a block with a padding coordinate that no operator
+    moves."""
+    if params.dim % 2:
+        params = TransformParams(
+            _pad(params.translation, 0.0), _pad(params.angles, 0.0), _pad(params.scale, 1.0)
+        )
+    factors = [_operator_blocks(op, params) for op in chain]
+    return list(zip(factors, itertools.accumulate(factors, np.matmul)))
+
+
 def chain_block_matrices(chain, params: TransformParams) -> np.ndarray:
     """Stack of per-block homogeneous 3x3 matrices of a chain.
 
-    Returns an array of shape (..., d // 2, 3, 3); block ``i`` transforms
-    coordinates ``(2i, 2i+1)``.  Each operator's stack is multiplied in
-    chain (matrix-product) order, and the bottom row is exactly
-    (0, 0, 1).
+    Returns an array of shape (..., ceil(d/2), 3, 3); block ``i``
+    transforms coordinates ``(2i, 2i+1)``.  It is the map that
+    :func:`apply_chain` runs, with its bottom row exactly (0, 0, 1); an odd
+    dimension's last block pairs the last coordinate with a padding
+    coordinate that no operator moves.  An empty chain gives identity
+    blocks.
     """
     chain = validate_chain(chain)
-    d = params.dim
-    if d % 2 != 0:
-        raise ValueError(f"block matrices need an even dimension, got d={d}")
-    m = np.broadcast_to(np.eye(3), params.angles.shape + (3, 3)).copy()
-    for op in chain:
-        m = m @ _operator_blocks(op, params)
+    if not chain:
+        shape = params.angles.shape[:-1] + ((params.dim + 1) // 2, 3, 3)
+        return np.broadcast_to(np.eye(3), shape).copy()
+    m = _compile_chain(chain, params)[-1][1]
     m[..., 2, :] = (0.0, 0.0, 1.0)
     return m
 
@@ -338,36 +356,13 @@ def invert_compound_2d(m, det_tolerance: float = DET_TOLERANCE) -> np.ndarray:
 # Chain forward with tape / vector-Jacobian backward (scoring, training, eval)
 # ---------------------------------------------------------------------------
 
-def _pad(a, value):
-    return np.concatenate([a, np.full(a.shape[:-1] + (1,), value)], axis=-1)
-
-
-def _compile_chain(chain, params: TransformParams):
-    """Each operator's block stack paired with the chain's product up to it;
-    the last product is the chain's map.  At an odd dimension the last
-    coordinate forms a block with a padding coordinate that no operator
-    moves."""
-    if params.dim % 2:
-        params = TransformParams(
-            _pad(params.translation, 0.0), _pad(params.angles, 0.0), _pad(params.scale, 1.0)
-        )
-    factors = [_operator_blocks(op, params) for op in chain]
-    return list(zip(factors, itertools.accumulate(factors, np.matmul)))
-
-
 def chain_affine_map(chain, params: TransformParams):
     """The per-block map ``y = A x + b`` that :func:`apply_chain` runs.
 
     Returns ``(A, b)`` of shapes (..., ceil(d/2), 2, 2) and
-    (..., ceil(d/2), 2), the very arrays the chain's forward pass applies;
-    an odd dimension's last block carries the padding coordinate.  An
-    empty chain gives identity blocks and zero offsets.
+    (..., ceil(d/2), 2): the top rows of :func:`chain_block_matrices`.
     """
-    chain = validate_chain(chain)
-    if not chain:
-        shape = params.angles.shape[:-1] + ((params.dim + 1) // 2,)
-        return np.broadcast_to(np.eye(2), shape + (2, 2)), np.zeros(shape + (2,))
-    m = _compile_chain(chain, params)[-1][1]
+    m = chain_block_matrices(chain, params)
     return m[..., :2, :2], m[..., :2, 2]
 
 

@@ -540,6 +540,21 @@ def test_diagnose_exports(trained_run, tmp_path, capsys):
     assert emb_header.startswith("entity_name,dim_0")
 
 
+@pytest.mark.parametrize("preset", ["transe", "pairre", "linearre"])
+def test_rotation_free_preset_at_odd_dim_trains_evaluates_and_diagnoses(
+    data_dir, tmp_path, capsys, preset
+):
+    save = tmp_path / "run"
+    train = ["train", "--data", str(data_dir), "--preset", preset, "--dim", "7"]
+    assert run_cli(train + ["--steps", "2", "--batch-size", "8", "--save", str(save)]) == 0
+    ckpt = str(save / "last.ckpt")
+    assert run_cli(["eval", "--checkpoint", ckpt, "--data", str(data_dir)]) == 0
+    hist_dir = tmp_path / "hists"
+    diagnose = ["diagnose", "--checkpoint", ckpt, "--all", "--export-histograms", str(hist_dir)]
+    assert run_cli(diagnose) == 0
+    assert len(list(hist_dir.glob("*.csv"))) == 1
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

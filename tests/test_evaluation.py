@@ -282,9 +282,13 @@ def test_report_json_field_names():
     model = random_model(rng, 10, 1)
     report = evaluate(model, store, "test", categorize_relations(store))
     payload = json.loads(report.to_json())
-    for key in ("mrr", "hits1", "hits3", "hits10", "triple_count", "by_direction_category"):
-        assert key in payload
+    assert list(payload) == [
+        "mrr", "hits1", "hits3", "hits10", "triple_count", "by_direction_category", "note"
+    ]
     assert set(payload["by_direction_category"]) == {"head", "tail"}
+    for cells in payload["by_direction_category"].values():
+        for cell in cells.values():
+            assert list(cell) == ["mrr", "hits1", "hits3", "hits10", "count"]
     assert 0.0 <= payload["mrr"] <= 1.0
     assert payload["hits1"] <= payload["hits3"] <= payload["hits10"] <= 1.0
 

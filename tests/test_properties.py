@@ -21,13 +21,22 @@ from hypothesis import strategies as st
 
 from compound_kge.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from compound_kge.dataset import build_filter_index, categorize_relations
-from compound_kge.diagnostics import relation_matrices
+from compound_kge.diagnostics import (
+    export_relation_histograms,
+    relation_diagnostics,
+    relation_matrices,
+)
 from compound_kge import evaluation
 from compound_kge.evaluation import Direction, MetricCell, evaluate, filtered_rank
 from compound_kge.model import init_model, model_from_preset
 from compound_kge.scoring import PRESETS, Norm, compound_spec, score
 from compound_kge.training import TrainConfig, batch_loss_and_grads
-from compound_kge.transforms import invert_blocks
+from compound_kge.transforms import (
+    apply_chain,
+    chain_affine_map,
+    chain_block_matrices,
+    invert_blocks,
+)
 
 from oracles import (
     central_difference_at,
@@ -299,6 +308,36 @@ def rough_model(rng, spec, n_entities, n_relations, shared_rotation):
     for table in model.tables().values():
         table[...] = rng.normal(size=table.shape)
     return model
+
+
+@PROPERTY
+@given(specs(), seeds, st.booleans())
+def test_every_spec_has_block_matrices_and_diagnostics(spec, seed, shared_rotation):
+    """At every dimension a spec allows, odd ones too, a chain's block
+    matrices are the map that apply_chain runs, with its affine part
+    sliced out of them, and every relation can be diagnosed and exported."""
+    rng = np.random.default_rng(seed)
+    model = rough_model(rng, spec, 3, 2, shared_rotation)
+    d, blocks = spec.dim, (spec.dim + 1) // 2
+    x = rng.normal(size=(4, d))
+    homogeneous = np.concatenate([x, np.zeros((4, d % 2))], axis=1).reshape(4, blocks, 2)
+    homogeneous = np.concatenate([homogeneous, np.ones((4, blocks, 1))], axis=2)
+    for rid in range(model.n_relations):
+        r = model.relation_params(rid)
+        for chain, params in ((spec.head_chain, r.head), (spec.tail_chain, r.tail)):
+            m = chain_block_matrices(chain, params)
+            a, b = chain_affine_map(chain, params)
+            assert m.shape == (blocks, 3, 3)
+            assert (m[..., 2, :] == (0.0, 0.0, 1.0)).all()
+            assert np.array_equal(m[..., :2, :2], a) and np.array_equal(m[..., :2, 2], b)
+            mapped = np.einsum("kij,nkj->nki", m, homogeneous)[..., :2].reshape(4, -1)[:, :d]
+            np.testing.assert_allclose(
+                mapped, apply_chain(x, chain, params), rtol=1e-12, atol=1e-12
+            )
+        assert relation_diagnostics(model, rid).relation == rid
+        exported = {row["component"] for row in export_relation_histograms(model, rid, bins=4)}
+        names = {"T": "translation", "R": "rotation", "S": "scaling"}
+        assert exported == {names[op.value] for op in spec.head_chain + spec.tail_chain}
 
 
 @st.composite
