@@ -10,24 +10,31 @@ orders them: a NaN score sorts after every number and ties every other
 NaN, so a NaN ground truth still gets a rank of at least 1.
 
 A candidate's transform depends only on the relation and the predicted
-side, so :func:`evaluate` ranks a split one (relation, direction) group
-at a time.  Per group the queries' fixed sides and their ground truths
-are transformed as one batch each, and the candidate table is screened
-in chunks of ``_SCREEN_ROWS`` rows against every query of the group.
-Under L2 a squared score is a quadratic form in the raw entity row, so
-a chunk is screened by matrix products against the group's weights
-(:func:`_screen_l2`).  Under L1 a chunk is cast to complex64, moved by
-the group's map in complex form and summed in float32
-(:func:`_screen_l1`).  Either way only the candidates whose screened
-score lies within a proven rounding bound of the ground truth's are
-rescored on the direct float64 path, so the ranks equal the direct
-path's exactly.  Filtering needs no entity-sized mask: a query's counts
-of better and tied candidates over the whole block, minus the same
-counts over its known-true ids inside the block, are its filtered
-counts.  :func:`filtered_rank` is the one-query case.
+side, so :func:`evaluate` first builds one group per (relation,
+direction): the queries' fixed sides and ground truths are transformed as
+one batch each, and the group's per-block map is compiled once.  It then
+packs consecutive groups into tiles of at most ``max(1, d // 8)`` queries
+(a larger group is cut into tiles of its own) and reads the candidate
+table block by block.  Each block is screened in chunks of
+``_SCREEN_ROWS`` rows against every query of a tile, so a chunk is read
+once per tile, not once per group.  Under L2 a squared score is a
+quadratic form in the raw entity row, so a chunk is screened by matrix
+products against the tile's stacked weights (:func:`_screen_l2`).  Under
+L1 a chunk is cast to complex64 once, moved by each group's map in
+complex form and summed in float32 per query (:func:`_screen_l1`).
+Either way only the candidates whose screened score lies within a proven
+rounding bound of the ground truth's are rescored on the direct float64
+path, group by group, so the ranks equal the direct path's exactly.  A
+query whose transformed fixed side has a NaN scores NaN against every
+candidate, its ground truth included, so it ties every candidate that is
+not filtered; it is counted so without screening.  Filtering needs no
+entity-sized mask: a query's counts of better and tied candidates over
+the whole block, minus the same counts over its known-true ids inside the
+block, are its filtered counts.  :func:`filtered_rank` is the one-query
+case.
 
 ``chunk_size`` (by default ``DEFAULT_CHUNK_SIZE`` = 65,536 rows) splits
-the entity table into blocks, which bounds the memory that a group's
+the entity table into blocks, which bounds the memory that a tile's
 screened values take on large entity sets; the screens work in their
 own fixed chunks, so the block size does not change speed much, and it
 never changes a rank.
@@ -44,7 +51,7 @@ import numpy as np
 from .dataset import FilterIndex, RelationCategory, TripleStore, build_filter_index
 from .model import KGEModel
 from .scoring import Norm, _distance
-from .transforms import apply_chain, chain_affine_map
+from .transforms import TransformParams, apply_chain, chain_affine_map
 
 __all__ = [
     "Direction",
@@ -68,8 +75,8 @@ DEFAULT_CHUNK_SIZE = 2**16
 # over 4,096 rows of a full S.R.T / S.R.T L1 model (d = 200), two L1 queries
 # took 3.7, 2.8, 2.6, 2.9 and 3.9 ms in chunks of 64 to 1024 rows.
 _SCREEN_ROWS = 256
-# Screened L1 values classified in one pass, over all of a group's queries:
-# a small group classifies a whole block at once (a one-query group over a
+# Screened L1 values classified in one pass, over all of a tile's queries:
+# a small tile classifies a whole block at once (a one-query group over a
 # 14,541-row table took 7.8 ms against 9.2 ms classified chunk by chunk).
 _SCREEN_SPAN = 2**16
 # The screens' band is this multiple of their proven error bound; the margin
@@ -114,30 +121,133 @@ def _filtered_ids(filter_index: FilterIndex, triple, direction: Direction) -> np
     return np.sort(ids[ids != true_id])
 
 
-def _score_block(model, rid, direction, block, start, fixed, true_scores, filtered):
-    """Filtered ``(less, equal)`` counts of one block of candidates, per query.
+@dataclass
+class _Group:
+    """One (relation, direction) group of queries: the predicted side's chain
+    and its per-block map ``y = A x + b`` (``a``, ``b``), and per query the
+    transformed fixed side, the ground truth's score and the filtered ids."""
 
-    The block (entity rows from ``start`` on) is screened by the norm's
-    screen, which counts the candidates it certifies better than the
-    ground truth and returns the ``(block row, query)`` pairs it cannot
-    certify; those are rescored on the direct path.  A query's counts over
-    the whole block, minus those at its filtered ids inside the block, are
-    its filtered counts: the ids are distinct and exclude the ground truth.
-    A certified sign equals the direct comparison, so rescoring the
-    filtered ids and subtracting their outcome is exact.
+    chain: tuple
+    params: TransformParams
+    a: np.ndarray
+    b: np.ndarray
+    fixed: np.ndarray
+    true_scores: np.ndarray
+    filtered: list[np.ndarray]
+
+
+def _group(model: KGEModel, triples, direction: Direction, filter_index) -> _Group:
+    """The group of ``triples``, which share one relation, in ``direction``.
+
+    The fixed sides and the ground truths are transformed as one batch each,
+    the truths on the path that rescores candidates, so a truth's score
+    equals its score as a candidate bit for bit.
     """
-    _, (chain, params) = _sides(model, rid, direction)
+    rid = int(triples[0, 1])
+    (fixed_chain, fixed_params), (chain, params) = _sides(model, rid, direction)
+    anchor, truth = (0, 2) if direction is Direction.TAIL else (2, 0)
+    ents = model.entities
+    fixed = apply_chain(ents[triples[:, anchor]], fixed_chain, fixed_params)
+    true_scores = _direct_scores(ents[triples[:, truth]], chain, params, fixed, model.spec.norm)
+    filtered = [_filtered_ids(filter_index, triple, direction) for triple in triples.tolist()]
+    return _Group(chain, params, *chain_affine_map(chain, params), fixed, true_scores, filtered)
+
+
+@dataclass
+class _Tile:
+    """Queries screened together: their rows in the call's counts
+    (``index``), the tile's groups, each query's index into them (``seg``),
+    and the queries' fixed sides, ground-truth scores and filtered ids."""
+
+    index: np.ndarray
+    groups: list[_Group]
+    seg: np.ndarray
+    fixed: np.ndarray
+    true_scores: np.ndarray
+    filtered: list[np.ndarray]
+
+    @classmethod
+    def of(cls, pieces) -> "_Tile":
+        """The tile of ``(group, query indices in it, their rows in the call's
+        counts)`` pieces."""
+        return cls(
+            index=np.concatenate([index for _, _, index in pieces]),
+            groups=[group for group, _, _ in pieces],
+            seg=np.repeat(np.arange(len(pieces)), [len(j) for _, j, _ in pieces]),
+            fixed=np.concatenate([group.fixed[j] for group, j, _ in pieces]),
+            true_scores=np.concatenate([group.true_scores[j] for group, j, _ in pieces]),
+            filtered=[group.filtered[i] for group, j, _ in pieces for i in j],
+        )
+
+
+def _rank_groups(model: KGEModel, groups: list[_Group], chunk_size: int) -> np.ndarray:
+    """Filtered ranks of the queries of ``groups``, in order.
+
+    A query whose transformed fixed side has a NaN scores NaN against every
+    candidate, its ground truth included, so it ties every candidate but
+    its filtered ids: its counts are set so, without screening.  The other
+    queries are packed into tiles in order: consecutive groups share a tile
+    of at most ``max(1, d // 8)`` queries, which keeps the L2 screen's
+    (block rows, queries) buffer within an eighth of the block, and a
+    larger group is cut into tiles of its own.  Every block of the entity
+    table is then scored against every tile by :func:`_score_block`.
+    """
+    n, size = model.n_entities, max(1, model.dim // 8)
+    offsets = np.cumsum([0] + [len(group.fixed) for group in groups])
+    counts = np.zeros((offsets[-1], 2), dtype=np.int64)
+    tiles, pending, room = [], [], size
+    for group, offset in zip(groups, offsets):
+        nan_fixed = np.isnan(group.fixed).any(axis=1)
+        for j in np.flatnonzero(nan_fixed):
+            counts[offset + j, 1] = n - np.searchsorted(group.filtered[j], n)
+        live = np.flatnonzero(~nan_fixed)
+        for i in range(0, len(live), size):
+            j = live[i : i + size]
+            if len(j) > room:
+                tiles.append(_Tile.of(pending))
+                pending, room = [], size
+            pending.append((group, j, offset + j))
+            room -= len(j)
+    if pending:
+        tiles.append(_Tile.of(pending))
+    for start in range(0, n, chunk_size):
+        _score_block(model, tiles, model.entities[start : start + chunk_size], start, counts)
+    less, equal = counts.T
+    ties = equal - 1  # the ground truth always matches its own score
+    return 1 + less + ties // 2
+
+
+def _score_block(model, tiles, block, start, counts):
+    """Add the filtered ``(less, equal)`` counts of one block of candidates
+    (entity rows from ``start`` on) to ``counts``, for every tile's queries.
+
+    Each tile is screened by the norm's screen in one pass over the block,
+    which counts the candidates it certifies better than each query's
+    ground truth and returns the ``(block row, query)`` pairs it cannot
+    certify; those are rescored on the direct path with their group's
+    chain.  A query's counts over the whole block, minus those at its
+    filtered ids inside the block, are its filtered counts: the ids are
+    distinct and exclude the ground truth.  A certified sign equals the
+    direct comparison, so rescoring the filtered ids and subtracting their
+    outcome is exact.
+    """
     norm = model.spec.norm
     screen = _screen_l1 if norm is Norm.L1 else _screen_l2
-    counts = np.zeros((len(fixed), 2), dtype=np.int64)
-    rows, queries = screen(counts, block, *chain_affine_map(chain, params), fixed, true_scores)
-    direct = (block, chain, params, norm, fixed, true_scores)
-    _add_direct(counts, 1, *direct, rows, queries)
-    known = [ids[slice(*np.searchsorted(ids, (start, start + len(block))))] for ids in filtered]
-    rows = np.concatenate(known) - start
-    queries = np.repeat(np.arange(len(fixed)), [len(ids) for ids in known])
-    _add_direct(counts, -1, *direct, rows, queries)
-    return counts
+    end = start + len(block)
+    for tile in tiles:
+        tile_counts = np.zeros((len(tile.index), 2), dtype=np.int64)
+        maps = [(group.a, group.b) for group in tile.groups]
+        rows, queries = screen(tile_counts, block, maps, tile.seg, tile.fixed, tile.true_scores)
+        known = [ids[slice(*np.searchsorted(ids, (start, end)))] for ids in tile.filtered]
+        known_rows = np.concatenate(known) - start
+        known_queries = np.repeat(np.arange(len(known)), [len(ids) for ids in known])
+        for s, group in enumerate(tile.groups):
+            direct = (block, group.chain, group.params, norm, tile.fixed, tile.true_scores)
+            mine = tile.seg[queries] == s
+            _add_direct(tile_counts, 1, *direct, rows[mine], queries[mine])
+            mine = tile.seg[known_queries] == s
+            _add_direct(tile_counts, -1, *direct, known_rows[mine], known_queries[mine])
+        counts[tile.index] += tile_counts
 
 
 def _gamma(k, unit_roundoff=_UNIT_ROUNDOFF):
@@ -146,24 +256,25 @@ def _gamma(k, unit_roundoff=_UNIT_ROUNDOFF):
     return k * unit_roundoff / (1 - k * unit_roundoff)
 
 
-def _screen_l2(counts, block, a, b, fixed, true_scores):
+def _screen_l2(counts, block, maps, seg, fixed, true_scores):
     """Add the L2 candidates of ``block`` certified better than each query's
     ground truth to ``counts[:, 0]``, screened without transforming the
-    block; return the uncertain ``(rows, queries)``.
+    block; return the uncertain ``(rows, queries)``.  ``maps`` holds the
+    ``(A, b)`` of the tile's groups and ``seg`` each query's index into it.
 
-    Per 2D block the predicted side's chain is ``y = A x + b``, so a
+    Per 2D block a group's predicted side is ``y = A x + b``, so a
     candidate ``x``'s squared score against an anchor ``f`` is
 
         ||A x + c||^2 = x^T G x + 2 (A^T c)^T x + ||c||^2,
         G = A^T A,  c = b - f,
 
     linear in the features ``[x*x, x_even*x_odd]`` (weights ``diag G`` and
-    ``2 G_01``, the same for every query of the group) and in ``x`` (weights
+    ``2 G_01``, the same for every query of a group) and in ``x`` (weights
     ``2 A^T c``, one column per query).  ``A`` and ``b`` are the arrays the
-    direct path applies.  Each chunk of ``_SCREEN_ROWS`` rows takes one
-    product for its quadratic part and its band, and one for the group's
-    linear parts.  Queries are tiled by ``d // 8`` so that the (block rows,
-    queries) buffer stays within an eighth of the block itself.
+    direct path applies.  Each chunk of ``_SCREEN_ROWS`` rows is read once
+    for the whole tile: one feature pass, one product against the stacked
+    quadratic and band columns of the tile's groups, and one against the
+    linear columns of all its queries.
 
     **The bound.**  With ``u`` the unit roundoff and ``g_k = gamma(k)``, let
     ``p = |A||x|`` and ``r = |b| + |f|`` per coordinate, ``P = sum p^2`` and
@@ -187,7 +298,9 @@ def _screen_l2(counts, block, a, b, fixed, true_scores):
     product may lose ``eta/2``, the smallest subnormal; ``W`` sums the
     quadratic weights' magnitudes).  ``P`` is over-estimated by the row
     sums of ``|A|^T|A|`` against ``x*x``, one more column of the chunk's
-    quadratic product.
+    quadratic product.  Every ``g_k`` above bounds a ``k``-term sum in any
+    order, so the bound holds however BLAS orders a product, and however
+    many columns the tile stacks beside a query's.
 
     **Classification.**  A candidate with ``|S - t^2| > 2 beta`` is ranked
     by the sign of ``S - t^2``, which is then the sign of ``D - t``.  Every
@@ -197,79 +310,79 @@ def _screen_l2(counts, block, a, b, fixed, true_scores):
     matches ``true_score`` exactly.
     """
     n_queries, d = fixed.shape
-    pairs = d // 2
-    # G = A^T A and the row sums of |A|^T |A| per block, written out
-    # elementwise: a rotation's G_01 is then exactly zero
-    (a00, a01), (a10, a11) = np.moveaxis(a, (-2, -1), (0, 1))
-    diag = np.stack([a00 * a00 + a10 * a10, a01 * a01 + a11 * a11], axis=-1)
-    abs_off = np.abs(a00 * a01) + np.abs(a10 * a11)
-    quad_weights = np.zeros((d + pairs, 2))
-    quad_weights[:d, 0] = diag.reshape(-1)[:d]
-    quad_weights[d:, 0] = 2 * (a00 * a01 + a10 * a11)[:pairs]
+    pairs, n_groups = d // 2, len(maps)
     gamma = _gamma(5 * d + 40)
-    quad_weights[:d, 1] = _BAND_SAFETY * (
-        gamma * (diag + abs_off[:, None]).reshape(-1)[:d] + 3 * _SMALLEST_SUBNORMAL
-    )
-    anchors = np.zeros((n_queries, b.size))
-    anchors[:, :d] = fixed
-    c = b.reshape(-1) - anchors
-    lin_weights = 2 * np.einsum("kji,qkj->qki", a, c.reshape(n_queries, -1, 2))
-    lin_weights = lin_weights.reshape(n_queries, -1)[:, :d].T  # (d, queries), column-major
-    t2 = true_scores * true_scores
-    offset = t2 - np.sum(c * c, axis=-1)
-    r2 = np.sum(np.square(np.abs(b).reshape(-1) + np.abs(anchors)), axis=-1)
-    underflow = _SMALLEST_SUBNORMAL * (np.abs(quad_weights[:, 0]).sum() + 5 * d + 4)
-    band_q = _BAND_SAFETY * (gamma * r2 + _gamma(4) * t2 + underflow)
+    # per group, a column of quadratic weights and one of the band's
+    quad_weights = np.zeros((d + pairs, 2 * n_groups))
+    lin_weights = np.empty((d, n_queries))
+    offset, band_q = np.empty((2, n_queries))
+    for k, (a, b) in enumerate(maps):
+        mine = seg == k
+        # G = A^T A and the row sums of |A|^T |A| per block, written out
+        # elementwise: a rotation's G_01 is then exactly zero
+        (a00, a01), (a10, a11) = np.moveaxis(a, (-2, -1), (0, 1))
+        diag = np.stack([a00 * a00 + a10 * a10, a01 * a01 + a11 * a11], axis=-1)
+        abs_off = np.abs(a00 * a01) + np.abs(a10 * a11)
+        quad_weights[:d, k] = diag.reshape(-1)[:d]
+        quad_weights[d:, k] = 2 * (a00 * a01 + a10 * a11)[:pairs]
+        quad_weights[:d, n_groups + k] = _BAND_SAFETY * (
+            gamma * (diag + abs_off[:, None]).reshape(-1)[:d] + 3 * _SMALLEST_SUBNORMAL
+        )
+        anchors = np.zeros((np.count_nonzero(mine), b.size))
+        anchors[:, :d] = fixed[mine]
+        c = b.reshape(-1) - anchors
+        lin = 2 * np.einsum("kji,qkj->qki", a, c.reshape(len(c), -1, 2))
+        lin_weights[:, mine] = lin.reshape(len(c), -1)[:, :d].T
+        t2 = true_scores[mine] * true_scores[mine]
+        offset[mine] = t2 - np.sum(c * c, axis=-1)
+        r2 = np.sum(np.square(np.abs(b).reshape(-1) + np.abs(anchors)), axis=-1)
+        underflow = _SMALLEST_SUBNORMAL * (np.abs(quad_weights[:, k]).sum() + 5 * d + 4)
+        band_q[mine] = _BAND_SAFETY * (gamma * r2 + _gamma(4) * t2 + underflow)
 
-    cross = np.any(quad_weights[d:, 0])  # zero for a rotation, translation or scaling alone
+    cross = np.any(quad_weights[d:, :n_groups])  # zero for rotations, translations, scalings
     chunk = min(_SCREEN_ROWS, len(block))
     features = np.empty((chunk, d + pairs if cross else d))
-    quad_band = np.empty((len(block), 2))
-    tile = max(1, d // 8)
-    uncertain = []
-    for q0 in range(0, n_queries, tile):
-        cols = slice(q0, q0 + tile)
-        diff = np.empty((len(block), len(offset[cols])))
-        for r0 in range(0, len(block), chunk):
-            x, r1 = block[r0 : r0 + chunk], min(r0 + chunk, len(block))
-            phi = features[: len(x)]
-            np.multiply(x, x, out=phi[:, :d])
-            if cross:
-                np.multiply(x[:, 0 : 2 * pairs : 2], x[:, 1 : 2 * pairs : 2], out=phi[:, d:])
-            np.matmul(phi, quad_weights[: phi.shape[1]], out=quad_band[r0:r1])
-            np.matmul(x, lin_weights[:, cols], out=diff[r0:r1])
-        diff += quad_band[:, :1]
-        diff -= offset[cols]
-        size = np.abs(diff)
-        certain = (size > quad_band[:, 1:] + band_q[cols]) & (size < np.inf)
-        counts[cols, 0] += np.count_nonzero(certain & (diff < 0), axis=0)
-        rows, queries = np.nonzero(~certain)
-        uncertain.append((rows, queries + q0))
-    return tuple(map(np.concatenate, zip(*uncertain)))
+    quad_band = np.empty((len(block), 2 * n_groups))
+    diff = np.empty((len(block), n_queries))
+    for r0 in range(0, len(block), chunk):
+        x, r1 = block[r0 : r0 + chunk], min(r0 + chunk, len(block))
+        phi = features[: len(x)]
+        np.multiply(x, x, out=phi[:, :d])
+        if cross:
+            np.multiply(x[:, 0 : 2 * pairs : 2], x[:, 1 : 2 * pairs : 2], out=phi[:, d:])
+        np.matmul(phi, quad_weights[: phi.shape[1]], out=quad_band[r0:r1])
+        np.matmul(x, lin_weights, out=diff[r0:r1])
+    diff += quad_band[:, seg]
+    diff -= offset
+    size = np.abs(diff)
+    certain = (size > quad_band[:, n_groups + seg] + band_q) & (size < np.inf)
+    counts[:, 0] += np.count_nonzero(certain & (diff < 0), axis=0)
+    return np.nonzero(~certain)
 
 
 # float32 overflow is expected: it leaves a screened value non-finite, and so
 # sends its candidate to the direct path
 @np.errstate(over="ignore", invalid="ignore")
-def _screen_l1(counts, block, a, b, fixed, true_scores):
+def _screen_l1(counts, block, maps, seg, fixed, true_scores):
     """Add the L1 candidates of ``block`` certified better than each query's
     ground truth to ``counts[:, 0]``, screened in float32; return the
-    uncertain ``(rows, queries)``.
+    uncertain ``(rows, queries)``.  ``maps`` holds the ``(A, b)`` of the
+    tile's groups and ``seg`` each query's index into it.
 
-    Per 2D block the predicted side's chain is ``y = A x + b``.  In complex
+    Per 2D block a group's predicted side is ``y = A x + b``.  In complex
     form, with ``z = x_even + i x_odd``, that is
 
         y = alpha z + beta conj(z) + b,
         alpha = ((A00 + A11) + i (A10 - A01)) / 2,
         beta = ((A00 - A11) + i (A10 + A01)) / 2,
 
-    so a chunk of ``_SCREEN_ROWS`` rows is cast once into a complex64
-    buffer (an odd ``d`` padded with a zero coordinate) and moved once for
-    the whole group, and each query adds ``c = b - f``, takes ``abs`` of
-    the float32 view and sums it by a float32 product against ones.  ``A``
-    and ``b`` are the arrays the direct path applies.  The screened values
-    of a span of chunks (``_SCREEN_SPAN`` values over all the queries) are
-    classified at once.
+    so a chunk of ``_SCREEN_ROWS`` rows is cast once for the whole tile
+    into a complex64 buffer (an odd ``d`` padded with a zero coordinate)
+    and moved once per group, and each query adds ``c = b - f``, takes
+    ``abs`` of the float32 view and sums it by a float32 product against
+    ones.  ``A`` and ``b`` are the arrays the direct path applies.  The
+    screened values of a span of chunks (``_SCREEN_SPAN`` values over all
+    the queries) are classified at once.
 
     **The bound.**  With ``u`` float32's unit roundoff, ``g_k = gamma(k)``
     in it, ``eta`` float32's smallest subnormal, ``m = ceil(d/2)`` and
@@ -296,11 +409,13 @@ def _screen_l1(counts, block, a, b, fixed, true_scores):
         delta = g_{2m+7} (B + R) + eta (16 ||x||_1 + 16 m + 4 sum w + 1)
 
     of the direct ``D``.  The per-row part is one float32 product of
-    ``|x|`` (as cast) against the weights ``g_{2m+7} w_i + 16 eta``; its
-    own roundings, and those of the rest of the band, are within the
-    safety factor.  The padding coordinate of an odd ``d`` is exactly
-    zero in both ``E`` and the screen.  An overflow anywhere in float32 (a
-    cast, product or sum past 3.4e38) leaves ``S`` infinite or NaN.
+    ``|x|`` (as cast) against every group's weights ``g_{2m+7} w_i + 16
+    eta``, one column per group; its own roundings, in any order, and
+    those of the rest of the band, are within the safety factor, so the
+    bound holds however many groups the tile stacks.  The padding
+    coordinate of an odd ``d`` is exactly zero in both ``E`` and the
+    screen.  An overflow anywhere in float32 (a cast, product or sum past
+    3.4e38) leaves ``S`` infinite or NaN.
 
     **Classification.**  A candidate with ``|S - t| > 2 delta`` is ranked by
     the sign of ``S - t``, which is then the sign of ``D - t``.  Every other
@@ -310,29 +425,36 @@ def _screen_l1(counts, block, a, b, fixed, true_scores):
     ``true_score`` exactly.
     """
     n_queries, d = fixed.shape
-    pairs = b.shape[-2]
+    n_groups, pairs = len(maps), maps[0][1].shape[-2]
     chunk = min(_SCREEN_ROWS, len(block))
-    (a00, a01), (a10, a11) = np.moveaxis(a, (-2, -1), (0, 1))
+    gamma, eta = _gamma(2 * pairs + 7, _UNIT_ROUNDOFF_32), _SMALLEST_SUBNORMAL_32
     # whole chunk-sized operands: numpy's complex loops run faster on them
     # than on broadcast ones
-    alpha, beta = np.empty((2, chunk, pairs), dtype=np.complex64)
-    alpha.real, alpha.imag = (a00 + a11) / 2, (a10 - a01) / 2
-    beta.real, beta.imag = (a00 - a11) / 2, (a10 + a01) / 2
-    weight = np.maximum(np.abs(a00), np.abs(a11)) + np.maximum(np.abs(a01), np.abs(a10))
+    alpha, beta = np.empty((2, n_groups, chunk, pairs), dtype=np.complex64)
+    row_weights = np.empty((2 * pairs, n_groups), dtype=np.float32)
     anchors = np.zeros((n_queries, 2 * pairs))
     anchors[:, :d] = fixed
-    c = (b.reshape(-1) - anchors).astype(np.float32).view(np.complex64)
-    gamma, eta = _gamma(2 * pairs + 7, _UNIT_ROUNDOFF_32), _SMALLEST_SUBNORMAL_32
-    row_weights = (_BAND_SAFETY * (gamma * np.repeat(weight, 2) + 16 * eta)).astype(np.float32)
-    r1 = np.sum(np.abs(b).reshape(-1) + np.abs(anchors), axis=-1)
-    band_q = _BAND_SAFETY * (gamma * r1 + eta * (16 * pairs + 4 * weight.sum() + 1))
+    c = np.empty_like(anchors)
+    band_q = np.empty(n_queries)
+    for k, (a, b) in enumerate(maps):
+        mine = seg == k
+        (a00, a01), (a10, a11) = np.moveaxis(a, (-2, -1), (0, 1))
+        alpha[k].real, alpha[k].imag = (a00 + a11) / 2, (a10 - a01) / 2
+        beta[k].real, beta[k].imag = (a00 - a11) / 2, (a10 + a01) / 2
+        weight = np.maximum(np.abs(a00), np.abs(a11)) + np.maximum(np.abs(a01), np.abs(a10))
+        row_weights[:, k] = _BAND_SAFETY * (gamma * np.repeat(weight, 2) + 16 * eta)
+        c[mine] = b.reshape(-1) - anchors[mine]
+        r1 = np.sum(np.abs(b).reshape(-1) + np.abs(anchors[mine]), axis=-1)
+        band_q[mine] = _BAND_SAFETY * (gamma * r1 + eta * (16 * pairs + 4 * weight.sum() + 1))
+    c = c.astype(np.float32).view(np.complex64)
 
-    z, y, g = np.zeros((3, chunk, pairs), dtype=np.complex64)
+    z, z_conj, y, g = np.zeros((4, chunk, pairs), dtype=np.complex64)
     z_flat, g_flat = z.view(np.float32), g.view(np.float32)
     ones = np.ones(2 * pairs, dtype=np.float32)
+    members = [np.flatnonzero(seg == k) for k in range(n_groups)]
     span = chunk * max(1, _SCREEN_SPAN // (n_queries * chunk))
     screened = np.empty((n_queries, span), dtype=np.float32)
-    band = np.empty(span, dtype=np.float32)
+    band = np.empty((span, n_groups), dtype=np.float32)
     uncertain = []
     for s0 in range(0, len(block), span):
         s1 = min(s0 + span, len(block))
@@ -340,17 +462,19 @@ def _screen_l1(counts, block, a, b, fixed, true_scores):
             n = min(chunk, s1 - r0)
             rows = slice(r0 - s0, r0 - s0 + n)
             z_flat[:n, :d] = block[r0 : r0 + n]
-            zn, yn, gn, gn_flat = z[:n], y[:n], g[:n], g_flat[:n]
+            zn, zn_conj, yn, gn, gn_flat = z[:n], z_conj[:n], y[:n], g[:n], g_flat[:n]
             np.matmul(np.abs(z_flat[:n], out=gn_flat), row_weights, out=band[rows])
-            np.multiply(zn, alpha[:n], out=yn)
-            np.multiply(np.conjugate(zn, out=gn), beta[:n], out=gn)
-            yn += gn
-            for q in range(n_queries):
-                np.add(yn, c[q], out=gn)
-                np.matmul(np.abs(gn_flat, out=gn_flat), ones, out=screened[q, rows])
+            np.conjugate(zn, out=zn_conj)
+            for k, queries in enumerate(members):
+                np.multiply(zn, alpha[k, :n], out=yn)
+                np.multiply(zn_conj, beta[k, :n], out=gn)
+                yn += gn
+                for q in queries:
+                    np.add(yn, c[q], out=gn)
+                    np.matmul(np.abs(gn_flat, out=gn_flat), ones, out=screened[q, rows])
         diff = screened[:, : s1 - s0] - true_scores[:, None]
         size = np.abs(diff)
-        certain = (size > band[: s1 - s0] + band_q[:, None]) & (size < np.inf)
+        certain = (size > band[: s1 - s0].T[seg] + band_q[:, None]) & (size < np.inf)
         counts[:, 0] += np.count_nonzero(certain & (diff < 0), axis=1)
         queries, rows = np.nonzero(~certain)
         uncertain.append((rows + s0, queries))
@@ -379,28 +503,6 @@ def _add_direct(counts, sign, block, chain, params, norm, fixed, true_scores, ro
         np.add.at(counts, (q, 1), sign * ((scores == true_scores[q]) | (truth_nan & nan)))
 
 
-def _rank_group(model: KGEModel, triples, direction: Direction, filter_index, chunk_size):
-    """Filtered ranks of queries that share one relation and direction.
-
-    The fixed sides and the ground truths are transformed as one batch each,
-    the truths on the same path as the rescored candidates.
-    """
-    rid = int(triples[0, 1])
-    (fixed_chain, fixed_params), (chain, params) = _sides(model, rid, direction)
-    anchor, truth = (0, 2) if direction is Direction.TAIL else (2, 0)
-    ents, n = model.entities, model.n_entities
-    fixed = apply_chain(ents[triples[:, anchor]], fixed_chain, fixed_params)
-    true_scores = _direct_scores(ents[triples[:, truth]], chain, params, fixed, model.spec.norm)
-    filtered = [_filtered_ids(filter_index, triple, direction) for triple in triples.tolist()]
-    counts = np.zeros((len(triples), 2), dtype=np.int64)
-    for start in range(0, n, chunk_size):
-        block = ents[start : start + chunk_size]
-        counts += _score_block(model, rid, direction, block, start, fixed, true_scores, filtered)
-    less, equal = counts.T
-    ties = equal - 1  # the ground truth always matches its own score
-    return 1 + less + ties // 2
-
-
 def filtered_rank(
     model: KGEModel,
     triple,
@@ -416,7 +518,8 @@ def filtered_rank(
     case of the grouped ranking that :func:`evaluate` runs.
     """
     triples = np.array([[int(x) for x in triple]], dtype=np.int64)
-    return int(_rank_group(model, triples, direction, filter_index, chunk_size)[0])
+    group = _group(model, triples, direction, filter_index)
+    return int(_rank_groups(model, [group], chunk_size)[0])
 
 
 @dataclass
@@ -508,11 +611,14 @@ def evaluate(
     if filter_index is None:
         filter_index = build_filter_index(store)
 
-    ranks = np.empty((len(triples), 2), dtype=np.int64)
+    groups, where = [], []
     for rid in np.unique(triples[:, 1]):
         rows = np.flatnonzero(triples[:, 1] == rid)
         for j, direction in enumerate((Direction.HEAD, Direction.TAIL)):
-            ranks[rows, j] = _rank_group(model, triples[rows], direction, filter_index, chunk_size)
+            groups.append(_group(model, triples[rows], direction, filter_index))
+            where.append(2 * rows + j)
+    ranks = np.empty((len(triples), 2), dtype=np.int64)
+    ranks.reshape(-1)[np.concatenate(where)] = _rank_groups(model, groups, chunk_size)
 
     if categories is not None:
         cat_of = {c.relation: c.category.value for c in categories}

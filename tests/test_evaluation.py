@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,6 +172,53 @@ def test_nan_entity_rows_rank_as_the_oracle(norm):
     known = known_answers(store)
     ranks = [oracle_rank(model, t, d, known, score_fn=score) for t in store.test for d in Direction]
     assert np.isfinite(report.mrr)
+    assert report.mrr == MetricCell.from_ranks(np.array(ranks)).mrr
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_nan_fixed_side_ties_every_candidate_without_rescoring(monkeypatch, norm):
+    # a NaN fixed side scores NaN against every candidate, its ground truth
+    # included, so the query ties every candidate but its filtered ids and
+    # nothing is screened or rescored
+    rng = np.random.default_rng(20)
+    store = random_store(rng, 20, 2, 40, 4, 6)
+    model = random_model(rng, 20, 2, dim=6, norm=norm)
+    triple = store.test[0]
+    model.entities[triple[0]] = np.nan  # the tail query's fixed side
+    pairs = []
+    direct = evaluation._add_direct
+
+    def counting(counts, sign, *args):
+        pairs.append(len(args[-1]))
+        return direct(counts, sign, *args)
+
+    monkeypatch.setattr(evaluation, "_add_direct", counting)
+    rank = filtered_rank(model, triple, Direction.TAIL, build_filter_index(store))
+    assert sum(pairs) == 0
+    assert rank == oracle_rank(model, triple, Direction.TAIL, known_answers(store), score_fn=score)
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_one_pass_over_a_block_screens_every_group(monkeypatch, norm):
+    # two test triples of different relations make four one-query groups;
+    # at d = 200 a tile holds 25 queries, so the one block is scored once
+    rng = np.random.default_rng(21)
+    store = random_store(rng, 50, 2, 100, 2, 20)
+    firsts = [np.flatnonzero(store.test[:, 1] == r)[0] for r in (0, 1)]
+    store = replace(store, test=store.test[firsts])
+    model = random_model(rng, 50, 2, dim=200, norm=norm)
+    starts = []
+    score_block = evaluation._score_block
+
+    def counting(model, tiles, block, start, counts):
+        starts.append(start)
+        return score_block(model, tiles, block, start, counts)
+
+    monkeypatch.setattr(evaluation, "_score_block", counting)
+    report = evaluate(model, store, "test", None)
+    assert starts == [0]
+    known = known_answers(store)
+    ranks = [oracle_rank(model, t, d, known, score_fn=score) for t in store.test for d in Direction]
     assert report.mrr == MetricCell.from_ranks(np.array(ranks)).mrr
 
 

@@ -97,7 +97,14 @@ def test_filtered_rank_equals_full_sort_oracle(case):
 
 
 @st.composite
-def near_tie_graphs(draw, norms=norms, magnitudes=st.sampled_from([1.0, 1e-40, 1e36, 1e39])):
+def near_tie_graphs(
+    draw,
+    norms=norms,
+    magnitudes=st.sampled_from([1.0, 1e-40, 1e36, 1e39]),
+    dims=None,
+    relations=st.integers(1, 2),
+    tests=st.integers(1, 4),
+):
     """A tiny store and model built against screens that trust rounded
     scores: candidates one ``np.nextafter`` step from another row (often a
     ground truth) and exact duplicates, translations and scales up to 1e6,
@@ -105,21 +112,26 @@ def near_tie_graphs(draw, norms=norms, magnitudes=st.sampled_from([1.0, 1e-40, 1
     just within its largest value (1e36, which the scales carry past it)
     or past it (1e39), full S.R.T, ``rotate``, and ``pairre``
     and ``linearre`` at odd dimensions too, zeroed scales, and NaN rows on
-    any entity, ground truths and fixed sides included."""
+    any entity, ground truths and fixed sides included.  ``dims``, when
+    given, sets the dimension of every kind of model."""
     norm = Norm(draw(norms))
-    n, n_relations = draw(st.integers(3, 10)), draw(st.integers(1, 2))
-    n_test = draw(st.integers(1, 4))
+    n, n_relations = draw(st.integers(3, 10)), draw(relations)
+    n_test = min(draw(tests), n * n * n_relations - 2)
     n_train = draw(st.integers(1, min(2 * n, n * n * n_relations - 1 - n_test)))
     rng = np.random.default_rng(draw(seeds))
     store = random_store(rng, n, n_relations, n_train, 1, n_test)
     kind = draw(st.sampled_from(["full", "rotate", "pairre", "linearre"]))
     big = draw(st.sampled_from([1.0, 1e3, 1e6]))
     magnitude = draw(magnitudes)
-    if kind == "full":
+    if dims is not None:
+        dim = draw(dims)
+    elif kind == "full":
         dim = draw(st.sampled_from([2, 4, 6]))
-        model = random_model(rng, n, n_relations, dim=dim, norm=norm.value)
     else:
         dim = draw(st.integers(1, 7)) if kind != "rotate" else 2 * draw(st.integers(1, 3))
+    if kind == "full":
+        model = random_model(rng, n, n_relations, dim=dim, norm=norm.value)
+    else:
         model = model_from_preset(PRESETS[kind](dim, norm), n, n_relations, rng)
         model.entities = rng.normal(size=model.entities.shape)
     for side in (model.head, model.tail):
@@ -163,20 +175,68 @@ def test_screened_ranks_equal_full_sort_oracle_at_float32_extremes(case):
     assert ranks_equal_oracle(case)
 
 
-def misranked_without_the_band(monkeypatch, norm):
+def misranked_without_the_band(monkeypatch, graphs, equals_oracle=ranks_equal_oracle):
     # the band is what makes a screen exact: without it some near-tie graph
     # is ranked differently from the oracle
+    # (a misranked query may rank 0, which makes its cell's MRR inf)
     monkeypatch.setattr(evaluation, "_BAND_SAFETY", 0.0)
-    graphs = near_tie_graphs(st.just(norm))
-    find(graphs, lambda case: not ranks_equal_oracle(case), settings=PROPERTY)
+    with np.errstate(divide="ignore"):
+        find(graphs, lambda case: not equals_oracle(case), settings=PROPERTY)
 
 
 def test_screen_without_its_band_misranks_near_ties(monkeypatch):
-    misranked_without_the_band(monkeypatch, "l2")
+    misranked_without_the_band(monkeypatch, near_tie_graphs(st.just("l2")))
 
 
 def test_l1_screen_without_its_band_misranks_near_ties(monkeypatch):
-    misranked_without_the_band(monkeypatch, "l1")
+    misranked_without_the_band(monkeypatch, near_tie_graphs(st.just("l1")))
+
+
+def cells_equal_oracle(case) -> bool:
+    """Whether ``evaluate()``'s report equals the cells of the oracle's ranks."""
+    store, model, chunk_size, by_category = case
+    categories = categorize_relations(store) if by_category else None
+    report = evaluate(model, store, "test", categories, chunk_size=chunk_size)
+    known = known_answers(store)
+    ranks = np.array(
+        [
+            [oracle_rank(model, triple, d, known, score_fn=score) for d in Direction]
+            for triple in store.test
+        ]
+    )
+    labels = np.array(
+        [categories[r].category.value if categories else "all" for r in store.test[:, 1]]
+    )
+    cells = {
+        direction.value: {c: MetricCell.from_ranks(ranks[labels == c, j]) for c in set(labels)}
+        for j, direction in enumerate(Direction)
+    }
+    overall = MetricCell.from_ranks(ranks.ravel())
+    return report.by_direction_category == cells and (
+        report.mrr, report.hits1, report.hits3, report.hits10, report.triple_count
+    ) == (overall.mrr, overall.hits1, overall.hits3, overall.hits10, len(store.test))
+
+
+def fused_tie_graphs(norms=norms):
+    """Near-tie graphs at d = 16 or 24, where a tile holds 2 or 3 queries,
+    with 4-8 test triples over 1-3 relations: one ``evaluate()`` call packs
+    several groups into a tile and cuts a large group across tiles."""
+    graphs = near_tie_graphs(
+        norms, dims=st.sampled_from([16, 24]), relations=st.integers(1, 3), tests=st.integers(4, 8)
+    )
+    return st.tuples(graphs, st.booleans()).map(lambda case: (*case[0], case[1]))
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@PROPERTY
+@given(data=st.data())
+def test_fused_screen_cells_equal_full_sort_oracle_on_near_ties(norm, data):
+    assert cells_equal_oracle(data.draw(fused_tie_graphs(st.just(norm))))
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_fused_screen_without_its_band_misranks_near_ties(monkeypatch, norm):
+    misranked_without_the_band(monkeypatch, fused_tie_graphs(st.just(norm)), cells_equal_oracle)
 
 
 @st.composite
@@ -203,26 +263,7 @@ def grouped_eval_graphs(draw):
 @PROPERTY
 @given(grouped_eval_graphs())
 def test_evaluate_cells_equal_full_sort_oracle(case):
-    store, model, chunk_size, by_category = case
-    categories = categorize_relations(store) if by_category else None
-    report = evaluate(model, store, "test", categories, chunk_size=chunk_size)
-    known = known_answers(store)
-    ranks = np.array(
-        [
-            [oracle_rank(model, triple, d, known, score_fn=score) for d in Direction]
-            for triple in store.test
-        ]
-    )
-    labels = np.array(
-        [categories[r].category.value if categories else "all" for r in store.test[:, 1]]
-    )
-    for j, direction in enumerate(Direction):
-        want = {c: MetricCell.from_ranks(ranks[labels == c, j]) for c in set(labels)}
-        assert report.by_direction_category[direction.value] == want
-    overall = MetricCell.from_ranks(ranks.ravel())
-    assert (report.mrr, report.hits1, report.hits3, report.hits10, report.triple_count) == (
-        overall.mrr, overall.hits1, overall.hits3, overall.hits10, len(store.test)
-    )
+    assert cells_equal_oracle(case)
 
 
 @st.composite
