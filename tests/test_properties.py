@@ -177,8 +177,8 @@ def test_screened_ranks_equal_full_sort_oracle_at_float32_extremes(case):
 
 def misranked_without_the_band(monkeypatch, graphs, equals_oracle=ranks_equal_oracle):
     # the band is what makes a screen exact: without it some near-tie graph
-    # is ranked differently from the oracle
-    # (a misranked query may rank 0, which makes its cell's MRR inf)
+    # is ranked differently from the oracle (a misranked query may rank 0,
+    # which makes its cell's MRR inf)
     monkeypatch.setattr(evaluation, "_BAND_SAFETY", 0.0)
     with np.errstate(divide="ignore"):
         find(graphs, lambda case: not equals_oracle(case), settings=PROPERTY)
@@ -217,14 +217,15 @@ def cells_equal_oracle(case) -> bool:
     ) == (overall.mrr, overall.hits1, overall.hits3, overall.hits10, len(store.test))
 
 
-def fused_tie_graphs(norms=norms):
+@st.composite
+def fused_tie_graphs(draw, norms=norms):
     """Near-tie graphs at d = 16 or 24, where a tile holds 2 or 3 queries,
     with 4-8 test triples over 1-3 relations: one ``evaluate()`` call packs
     several groups into a tile and cuts a large group across tiles."""
     graphs = near_tie_graphs(
         norms, dims=st.sampled_from([16, 24]), relations=st.integers(1, 3), tests=st.integers(4, 8)
     )
-    return st.tuples(graphs, st.booleans()).map(lambda case: (*case[0], case[1]))
+    return (*draw(graphs), draw(st.booleans()))
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
