@@ -14,24 +14,20 @@ side, so :func:`evaluate` first builds one group per (relation,
 direction): the queries' fixed sides and ground truths are transformed as
 one batch each, and the group's per-block map is compiled once.  It then
 packs consecutive groups into tiles of at most ``max(1, d // 8)`` queries
-(a larger group is cut into tiles of its own) and reads the candidate
-table block by block.  Each block is screened in chunks of
-``_SCREEN_ROWS`` rows against every query of a tile, so a chunk is read
-once per tile, not once per group.  Under L2 a squared score is a
-quadratic form in the raw entity row, so a chunk is screened by matrix
-products against the tile's stacked weights (:func:`_screen_l2`).  Under
-L1 a chunk is cast to complex64 once, moved by each group's map in
-complex form and summed in float32 per query (:func:`_screen_l1`).
-Either way only the candidates whose screened score lies within a proven
-rounding bound of the ground truth's are rescored on the direct float64
-path, group by group, so the ranks equal the direct path's exactly.  A
-query whose transformed fixed side has a NaN scores NaN against every
-candidate, its ground truth included, so it ties every candidate that is
-not filtered; it is counted so without screening.  Filtering needs no
-entity-sized mask: a query's counts of better and tied candidates over
-the whole block, minus the same counts over its known-true ids inside the
-block, are its filtered counts.  :func:`filtered_rank` is the one-query
-case.
+(a larger group forms tiles of its own) and reads the candidate table
+block by block.  Each block is screened in chunks of ``_SCREEN_ROWS``
+rows against every query of a tile, so a chunk is read once per tile, not
+once per group.  Under L2 a squared score is a quadratic form in the raw
+entity row, so a chunk is screened by matrix products against the tile's
+stacked weights (:func:`_screen_l2`).  Under L1 a chunk is cast to
+complex64 once, moved by each group's map in complex form and summed in
+float32 per query (:func:`_screen_l1`).  Either way only the candidates
+whose screened score lies within a proven rounding bound of the ground
+truth's are rescored on the direct float64 path, group by group, so the
+ranks equal the direct path's exactly.  Filtering needs no entity-sized
+mask: a query's counts of better and tied candidates over the whole
+block, minus the same counts over its known-true ids inside the block,
+are its filtered counts.  :func:`filtered_rank` is the one-query case.
 
 ``chunk_size`` (by default ``DEFAULT_CHUNK_SIZE`` = 65,536 rows) splits
 the entity table into blocks, which bounds the memory that a tile's
@@ -64,7 +60,7 @@ __all__ = [
 ]
 
 # Candidate rows per block: it bounds memory (the L2 screen's (block rows,
-# queries) buffer, and the rescored pairs), not speed, since both screens
+# queries) buffers, and the rescored pairs), not speed, since both screens
 # work in chunks of _SCREEN_ROWS.  Tables of up to 65,536 rows form one block.
 DEFAULT_CHUNK_SIZE = 2**16
 
@@ -153,64 +149,36 @@ def _group(model: KGEModel, triples, direction: Direction, filter_index) -> _Gro
     return _Group(chain, params, *chain_affine_map(chain, params), fixed, true_scores, filtered)
 
 
-@dataclass
-class _Tile:
-    """Queries screened together: their rows in the call's counts
-    (``index``), the tile's groups, each query's index into them (``seg``),
-    and the queries' fixed sides, ground-truth scores and filtered ids."""
-
-    index: np.ndarray
-    groups: list[_Group]
-    seg: np.ndarray
-    fixed: np.ndarray
-    true_scores: np.ndarray
-    filtered: list[np.ndarray]
-
-    @classmethod
-    def of(cls, pieces) -> "_Tile":
-        """The tile of ``(group, query indices in it, their rows in the call's
-        counts)`` pieces."""
-        return cls(
-            index=np.concatenate([index for _, _, index in pieces]),
-            groups=[group for group, _, _ in pieces],
-            seg=np.repeat(np.arange(len(pieces)), [len(j) for _, j, _ in pieces]),
-            fixed=np.concatenate([group.fixed[j] for group, j, _ in pieces]),
-            true_scores=np.concatenate([group.true_scores[j] for group, j, _ in pieces]),
-            filtered=[group.filtered[i] for group, j, _ in pieces for i in j],
-        )
-
-
 def _rank_groups(model: KGEModel, groups: list[_Group], chunk_size: int) -> np.ndarray:
     """Filtered ranks of the queries of ``groups``, in order.
 
-    A query whose transformed fixed side has a NaN scores NaN against every
-    candidate, its ground truth included, so it ties every candidate but
-    its filtered ids: its counts are set so, without screening.  The other
-    queries are packed into tiles in order: consecutive groups share a tile
-    of at most ``max(1, d // 8)`` queries, which keeps the L2 screen's
-    (block rows, queries) buffer within an eighth of the block, and a
-    larger group is cut into tiles of its own.  Every block of the entity
-    table is then scored against every tile by :func:`_score_block`.
+    The queries are packed into tiles in order: consecutive groups share a
+    tile of at most ``max(1, d // 8)`` queries, and a larger group forms
+    tiles of its own.  Under L2 such a group is cut into tiles of that size,
+    which keeps the screen's two (block rows, queries) buffers within an
+    eighth of the block each.  Under L1 it stays whole: the L1 screen's
+    buffers are bounded by ``_SCREEN_SPAN`` whatever the tile holds, and
+    every tile casts and moves each chunk again.  A tile is the slice of
+    its queries' rows in the call's counts and the ``(group, slice of its
+    queries)`` pieces they come from.  Every block of the entity table is
+    then scored against every tile by :func:`_score_block`.
     """
-    n, size = model.n_entities, max(1, model.dim // 8)
-    offsets = np.cumsum([0] + [len(group.fixed) for group in groups])
-    counts = np.zeros((offsets[-1], 2), dtype=np.int64)
-    tiles, pending, room = [], [], size
-    for group, offset in zip(groups, offsets):
-        nan_fixed = np.isnan(group.fixed).any(axis=1)
-        for j in np.flatnonzero(nan_fixed):
-            counts[offset + j, 1] = n - np.searchsorted(group.filtered[j], n)
-        live = np.flatnonzero(~nan_fixed)
-        for i in range(0, len(live), size):
-            j = live[i : i + size]
-            if len(j) > room:
-                tiles.append(_Tile.of(pending))
-                pending, room = [], size
-            pending.append((group, j, offset + j))
-            room -= len(j)
-    if pending:
-        tiles.append(_Tile.of(pending))
-    for start in range(0, n, chunk_size):
+    size = max(1, model.dim // 8)
+    counts = np.zeros((sum(len(group.fixed) for group in groups), 2), dtype=np.int64)
+    tiles, pieces, room, first, offset = [], [], size, 0, 0
+    for group in groups:
+        n_queries = len(group.fixed)
+        cut = size if model.spec.norm is Norm.L2 else n_queries
+        for i in range(0, n_queries, cut):
+            piece = slice(i, min(i + cut, n_queries))
+            if pieces and piece.stop - i > room:
+                tiles.append((slice(first, offset + i), pieces))
+                pieces, room, first = [], size, offset + i
+            pieces.append((group, piece))
+            room -= piece.stop - i
+        offset += n_queries
+    tiles.append((slice(first, offset), pieces))
+    for start in range(0, model.n_entities, chunk_size):
         _score_block(model, tiles, model.entities[start : start + chunk_size], start, counts)
     less, equal = counts.T
     ties = equal - 1  # the ground truth always matches its own score
@@ -229,25 +197,30 @@ def _score_block(model, tiles, block, start, counts):
     filtered ids inside the block, are its filtered counts: the ids are
     distinct and exclude the ground truth.  A certified sign equals the
     direct comparison, so rescoring the filtered ids and subtracting their
-    outcome is exact.
+    outcome is exact.  A tile gathers its queries' fixed sides, truths and
+    filtered ids from its groups for the block, so a call holds each of
+    them once.
     """
     norm = model.spec.norm
     screen = _screen_l1 if norm is Norm.L1 else _screen_l2
     end = start + len(block)
-    for tile in tiles:
-        tile_counts = np.zeros((len(tile.index), 2), dtype=np.int64)
-        maps = [(group.a, group.b) for group in tile.groups]
-        rows, queries = screen(tile_counts, block, maps, tile.seg, tile.fixed, tile.true_scores)
-        known = [ids[slice(*np.searchsorted(ids, (start, end)))] for ids in tile.filtered]
+    for rows, pieces in tiles:
+        tile_counts = counts[rows]
+        seg = np.repeat(np.arange(len(pieces)), [s.stop - s.start for _, s in pieces])
+        fixed = np.concatenate([group.fixed[s] for group, s in pieces])
+        true_scores = np.concatenate([group.true_scores[s] for group, s in pieces])
+        maps = [(group.a, group.b) for group, _ in pieces]
+        uncertain_rows, queries = screen(tile_counts, block, maps, seg, fixed, true_scores)
+        filtered = [ids for group, s in pieces for ids in group.filtered[s]]
+        known = [ids[slice(*np.searchsorted(ids, (start, end)))] for ids in filtered]
         known_rows = np.concatenate(known) - start
         known_queries = np.repeat(np.arange(len(known)), [len(ids) for ids in known])
-        for s, group in enumerate(tile.groups):
-            direct = (block, group.chain, group.params, norm, tile.fixed, tile.true_scores)
-            mine = tile.seg[queries] == s
-            _add_direct(tile_counts, 1, *direct, rows[mine], queries[mine])
-            mine = tile.seg[known_queries] == s
+        for k, (group, _) in enumerate(pieces):
+            direct = (block, group.chain, group.params, norm, fixed, true_scores)
+            mine = seg[queries] == k
+            _add_direct(tile_counts, 1, *direct, uncertain_rows[mine], queries[mine])
+            mine = seg[known_queries] == k
             _add_direct(tile_counts, -1, *direct, known_rows[mine], known_queries[mine])
-        counts[tile.index] += tile_counts
 
 
 def _gamma(k, unit_roundoff=_UNIT_ROUNDOFF):
@@ -274,7 +247,9 @@ def _screen_l2(counts, block, maps, seg, fixed, true_scores):
     direct path applies.  Each chunk of ``_SCREEN_ROWS`` rows is read once
     for the whole tile: one feature pass, one product against the stacked
     quadratic and band columns of the tile's groups, and one against the
-    linear columns of all its queries.
+    linear columns of all its queries.  Each query then takes its group's
+    columns of the chunk, so only the screened values and their bands,
+    one (block rows, queries) buffer each, span the block.
 
     **The bound.**  With ``u`` the unit roundoff and ``g_k = gamma(k)``, let
     ``p = |A||x|`` and ``r = |b| + |f|`` per coordinate, ``P = sum p^2`` and
@@ -342,21 +317,24 @@ def _screen_l2(counts, block, maps, seg, fixed, true_scores):
     cross = np.any(quad_weights[d:, :n_groups])  # zero for rotations, translations, scalings
     chunk = min(_SCREEN_ROWS, len(block))
     features = np.empty((chunk, d + pairs if cross else d))
-    quad_band = np.empty((len(block), 2 * n_groups))
-    diff = np.empty((len(block), n_queries))
+    quad_band = np.empty((chunk, 2 * n_groups))
+    diff, band = np.empty((2, len(block), n_queries))
     for r0 in range(0, len(block), chunk):
-        x, r1 = block[r0 : r0 + chunk], min(r0 + chunk, len(block))
-        phi = features[: len(x)]
+        x = block[r0 : r0 + chunk]
+        rows, phi, qb = slice(r0, r0 + len(x)), features[: len(x)], quad_band[: len(x)]
         np.multiply(x, x, out=phi[:, :d])
         if cross:
             np.multiply(x[:, 0 : 2 * pairs : 2], x[:, 1 : 2 * pairs : 2], out=phi[:, d:])
-        np.matmul(phi, quad_weights[: phi.shape[1]], out=quad_band[r0:r1])
-        np.matmul(x, lin_weights, out=diff[r0:r1])
-    diff += quad_band[:, seg]
+        np.matmul(phi, quad_weights[: phi.shape[1]], out=qb)
+        np.matmul(x, lin_weights, out=diff[rows])
+        diff[rows] += qb[:, seg]
+        np.take(qb, n_groups + seg, axis=1, out=band[rows])
     diff -= offset
-    size = np.abs(diff)
-    certain = (size > quad_band[:, n_groups + seg] + band_q) & (size < np.inf)
-    counts[:, 0] += np.count_nonzero(certain & (diff < 0), axis=0)
+    band += band_q
+    better = diff < 0
+    size = np.abs(diff, out=diff)
+    certain = (size > band) & (size < np.inf)
+    counts[:, 0] += np.count_nonzero(certain & better, axis=0)
     return np.nonzero(~certain)
 
 

@@ -9,6 +9,7 @@ from compound_kge.dataset import TripleStore, build_filter_index, categorize_rel
 from compound_kge.evaluation import Direction, MetricCell, evaluate, filtered_rank
 from compound_kge.model import init_model
 from compound_kge.scoring import compound_spec, score
+from compound_kge.transforms import chain_affine_map
 
 from oracles import known_answers, oracle_rank, random_model, random_store
 
@@ -176,26 +177,34 @@ def test_nan_entity_rows_rank_as_the_oracle(norm):
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
-def test_nan_fixed_side_ties_every_candidate_without_rescoring(monkeypatch, norm):
-    # a NaN fixed side scores NaN against every candidate, its ground truth
-    # included, so the query ties every candidate but its filtered ids and
-    # nothing is screened or rescored
-    rng = np.random.default_rng(20)
-    store = random_store(rng, 20, 2, 40, 4, 6)
-    model = random_model(rng, 20, 2, dim=6, norm=norm)
-    triple = store.test[0]
-    model.entities[triple[0]] = np.nan  # the tail query's fixed side
-    pairs = []
-    direct = evaluation._add_direct
-
-    def counting(counts, sign, *args):
-        pairs.append(len(args[-1]))
-        return direct(counts, sign, *args)
-
-    monkeypatch.setattr(evaluation, "_add_direct", counting)
-    rank = filtered_rank(model, triple, Direction.TAIL, build_filter_index(store))
-    assert sum(pairs) == 0
-    assert rank == oracle_rank(model, triple, Direction.TAIL, known_answers(store), score_fn=score)
+def test_each_query_of_a_tile_takes_its_own_groups_band(norm):
+    # at d = 16 a tile holds two queries, so the head and the tail query of
+    # one test triple share a tile.  The head side scales by 1e-3; the tail
+    # side rotates and then scales its two coordinates by 1e3 and 1e-3, and
+    # the true tail and an unfiltered twin are planted where the large scale
+    # cancels, so their image is tiny although |A||x| is about 1e3 per
+    # block.  Only the tail group's own band, 1e6 times wider than the head
+    # group's, covers the rounding of that cancellation in the screen; a
+    # band too narrow certifies both rows on the same side of the truth,
+    # which moves the rank whichever side that is.
+    rng = np.random.default_rng(22)
+    store = random_store(rng, 30, 1, 40, 1, 1)
+    model = random_model(rng, 30, 1, dim=16, norm=norm)
+    model.head.scales[...] = 1e-3
+    model.head.translations[...] = 0.0
+    model.tail.translations[...] = 0.0
+    model.tail.scales[...] = np.tile([1e3, 1e-3], 8)
+    model.tail.angles[...] = rng.uniform(np.pi / 8, 3 * np.pi / 8, size=model.tail.angles.shape)
+    a, _ = chain_affine_map(model.spec.tail_chain, model.relation_params(0).tail)
+    image = np.stack([np.zeros(8), 1e-3 * rng.uniform(0.5, 1.0, size=8)], axis=-1)
+    h, _, t = store.test[0]
+    known = known_answers(store)
+    twin = min(set(range(30)) - known[0][(h, 0)] - {h})
+    model.entities[[t, twin]] = np.linalg.solve(a, image[..., None]).reshape(-1)
+    report = evaluate(model, store, "test", None)
+    for direction in Direction:
+        rank = oracle_rank(model, store.test[0], direction, known, score_fn=score)
+        assert report.by_direction_category[direction.value]["all"] == MetricCell.from_ranks([rank])
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
@@ -217,6 +226,29 @@ def test_one_pass_over_a_block_screens_every_group(monkeypatch, norm):
     monkeypatch.setattr(evaluation, "_score_block", counting)
     report = evaluate(model, store, "test", None)
     assert starts == [0]
+    known = known_answers(store)
+    ranks = [oracle_rank(model, t, d, known, score_fn=score) for t in store.test for d in Direction]
+    assert report.mrr == MetricCell.from_ranks(np.array(ranks)).mrr
+
+
+@pytest.mark.parametrize("norm, tiles", [("l1", [30, 30]), ("l2", [25, 5, 25, 5])])
+def test_only_the_l2_screen_cuts_a_large_group(monkeypatch, norm, tiles):
+    # 30 test triples of one relation make two 30-query groups; at d = 200
+    # the L2 screen takes them in tiles of at most 25 queries, and the L1
+    # screen, whose buffers do not grow with a tile, whole
+    rng = np.random.default_rng(23)
+    store = random_store(rng, 50, 1, 100, 2, 30)
+    model = random_model(rng, 50, 1, dim=200, norm=norm)
+    sizes = []
+    screen = getattr(evaluation, f"_screen_{norm}")
+
+    def counting(counts, block, maps, seg, fixed, true_scores):
+        sizes.append(len(seg))
+        return screen(counts, block, maps, seg, fixed, true_scores)
+
+    monkeypatch.setattr(evaluation, f"_screen_{norm}", counting)
+    report = evaluate(model, store, "test", None)
+    assert sizes == tiles
     known = known_answers(store)
     ranks = [oracle_rank(model, t, d, known, score_fn=score) for t in store.test for d in Direction]
     assert report.mrr == MetricCell.from_ranks(np.array(ranks)).mrr

@@ -221,7 +221,8 @@ def cells_equal_oracle(case) -> bool:
 def fused_tie_graphs(draw, norms=norms):
     """Near-tie graphs at d = 16 or 24, where a tile holds 2 or 3 queries,
     with 4-8 test triples over 1-3 relations: one ``evaluate()`` call packs
-    several groups into a tile and cuts a large group across tiles."""
+    several groups into a tile and, under L2, cuts a large group across
+    tiles."""
     graphs = near_tie_graphs(
         norms, dims=st.sampled_from([16, 24]), relations=st.integers(1, 3), tests=st.integers(4, 8)
     )
