@@ -209,12 +209,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     store = load_dataset(args.data)
+    # from the checkpoint's names: a checkpoint saved through the API may have no stored hash
+    ckpt_hash = dataset_fingerprint(ckpt.entity_names, ckpt.relation_names)
     fingerprint = dataset_fingerprint(store.entity_names, store.relation_names)
-    if ckpt.dataset_hash and ckpt.dataset_hash != fingerprint:
+    if ckpt_hash != fingerprint:
         print(
-            "error: checkpoint/dataset mismatch:\n"
-            f"  checkpoint dictionaries hash: {ckpt.dataset_hash}\n"
-            f"  dataset dictionaries hash:    {fingerprint}",
+            f"error: checkpoint/dataset mismatch: checkpoint dictionaries hash {ckpt_hash}, "
+            f"dataset dictionaries hash {fingerprint}",
             file=sys.stderr,
         )
         return 1

@@ -106,22 +106,12 @@ def _sides(model: KGEModel, rid: int, direction: Direction):
     return (head, tail) if direction is Direction.TAIL else (tail, head)
 
 
-def _filtered_ids(filter_index: FilterIndex, triple, direction: Direction) -> np.ndarray:
-    """Sorted known-true candidates of one query, its ground truth excluded."""
-    h, rid, t = triple
-    if direction is Direction.TAIL:
-        known, true_id = filter_index.true_tails(h, rid), t
-    else:
-        known, true_id = filter_index.true_heads(rid, t), h
-    ids = np.fromiter(known, dtype=np.int64, count=len(known))
-    return np.sort(ids[ids != true_id])
-
-
 @dataclass
 class _Group:
     """One (relation, direction) group of queries: the predicted side's chain
-    and its per-block map ``y = A x + b`` (``a``, ``b``), and per query the
-    transformed fixed side, the ground truth's score and the filtered ids."""
+    and its per-block map ``y = A x + b`` (``a``, ``b``), per query the
+    transformed fixed side and the ground truth's score, and the filtered
+    ids, query by query, with the query each belongs to."""
 
     chain: tuple
     params: TransformParams
@@ -129,7 +119,8 @@ class _Group:
     b: np.ndarray
     fixed: np.ndarray
     true_scores: np.ndarray
-    filtered: list[np.ndarray]
+    known_ids: np.ndarray
+    known_queries: np.ndarray
 
 
 def _group(model: KGEModel, triples, direction: Direction, filter_index) -> _Group:
@@ -145,8 +136,10 @@ def _group(model: KGEModel, triples, direction: Direction, filter_index) -> _Gro
     ents = model.entities
     fixed = apply_chain(ents[triples[:, anchor]], fixed_chain, fixed_params)
     true_scores = _direct_scores(ents[triples[:, truth]], chain, params, fixed, model.spec.norm)
-    filtered = [_filtered_ids(filter_index, triple, direction) for triple in triples.tolist()]
-    return _Group(chain, params, *chain_affine_map(chain, params), fixed, true_scores, filtered)
+    known, queries = filter_index.completions(rid, triples[:, anchor], direction is Direction.TAIL)
+    keep = known != triples[queries, truth]
+    a, b = chain_affine_map(chain, params)
+    return _Group(chain, params, a, b, fixed, true_scores, known[keep], queries[keep])
 
 
 def _rank_groups(model: KGEModel, groups: list[_Group], chunk_size: int) -> np.ndarray:
@@ -197,30 +190,30 @@ def _score_block(model, tiles, block, start, counts):
     filtered ids inside the block, are its filtered counts: the ids are
     distinct and exclude the ground truth.  A certified sign equals the
     direct comparison, so rescoring the filtered ids and subtracting their
-    outcome is exact.  A tile gathers its queries' fixed sides, truths and
-    filtered ids from its groups for the block, so a call holds each of
-    them once.
+    outcome is exact.  A tile gathers its queries' fixed sides and truths
+    from its groups for the block, so a call holds each of them once, and
+    each piece of a group takes its queries' filtered ids inside the block
+    from the group's flat arrays with a mask.
     """
     norm = model.spec.norm
     screen = _screen_l1 if norm is Norm.L1 else _screen_l2
     end = start + len(block)
     for rows, pieces in tiles:
         tile_counts = counts[rows]
-        seg = np.repeat(np.arange(len(pieces)), [s.stop - s.start for _, s in pieces])
+        sizes = [s.stop - s.start for _, s in pieces]
+        seg = np.repeat(np.arange(len(pieces)), sizes)
         fixed = np.concatenate([group.fixed[s] for group, s in pieces])
         true_scores = np.concatenate([group.true_scores[s] for group, s in pieces])
         maps = [(group.a, group.b) for group, _ in pieces]
         uncertain_rows, queries = screen(tile_counts, block, maps, seg, fixed, true_scores)
-        filtered = [ids for group, s in pieces for ids in group.filtered[s]]
-        known = [ids[slice(*np.searchsorted(ids, (start, end)))] for ids in filtered]
-        known_rows = np.concatenate(known) - start
-        known_queries = np.repeat(np.arange(len(known)), [len(ids) for ids in known])
-        for k, (group, _) in enumerate(pieces):
+        for k, ((group, s), first) in enumerate(zip(pieces, np.cumsum([0, *sizes]))):
             direct = (block, group.chain, group.params, norm, fixed, true_scores)
             mine = seg[queries] == k
             _add_direct(tile_counts, 1, *direct, uncertain_rows[mine], queries[mine])
-            mine = seg[known_queries] == k
-            _add_direct(tile_counts, -1, *direct, known_rows[mine], known_queries[mine])
+            piece = slice(*np.searchsorted(group.known_queries, (s.start, s.stop)))
+            ids, owners = group.known_ids[piece], group.known_queries[piece]
+            mine = (ids >= start) & (ids < end)
+            _add_direct(tile_counts, -1, *direct, ids[mine] - start, owners[mine] - s.start + first)
 
 
 def _gamma(k, unit_roundoff=_UNIT_ROUNDOFF):

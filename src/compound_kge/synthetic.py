@@ -22,7 +22,7 @@ import enum
 
 import numpy as np
 
-from .dataset import TripleStore
+from .dataset import TripleStore, _check_disjoint, _triple_keys
 
 __all__ = ["SyntheticPattern", "generate_synthetic_kg"]
 
@@ -40,27 +40,20 @@ class SyntheticPattern(enum.Enum):
 
 
 def _store(n_entities, relation_names, train, valid, test) -> TripleStore:
-    def arr(rows):
-        if not rows:
-            return np.empty((0, 3), dtype=np.int64)
-        return np.array(sorted(set(rows)), dtype=np.int64)
+    def arr(rows):  # distinct rows, sorted
+        return np.unique(np.array(rows, dtype=np.int64).reshape(-1, 3), axis=0)
 
-    train, valid, test = arr(train), arr(valid), arr(test)
-    seen = {tuple(r) for r in train}
-    for name, split in (("valid", valid), ("test", test)):
-        for row in split:
-            if tuple(row) in seen:
-                raise AssertionError(f"{name} split overlaps another split: {row}")
-            seen.add(tuple(row))
-    return TripleStore(
+    store = TripleStore(
         n_entities=n_entities,
         n_relations=len(relation_names),
-        train=train,
-        valid=valid,
-        test=test,
+        train=arr(train),
+        valid=arr(valid),
+        test=arr(test),
         entity_names=[f"e{i}" for i in range(n_entities)],
         relation_names=list(relation_names),
     )
+    _check_disjoint(store)
+    return store
 
 
 def _sample_pairs(rng, n_entities, n_pairs, ordered=False):
@@ -118,13 +111,11 @@ def _generate_symmetric(rng, n_entities=120, n_pairs=None, holdout_fraction=0.4)
             train.append((a, 0, b))
             (valid if i in va else test).append((b, 0, a))
     store = _store(n_entities, ["target"], train, valid, test)
-    facts = {tuple(x) for x in store.all_triples()}
-    partners: dict[int, set[int]] = {}
-    for h, r, t in facts:
-        assert (t, r, h) in facts, "symmetric closure violated"
-        partners.setdefault(h, set()).add(t)
-        partners.setdefault(t, set()).add(h)
-    assert all(len(p) == 1 for p in partners.values()), "matching violated"
+    facts, n = store.all_triples(), n_entities
+    reverse = _triple_keys(facts[:, ::-1], n)
+    assert np.array_equal(_triple_keys(facts, n), reverse), "symmetric closure violated"
+    # under the closure, an entity with one partner heads one fact
+    assert len(np.unique(facts[:, 0])) == len(facts), "matching violated"
     return store
 
 
@@ -137,9 +128,9 @@ def _generate_antisymmetric(rng, n_entities=60, n_pairs=150, holdout_fraction=0.
     valid = [facts[i] for i in va]
     test = [facts[i] for i in te]
     store = _store(n_entities, ["target"], train, valid, test)
-    all_facts = {tuple(x) for x in store.all_triples()}
-    for h, r, t in all_facts:
-        assert (t, r, h) not in all_facts, "antisymmetry violated"
+    facts, n = store.all_triples(), n_entities
+    reverse = _triple_keys(facts[:, ::-1], n)
+    assert not np.intersect1d(_triple_keys(facts, n), reverse).size, "antisymmetry violated"
     return store
 
 
@@ -165,10 +156,9 @@ def _generate_inverse(rng, n_entities=120, n_pairs=None, holdout_fraction=0.4):
         else:
             (valid if i in va else test).append(inv)
     store = _store(n_entities, ["target", "target_inverse"], train, valid, test)
-    facts = {tuple(x) for x in store.all_triples()}
-    for h, r, t in facts:
-        partner = (t, 1 - r, h)
-        assert partner in facts, "inverse closure violated"
+    facts, n = store.all_triples(), n_entities
+    partners = _triple_keys(np.column_stack([facts[:, 2], 1 - facts[:, 1], facts[:, 0]]), n)
+    assert np.array_equal(_triple_keys(facts, n), partners), "inverse closure violated"
     return store
 
 
@@ -211,13 +201,11 @@ def _generate_fanned(rng, n_groups=20, fan=4, one_to_n=True):
         n_entities, ["target", "target_alias", "slot"], train, valid, test
     )
 
-    facts = {tuple(x) for x in store.all_triples()}
-    target = [(h, t) for h, r, t in facts if r == 0]
-    many_side = [h for h, _ in target] if one_to_n else [t for _, t in target]
-    single_side = [t for _, t in target] if one_to_n else [h for h, _ in target]
-    assert len(set(single_side)) == len(single_side), "fanned side must be unique"
-    counts = {h: many_side.count(h) for h in set(many_side)}
-    assert all(c == n_spokes for c in counts.values()), "hub fan-out mismatch"
+    facts = store.all_triples()
+    heads, _, tails = facts[facts[:, 1] == 0].T
+    many_side, single_side = (heads, tails) if one_to_n else (tails, heads)
+    assert len(np.unique(single_side)) == len(single_side), "fanned side must be unique"
+    assert np.all(np.unique(many_side, return_counts=True)[1] == n_spokes), "hub fan-out mismatch"
     return store
 
 
@@ -254,13 +242,10 @@ def _generate_n_to_n(rng, n_heads=30, n_tails=30, fan=6, holdout_fraction=0.15):
         [facts[i] for i in va],
         [facts[i] for i in te],
     )
-    target = [(h, t) for h, r, t in store.all_triples() if r == 0]
-    out_deg, in_deg = {}, {}
-    for h, t in target:
-        out_deg[h] = out_deg.get(h, 0) + 1
-        in_deg[t] = in_deg.get(t, 0) + 1
-    assert np.mean(list(out_deg.values())) >= 2, "heads must fan out"
-    assert np.mean(list(in_deg.values())) >= 2, "tails must fan in"
+    facts = store.all_triples()
+    heads, _, tails = facts[facts[:, 1] == 0].T
+    assert np.mean(np.unique(heads, return_counts=True)[1]) >= 2, "heads must fan out"
+    assert np.mean(np.unique(tails, return_counts=True)[1]) >= 2, "tails must fan in"
     return store
 
 
@@ -277,7 +262,7 @@ def _generate_transitive(rng, n_instances=50, holdout_fraction=0.3):
         else:
             (valid if i in va else test).append(comp)
     store = _store(3 * n_instances, ["first", "second", "composite"], train, valid, test)
-    facts = {tuple(x) for x in store.all_triples()}
+    facts = store.all_triples().tolist()
     firsts = {(h, t) for h, r, t in facts if r == 0}
     seconds = {(h, t) for h, r, t in facts if r == 1}
     composites = {(h, t) for h, r, t in facts if r == 2}
@@ -304,7 +289,7 @@ def _generate_sub_relation(rng, n_entities=80, n_pairs=120, extra_fraction=0.5, 
             (valid if i in va else test).append(general)
     train += [(a, 0, b) for a, b in extra_pairs]
     store = _store(n_entities, ["general", "special"], train, valid, test)
-    facts = {tuple(x) for x in store.all_triples()}
+    facts = store.all_triples().tolist()
     special = {(h, t) for h, r, t in facts if r == 1}
     general = {(h, t) for h, r, t in facts if r == 0}
     assert special <= general, "implication violated"
@@ -335,7 +320,7 @@ def _generate_non_commutative(rng, n_instances=40, holdout_fraction=0.3):
         valid,
         test,
     )
-    facts = {tuple(x) for x in store.all_triples()}
+    facts = store.all_triples().tolist()
     r0 = {(h, t) for h, r, t in facts if r == 0}
     r1 = {(h, t) for h, r, t in facts if r == 1}
     r2 = {(h, t) for h, r, t in facts if r == 2}

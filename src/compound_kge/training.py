@@ -17,8 +17,9 @@ broadcast over the candidates.  Gradients are collected per table name
 tables of the operators each side's chain holds; under shared rotation
 both chains' angle gradients go to ``head.angles``.
 
-The filtered index for validation is built on the first validation
-step, so a run that never validates never builds it.
+The filter index for validation (``dataset.FilterIndex``: sorted key
+arrays over every split) is built once, on the first validation step, so
+a run that never validates never builds it.
 """
 
 from __future__ import annotations

@@ -361,17 +361,19 @@ def test_eval_hash_mismatch_refused(trained_run, tmp_path, capsys):
     store = generate_synthetic_kg(SyntheticPattern.SYMMETRIC, seed=11)
     save_splits(store, other)
     save_dictionaries(store, other)
-    code = run_cli(
-        [
-            "eval",
-            "--checkpoint", str(trained_run / "best.ckpt"),
-            "--data", str(other),
-        ]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "mismatch" in err
-    assert err.count("hash") >= 2  # both hashes printed
+    # a trained checkpoint with its stored hash, and one saved through the
+    # API without a hash whose 5 entities are fewer than the dataset's
+    hashless = tmp_path / "hashless.ckpt"
+    model = init_model(compound_spec("full", "SRT", "SRT", dim=4), 5, 1, np.random.default_rng(0))
+    save_checkpoint(hashless, Checkpoint(model, [f"e{i}" for i in range(5)], ["r0"]))
+    assert load_checkpoint(hashless).dataset_hash is None
+    for ckpt in (trained_run / "best.ckpt", hashless):
+        code = run_cli(["eval", "--checkpoint", str(ckpt), "--data", str(other)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint/dataset mismatch")
+        assert err.count("\n") == 1  # one error line
+        assert err.count("hash") >= 2  # both hashes printed
 
 
 def test_eval_v1_checkpoint_with_frozen_non_identity_group_fails_cleanly(

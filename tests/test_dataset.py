@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,10 @@ from compound_kge.dataset import (
     save_splits,
 )
 from compound_kge.errors import DatasetError, DatasetParseError
+
+from oracles import known_answers
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_dataset(path, train, valid=(), test=()):
@@ -122,9 +130,23 @@ def test_repeated_dictionary_name_rejected(tmp_path):
 
 
 def test_overlapping_splits_rejected(tmp_path):
-    write_dataset(tmp_path, TOY_TRAIN, TOY_VALID, [TOY_TRAIN[0]])
-    with pytest.raises(DatasetError, match="share 1 triples"):
-        load_dataset(tmp_path)
+    # two triples shared by one pair of splits, listed against their key
+    # order (relation ids: capital_of 0, located_in 1); the error names the
+    # first shared triple in key order, whichever the files list first
+    shared = [("munich", "located_in", "berlin"), ("lyon", "capital_of", "munich")]
+    names = ["train", "valid", "test"]
+    for a, b in [(0, 1), (0, 2), (1, 2)]:
+        splits = [list(TOY_TRAIN), list(TOY_VALID), list(TOY_TEST)]
+        for i in (a, b):
+            splits[i] += shared
+        directory = tmp_path / f"{a}{b}"
+        directory.mkdir()
+        write_dataset(directory, *splits)
+        with pytest.raises(DatasetError) as caught:
+            load_dataset(directory)
+        assert str(caught.value) == (
+            f"splits {names[a]} and {names[b]} share 2 triples, e.g. (lyon, capital_of, munich)"
+        )
 
 
 def test_unseen_entities_warned_not_fatal(tmp_path, caplog):
@@ -155,48 +177,91 @@ def test_filter_index_single_triple():
         relation_names=["r"],
     )
     index = build_filter_index(store)
-    assert index.true_tails(0, 0) == {1}
-    assert index.true_heads(0, 1) == {0}
-    assert index.true_tails(1, 0) == set()
+    for got, want in [
+        (index.true_tails(0, 0), [1]),
+        (index.true_heads(0, 1), [0]),
+        (index.true_tails(1, 0), []),
+        (index.true_heads(0, 0), []),
+    ]:
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert got.tolist() == want
 
 
 def test_filter_index_collapses_duplicates():
     store = TripleStore(
         n_entities=3,
         n_relations=1,
-        train=np.array([[0, 0, 1], [0, 0, 1], [0, 0, 2]]),
+        train=np.array([[0, 0, 2], [0, 0, 1], [0, 0, 2], [1, 0, 2]]),
         valid=np.array([[0, 0, 1]]),
         test=np.empty((0, 3), dtype=np.int64),
         entity_names=list("abc"),
         relation_names=["r"],
     )
     index = build_filter_index(store)
-    assert index.true_tails(0, 0) == {1, 2}
+    assert index.true_tails(0, 0).tolist() == [1, 2]
+    assert index.true_heads(0, 2).tolist() == [0, 1]
+    assert index.true_heads(0, 1).tolist() == [0]
 
 
 def test_filter_index_matches_brute_force():
-    rng = np.random.default_rng(0)
-    triples = rng.integers(0, 6, size=(20, 3))
-    triples[:, 1] %= 2
+    # a derandomized property against the dict-of-sets oracle: splits with
+    # duplicates inside and across them, empty splits, and every query of
+    # the id ranges, most of which no triple answers
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @hypothesis.given(st.data())
+    def check(data):
+        n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        triple = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, n - 1))
+        splits = [data.draw(st.lists(triple, max_size=12)) for _ in range(3)]
+        store = TripleStore(
+            n, m, *(np.array(s, dtype=np.int64).reshape(-1, 3) for s in splits),
+            entity_names=[f"e{i}" for i in range(n)],
+            relation_names=[f"r{i}" for i in range(m)],
+        )
+        index = build_filter_index(store)
+        tails, heads = known_answers(store)
+        for e in range(n):
+            for r in range(m):
+                for got, want in [
+                    (index.true_tails(e, r), tails.get((e, r), set())),
+                    (index.true_heads(r, e), heads.get((r, e), set())),
+                ]:
+                    assert got.dtype == np.int64 and got.tolist() == sorted(want)
+
+    check()
+
+
+def test_filter_index_matches_known_answers_on_the_wn18rr_shaped_benchmark_graph(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_graphs", ROOT / "benchmarks" / "graphs.py"
+    )
+    graphs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, graphs)  # dataclasses look it up
+    spec.loader.exec_module(graphs)
+    shape = graphs.SHAPES["wn18rr"]
+    graph = graphs.generate(shape, 1)
     store = TripleStore(
-        n_entities=6,
-        n_relations=2,
-        train=triples[:12],
-        valid=triples[12:16],
-        test=triples[16:],
-        entity_names=[f"e{i}" for i in range(6)],
-        relation_names=["r0", "r1"],
+        shape.n_entities, shape.n_relations, graph.train, graph.valid, graph.test,
+        entity_names=[graphs.entity_name(i) for i in range(shape.n_entities)],
+        relation_names=[graphs.relation_name(r) for r in range(shape.n_relations)],
     )
     index = build_filter_index(store)
-    everything = store.all_triples()
-    for h in range(6):
-        for r in range(2):
-            expected = {int(t) for hh, rr, t in everything if hh == h and rr == r}
-            assert index.true_tails(h, r) == expected
-    for t in range(6):
-        for r in range(2):
-            expected = {int(h) for h, rr, tt in everything if tt == t and rr == r}
-            assert index.true_heads(r, t) == expected
+    tails, heads = known_answers(store)
+    assert (len(index.tails[0]), len(index.heads[0])) == (len(tails), len(heads))
+    # every relation's queries in one lookup, each answer list cut from the flat ids
+    for known, is_tails in [(tails, True), (heads, False)]:
+        queries = np.array(list(known))
+        fixed, r = (queries[:, 0], queries[:, 1]) if is_tails else (queries[:, 1], queries[:, 0])
+        got = [[] for _ in queries]
+        for rid in range(shape.n_relations):
+            mine = np.flatnonzero(r == rid)
+            ids, owners = index.completions(rid, fixed[mine], tails=is_tails)
+            for i, e in zip(mine[owners].tolist(), ids.tolist()):
+                got[i].append(e)
+        assert got == [sorted(answers) for answers in known.values()]
 
 
 def test_filter_completeness_on_test_split():
