@@ -291,6 +291,9 @@ def load_checkpoint(path) -> Checkpoint:
     )
     if model.n_entities != header["n_entities"] or model.n_relations != header["n_relations"]:
         raise CheckpointError("array shapes disagree with header counts")
+    for key, n in (("entity_names", model.n_entities), ("relation_names", model.n_relations)):
+        if len(header[key]) != n:
+            raise CheckpointError(f"checkpoint header has {len(header[key])} {key} for {n} rows")
     if version == 1:
         model.spec = _spec_without_frozen(spec, header[_V1_MASK], model)
     return Checkpoint(

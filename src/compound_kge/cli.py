@@ -29,7 +29,7 @@ from .diagnostics import (
 from .errors import CheckpointError, DatasetError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import init_model, model_from_preset
-from .scoring import PRESETS, compound_spec
+from .scoring import PRESETS, Norm, compound_spec
 from .training import TrainConfig, train
 from .transforms import chain_from_string
 
@@ -102,7 +102,7 @@ def run_config_from_args(args) -> RunConfig:
 def _build_model(config: RunConfig, n_entities: int, n_relations: int):
     rng = np.random.default_rng(config.seed)
     if config.preset is not None:
-        preset = PRESETS[config.preset](config.dim, _norm(config.norm))
+        preset = PRESETS[config.preset](config.dim, Norm(config.norm.lower()))
         return model_from_preset(preset, n_entities, n_relations, rng)
     spec = compound_spec(
         config.variant, config.head_order, config.tail_order, config.dim, config.norm
@@ -110,12 +110,6 @@ def _build_model(config: RunConfig, n_entities: int, n_relations: int):
     return init_model(
         spec, n_entities, n_relations, rng, shared_rotation=config.shared_rotation
     )
-
-
-def _norm(name: str):
-    from .scoring import Norm
-
-    return Norm(name.lower())
 
 
 def _train_config(config: RunConfig) -> TrainConfig:

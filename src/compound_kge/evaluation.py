@@ -10,24 +10,24 @@ orders them: a NaN score sorts after every number and ties every other
 NaN, so a NaN ground truth still gets a rank of at least 1.
 
 A candidate's transform depends only on the relation and the predicted
-side, so :func:`evaluate` first builds one group per (relation,
-direction): the queries' fixed sides and ground truths are transformed as
-one batch each, and the group's per-block map is compiled once.  It then
-packs consecutive groups into tiles of at most ``max(1, d // 8)`` queries
-(a larger group forms tiles of its own) and reads the candidate table
-block by block.  Each block is screened in chunks of ``_SCREEN_ROWS``
-rows against every query of a tile, so a chunk is read once per tile, not
-once per group.  Under L2 a squared score is a quadratic form in the raw
-entity row, so a chunk is screened by matrix products against the tile's
-stacked weights (:func:`_screen_l2`).  Under L1 a chunk is cast to
-complex64 once, moved by each group's map in complex form and summed in
-float32 per query (:func:`_screen_l1`).  Either way only the candidates
-whose screened score lies within a proven rounding bound of the ground
-truth's are rescored on the direct float64 path, group by group, so the
-ranks equal the direct path's exactly.  Filtering needs no entity-sized
-mask: a query's counts of better and tied candidates over the whole
-block, minus the same counts over its known-true ids inside the block,
-are its filtered counts.  :func:`filtered_rank` is the one-query case.
+side, so :func:`evaluate` builds its queries once, as one table ordered by
+(relation, direction) group, with each group's fixed sides and ground
+truths transformed as one batch and its per-block map compiled once.  It
+then reads the candidate table block by block and screens each block in
+chunks of ``_SCREEN_ROWS`` rows against every query of a tile, a slice of
+at most ``max(1, d // 8)`` queries of the table, so a chunk is read once
+per tile, not once per group.  Under L2 a squared score is a quadratic
+form in the raw entity row, so a chunk is screened by matrix products
+against the tile's stacked weights (:func:`_screen_l2`).  Under L1 a chunk
+is cast to complex64 once, moved by each group's map in complex form and
+summed in float32 per query (:func:`_screen_l1`).  Either way only the
+candidates whose screened score lies within a proven rounding bound of
+the ground truth's are rescored on the direct float64 path, group by
+group, so the ranks equal the direct path's exactly.  Filtering needs no
+entity-sized mask: a query's counts of better and tied candidates over
+the whole block, minus the same counts over its known-true ids inside the
+block, are its filtered counts.  :func:`filtered_rank` is the one-query
+case.
 
 ``chunk_size`` (by default ``DEFAULT_CHUNK_SIZE`` = 65,536 rows) splits
 the entity table into blocks, which bounds the memory that a tile's
@@ -47,7 +47,7 @@ import numpy as np
 from .dataset import FilterIndex, RelationCategory, TripleStore, build_filter_index
 from .model import KGEModel
 from .scoring import Norm, _distance
-from .transforms import TransformParams, apply_chain, chain_affine_map
+from .transforms import apply_chain, chain_affine_map
 
 __all__ = [
     "Direction",
@@ -99,121 +99,121 @@ class Direction(enum.Enum):
     TAIL = "tail"
 
 
-def _sides(model: KGEModel, rid: int, direction: Direction):
-    """``(chain, params)`` of the fixed side, then of the predicted side."""
-    spec, r = model.spec, model.relation_params(rid)
-    head, tail = (spec.head_chain, r.head), (spec.tail_chain, r.tail)
-    return (head, tail) if direction is Direction.TAIL else (tail, head)
-
-
 @dataclass
-class _Group:
-    """One (relation, direction) group of queries: the predicted side's chain
-    and its per-block map ``y = A x + b`` (``a``, ``b``), per query the
-    transformed fixed side and the ground truth's score, and the filtered
-    ids, query by query, with the query each belongs to."""
+class _Queries:
+    """One :func:`_ranks` call's queries as a flat table, ordered group by
+    group.  Per group its predicted side's ``(chain, params)``, with the
+    per-block maps ``y = A x + b`` stacked in ``a`` (G, ceil(d/2), 2, 2) and
+    ``b`` (G, ceil(d/2), 2); per query its group, transformed fixed side and
+    ground truth's score; the filtered ids flat, sorted by their query."""
 
-    chain: tuple
-    params: TransformParams
+    sides: list
     a: np.ndarray
     b: np.ndarray
+    group: np.ndarray
     fixed: np.ndarray
     true_scores: np.ndarray
     known_ids: np.ndarray
     known_queries: np.ndarray
 
 
-def _group(model: KGEModel, triples, direction: Direction, filter_index) -> _Group:
-    """The group of ``triples``, which share one relation, in ``direction``.
+def _ranks(model: KGEModel, triples, directions, filter_index, chunk_size) -> np.ndarray:
+    """Filtered ranks of ``triples`` in each of ``directions``, shape
+    (len(triples), len(directions)).
 
-    The fixed sides and the ground truths are transformed as one batch each,
-    the truths on the path that rescores candidates, so a truth's score
-    equals its score as a candidate bit for bit.
+    A group is a (relation, predicted side) pair.  Its fixed sides and
+    ground truths are transformed as one batch each, the truths with the
+    group's own params on the path that rescores candidates, so a truth's
+    score equals its score as a candidate bit for bit.  A tile is a slice
+    of at most ``max(1, d // 8)`` queries of the table.  Under L2 the table
+    is cut every that many queries, which keeps the screen's two (block
+    rows, queries) buffers within an eighth of the block each.  Under L1
+    consecutive groups share a tile and a larger group stays whole: the L1
+    screen's buffers are bounded by ``_SCREEN_SPAN`` whatever the tile
+    holds, and every tile casts and moves each chunk again.
     """
-    rid = int(triples[0, 1])
-    (fixed_chain, fixed_params), (chain, params) = _sides(model, rid, direction)
-    anchor, truth = (0, 2) if direction is Direction.TAIL else (2, 0)
-    ents = model.entities
-    fixed = apply_chain(ents[triples[:, anchor]], fixed_chain, fixed_params)
-    true_scores = _direct_scores(ents[triples[:, truth]], chain, params, fixed, model.spec.norm)
-    known, queries = filter_index.completions(rid, triples[:, anchor], direction is Direction.TAIL)
-    keep = known != triples[queries, truth]
-    a, b = chain_affine_map(chain, params)
-    return _Group(chain, params, a, b, fixed, true_scores, known[keep], queries[keep])
+    ents, spec, norm = model.entities, model.spec, model.spec.norm
+    n_queries = len(triples) * len(directions)
+    fixed, true_scores = np.empty((n_queries, model.dim)), np.empty(n_queries)
+    sides, starts, where, known, q0 = [], [], [], [], 0
+    for rid in np.unique(triples[:, 1]):
+        rows, r = np.flatnonzero(triples[:, 1] == rid), model.relation_params(rid)
+        heads, tails = (0, spec.head_chain, r.head), (2, spec.tail_chain, r.tail)
+        for j, direction in enumerate(directions):
+            tail = direction is Direction.TAIL
+            # the fixed side's column, chain and params, then the predicted side's
+            (anchor, *fixed_side), (truth, *side) = (heads, tails) if tail else (tails, heads)
+            mine = slice(q0, q0 + len(rows))
+            fixed[mine] = apply_chain(ents[triples[rows, anchor]], *fixed_side)
+            true_scores[mine] = _direct_scores(ents[triples[rows, truth]], *side, fixed[mine], norm)
+            ids, queries = filter_index.completions(rid, triples[rows, anchor], tail)
+            keep = ids != triples[rows[queries], truth]
+            known.append((ids[keep], queries[keep] + q0))
+            sides.append(side)
+            starts.append(q0)
+            where.append(rows * len(directions) + j)
+            q0 += len(rows)
+    group = np.repeat(np.arange(len(sides)), np.diff(starts + [n_queries]))
+    a, b = (np.stack(m) for m in zip(*(chain_affine_map(*side) for side in sides)))
+    known_ids, known_queries = (np.concatenate(k) for k in zip(*known))
+    table = _Queries(sides, a, b, group, fixed, true_scores, known_ids, known_queries)
 
-
-def _rank_groups(model: KGEModel, groups: list[_Group], chunk_size: int) -> np.ndarray:
-    """Filtered ranks of the queries of ``groups``, in order.
-
-    The queries are packed into tiles in order: consecutive groups share a
-    tile of at most ``max(1, d // 8)`` queries, and a larger group forms
-    tiles of its own.  Under L2 such a group is cut into tiles of that size,
-    which keeps the screen's two (block rows, queries) buffers within an
-    eighth of the block each.  Under L1 it stays whole: the L1 screen's
-    buffers are bounded by ``_SCREEN_SPAN`` whatever the tile holds, and
-    every tile casts and moves each chunk again.  A tile is the slice of
-    its queries' rows in the call's counts and the ``(group, slice of its
-    queries)`` pieces they come from.  Every block of the entity table is
-    then scored against every tile by :func:`_score_block`.
-    """
     size = max(1, model.dim // 8)
-    counts = np.zeros((sum(len(group.fixed) for group in groups), 2), dtype=np.int64)
-    tiles, pieces, room, first, offset = [], [], size, 0, 0
-    for group in groups:
-        n_queries = len(group.fixed)
-        cut = size if model.spec.norm is Norm.L2 else n_queries
-        for i in range(0, n_queries, cut):
-            piece = slice(i, min(i + cut, n_queries))
-            if pieces and piece.stop - i > room:
-                tiles.append((slice(first, offset + i), pieces))
-                pieces, room, first = [], size, offset + i
-            pieces.append((group, piece))
-            room -= piece.stop - i
-        offset += n_queries
-    tiles.append((slice(first, offset), pieces))
+    if norm is Norm.L2:
+        cuts = list(range(0, n_queries, size))
+    else:
+        cuts = [0]
+        for g0, g1 in zip(starts, starts[1:] + [n_queries]):
+            if g0 > cuts[-1] and g1 - cuts[-1] > size:
+                cuts.append(g0)
+    tiles = list(zip(cuts, cuts[1:] + [n_queries]))
+    counts = np.zeros((n_queries, 2), dtype=np.int64)
     for start in range(0, model.n_entities, chunk_size):
-        _score_block(model, tiles, model.entities[start : start + chunk_size], start, counts)
+        _score_block(model, table, tiles, ents[start : start + chunk_size], start, counts)
     less, equal = counts.T
     ties = equal - 1  # the ground truth always matches its own score
-    return 1 + less + ties // 2
+    ranks = np.empty(n_queries, dtype=np.int64)
+    ranks[np.concatenate(where)] = 1 + less + ties // 2
+    return ranks.reshape(len(triples), len(directions))
 
 
-def _score_block(model, tiles, block, start, counts):
+def _score_block(model, table, tiles, block, start, counts):
     """Add the filtered ``(less, equal)`` counts of one block of candidates
     (entity rows from ``start`` on) to ``counts``, for every tile's queries.
 
-    Each tile is screened by the norm's screen in one pass over the block,
-    which counts the candidates it certifies better than each query's
-    ground truth and returns the ``(block row, query)`` pairs it cannot
-    certify; those are rescored on the direct path with their group's
-    chain.  A query's counts over the whole block, minus those at its
-    filtered ids inside the block, are its filtered counts: the ids are
-    distinct and exclude the ground truth.  A certified sign equals the
-    direct comparison, so rescoring the filtered ids and subtracting their
-    outcome is exact.  A tile gathers its queries' fixed sides and truths
-    from its groups for the block, so a call holds each of them once, and
-    each piece of a group takes its queries' filtered ids inside the block
-    from the group's flat arrays with a mask.
+    Each tile ``[q0, q1)`` of ``table`` is screened in one pass over the
+    block, which counts the candidates the screen certifies better than
+    each query's ground truth and returns the ``(block row, query)`` pairs
+    it cannot certify.  A query's counts over the whole block, minus those
+    at its filtered ids inside the block, are its filtered counts: the ids
+    are distinct and exclude the ground truth.  A certified sign equals the
+    direct comparison, so subtracting the filtered ids' rescored outcome is
+    exact.  The uncertain pairs (sign +1) and the filtered ids (sign -1)
+    are rescored together, in one direct-path call per group of the tile.
     """
     norm = model.spec.norm
     screen = _screen_l1 if norm is Norm.L1 else _screen_l2
     end = start + len(block)
-    for rows, pieces in tiles:
-        tile_counts = counts[rows]
-        sizes = [s.stop - s.start for _, s in pieces]
-        seg = np.repeat(np.arange(len(pieces)), sizes)
-        fixed = np.concatenate([group.fixed[s] for group, s in pieces])
-        true_scores = np.concatenate([group.true_scores[s] for group, s in pieces])
-        maps = [(group.a, group.b) for group, _ in pieces]
-        uncertain_rows, queries = screen(tile_counts, block, maps, seg, fixed, true_scores)
-        for k, ((group, s), first) in enumerate(zip(pieces, np.cumsum([0, *sizes]))):
-            direct = (block, group.chain, group.params, norm, fixed, true_scores)
-            mine = seg[queries] == k
-            _add_direct(tile_counts, 1, *direct, uncertain_rows[mine], queries[mine])
-            piece = slice(*np.searchsorted(group.known_queries, (s.start, s.stop)))
-            ids, owners = group.known_ids[piece], group.known_queries[piece]
-            mine = (ids >= start) & (ids < end)
-            _add_direct(tile_counts, -1, *direct, ids[mine] - start, owners[mine] - s.start + first)
+    for q0, q1 in tiles:
+        tile_counts = counts[q0:q1]
+        fixed, true_scores = table.fixed[q0:q1], table.true_scores[q0:q1]
+        g0, g1 = table.group[q0], table.group[q1 - 1] + 1
+        seg = table.group[q0:q1] - g0
+        uncertain = screen(
+            tile_counts, block, table.a[g0:g1], table.b[g0:g1], seg, fixed, true_scores
+        )
+        known = slice(*np.searchsorted(table.known_queries, (q0, q1)))
+        ids, owners = table.known_ids[known], table.known_queries[known]
+        inside = (ids >= start) & (ids < end)
+        rows = np.concatenate((uncertain[0], ids[inside] - start))
+        queries = np.concatenate((uncertain[1], owners[inside] - q0))
+        signs = np.repeat((1, -1), (len(uncertain[0]), np.count_nonzero(inside)))
+        order = np.argsort(seg[queries], kind="stable")
+        bounds = np.searchsorted(seg[queries[order]], np.arange(g1 - g0 + 1))
+        for (chain, params), p0, p1 in zip(table.sides[g0:g1], bounds, bounds[1:]):
+            pairs = order[p0:p1]
+            direct = (block, chain, params, norm, fixed, true_scores)
+            _add_direct(tile_counts, signs[pairs], *direct, rows[pairs], queries[pairs])
 
 
 def _gamma(k, unit_roundoff=_UNIT_ROUNDOFF):
@@ -222,11 +222,12 @@ def _gamma(k, unit_roundoff=_UNIT_ROUNDOFF):
     return k * unit_roundoff / (1 - k * unit_roundoff)
 
 
-def _screen_l2(counts, block, maps, seg, fixed, true_scores):
+def _screen_l2(counts, block, a, b, seg, fixed, true_scores):
     """Add the L2 candidates of ``block`` certified better than each query's
     ground truth to ``counts[:, 0]``, screened without transforming the
-    block; return the uncertain ``(rows, queries)``.  ``maps`` holds the
-    ``(A, b)`` of the tile's groups and ``seg`` each query's index into it.
+    block; return the uncertain ``(rows, queries)``.  ``a`` and ``b`` stack
+    the ``(A, b)`` of the tile's groups and ``seg`` gives each query's index
+    into them.
 
     Per 2D block a group's predicted side is ``y = A x + b``, so a
     candidate ``x``'s squared score against an anchor ``f`` is
@@ -278,34 +279,33 @@ def _screen_l2(counts, block, maps, seg, fixed, true_scores):
     matches ``true_score`` exactly.
     """
     n_queries, d = fixed.shape
-    pairs, n_groups = d // 2, len(maps)
+    pairs, n_groups = d // 2, len(a)
     gamma = _gamma(5 * d + 40)
+    # G = A^T A and the row sums of |A|^T |A| per block, written out
+    # elementwise: a rotation's G_01 is then exactly zero
+    (a00, a01), (a10, a11) = np.moveaxis(a, (-2, -1), (0, 1))
+    diag = np.stack([a00 * a00 + a10 * a10, a01 * a01 + a11 * a11], axis=-1)
+    abs_off = np.abs(a00 * a01) + np.abs(a10 * a11)
     # per group, a column of quadratic weights and one of the band's
     quad_weights = np.zeros((d + pairs, 2 * n_groups))
-    lin_weights = np.empty((d, n_queries))
-    offset, band_q = np.empty((2, n_queries))
-    for k, (a, b) in enumerate(maps):
-        mine = seg == k
-        # G = A^T A and the row sums of |A|^T |A| per block, written out
-        # elementwise: a rotation's G_01 is then exactly zero
-        (a00, a01), (a10, a11) = np.moveaxis(a, (-2, -1), (0, 1))
-        diag = np.stack([a00 * a00 + a10 * a10, a01 * a01 + a11 * a11], axis=-1)
-        abs_off = np.abs(a00 * a01) + np.abs(a10 * a11)
-        quad_weights[:d, k] = diag.reshape(-1)[:d]
-        quad_weights[d:, k] = 2 * (a00 * a01 + a10 * a11)[:pairs]
-        quad_weights[:d, n_groups + k] = _BAND_SAFETY * (
-            gamma * (diag + abs_off[:, None]).reshape(-1)[:d] + 3 * _SMALLEST_SUBNORMAL
-        )
-        anchors = np.zeros((np.count_nonzero(mine), b.size))
-        anchors[:, :d] = fixed[mine]
-        c = b.reshape(-1) - anchors
-        lin = 2 * np.einsum("kji,qkj->qki", a, c.reshape(len(c), -1, 2))
-        lin_weights[:, mine] = lin.reshape(len(c), -1)[:, :d].T
-        t2 = true_scores[mine] * true_scores[mine]
-        offset[mine] = t2 - np.sum(c * c, axis=-1)
-        r2 = np.sum(np.square(np.abs(b).reshape(-1) + np.abs(anchors)), axis=-1)
-        underflow = _SMALLEST_SUBNORMAL * (np.abs(quad_weights[:, k]).sum() + 5 * d + 4)
-        band_q[mine] = _BAND_SAFETY * (gamma * r2 + _gamma(4) * t2 + underflow)
+    quad_weights[:d, :n_groups] = diag.reshape(n_groups, -1)[:, :d].T
+    quad_weights[d:, :n_groups] = 2 * (a00 * a01 + a10 * a11)[:, :pairs].T
+    quad_weights[:d, n_groups:] = _BAND_SAFETY * (
+        gamma * (diag + abs_off[..., None]).reshape(n_groups, -1)[:, :d].T
+        + 3 * _SMALLEST_SUBNORMAL
+    )
+    # each query's b, c = b - f and linear weights 2 A^T c
+    b = b.reshape(n_groups, -1)[seg]
+    anchors = np.zeros_like(b)
+    anchors[:, :d] = fixed
+    c = b - anchors
+    lin = 2 * np.einsum("qkji,qkj->qki", a[seg], c.reshape(n_queries, -1, 2))
+    lin_weights = np.ascontiguousarray(lin.reshape(n_queries, -1)[:, :d].T)
+    t2 = true_scores * true_scores
+    offset = t2 - np.sum(c * c, axis=-1)
+    r2 = np.sum(np.square(np.abs(b) + np.abs(anchors)), axis=-1)
+    underflow = _SMALLEST_SUBNORMAL * (np.abs(quad_weights[:, :n_groups]).sum(axis=0) + 5 * d + 4)
+    band_q = _BAND_SAFETY * (gamma * r2 + _gamma(4) * t2 + underflow[seg])
 
     cross = np.any(quad_weights[d:, :n_groups])  # zero for rotations, translations, scalings
     chunk = min(_SCREEN_ROWS, len(block))
@@ -334,11 +334,12 @@ def _screen_l2(counts, block, maps, seg, fixed, true_scores):
 # float32 overflow is expected: it leaves a screened value non-finite, and so
 # sends its candidate to the direct path
 @np.errstate(over="ignore", invalid="ignore")
-def _screen_l1(counts, block, maps, seg, fixed, true_scores):
+def _screen_l1(counts, block, a, b, seg, fixed, true_scores):
     """Add the L1 candidates of ``block`` certified better than each query's
     ground truth to ``counts[:, 0]``, screened in float32; return the
-    uncertain ``(rows, queries)``.  ``maps`` holds the ``(A, b)`` of the
-    tile's groups and ``seg`` each query's index into it.
+    uncertain ``(rows, queries)``.  ``a`` and ``b`` stack the ``(A, b)`` of
+    the tile's groups and ``seg`` gives each query's index into them, in
+    ascending order.
 
     Per 2D block a group's predicted side is ``y = A x + b``.  In complex
     form, with ``z = x_even + i x_odd``, that is
@@ -396,33 +397,29 @@ def _screen_l1(counts, block, maps, seg, fixed, true_scores):
     ``true_score`` exactly.
     """
     n_queries, d = fixed.shape
-    n_groups, pairs = len(maps), maps[0][1].shape[-2]
+    n_groups, pairs = b.shape[:2]
     chunk = min(_SCREEN_ROWS, len(block))
     gamma, eta = _gamma(2 * pairs + 7, _UNIT_ROUNDOFF_32), _SMALLEST_SUBNORMAL_32
+    (a00, a01), (a10, a11) = np.moveaxis(a, (-2, -1), (0, 1))
     # whole chunk-sized operands: numpy's complex loops run faster on them
     # than on broadcast ones
     alpha, beta = np.empty((2, n_groups, chunk, pairs), dtype=np.complex64)
-    row_weights = np.empty((2 * pairs, n_groups), dtype=np.float32)
-    anchors = np.zeros((n_queries, 2 * pairs))
+    alpha.real, alpha.imag = ((a00 + a11) / 2)[:, None], ((a10 - a01) / 2)[:, None]
+    beta.real, beta.imag = ((a00 - a11) / 2)[:, None], ((a10 + a01) / 2)[:, None]
+    weight = np.maximum(np.abs(a00), np.abs(a11)) + np.maximum(np.abs(a01), np.abs(a10))
+    row_weights = _BAND_SAFETY * (gamma * np.repeat(weight, 2, axis=-1) + 16 * eta)
+    row_weights = row_weights.T.astype(np.float32, order="C")
+    b = b.reshape(n_groups, -1)[seg]  # each query's
+    anchors = np.zeros_like(b)
     anchors[:, :d] = fixed
-    c = np.empty_like(anchors)
-    band_q = np.empty(n_queries)
-    for k, (a, b) in enumerate(maps):
-        mine = seg == k
-        (a00, a01), (a10, a11) = np.moveaxis(a, (-2, -1), (0, 1))
-        alpha[k].real, alpha[k].imag = (a00 + a11) / 2, (a10 - a01) / 2
-        beta[k].real, beta[k].imag = (a00 - a11) / 2, (a10 + a01) / 2
-        weight = np.maximum(np.abs(a00), np.abs(a11)) + np.maximum(np.abs(a01), np.abs(a10))
-        row_weights[:, k] = _BAND_SAFETY * (gamma * np.repeat(weight, 2) + 16 * eta)
-        c[mine] = b.reshape(-1) - anchors[mine]
-        r1 = np.sum(np.abs(b).reshape(-1) + np.abs(anchors[mine]), axis=-1)
-        band_q[mine] = _BAND_SAFETY * (gamma * r1 + eta * (16 * pairs + 4 * weight.sum() + 1))
-    c = c.astype(np.float32).view(np.complex64)
+    c = (b - anchors).astype(np.float32).view(np.complex64)
+    r1 = np.sum(np.abs(b) + np.abs(anchors), axis=-1)
+    band_q = _BAND_SAFETY * (gamma * r1 + eta * (16 * pairs + 4 * weight.sum(axis=-1)[seg] + 1))
 
     z, z_conj, y, g = np.zeros((4, chunk, pairs), dtype=np.complex64)
     z_flat, g_flat = z.view(np.float32), g.view(np.float32)
     ones = np.ones(2 * pairs, dtype=np.float32)
-    members = [np.flatnonzero(seg == k) for k in range(n_groups)]
+    members = np.searchsorted(seg, np.arange(n_groups + 1))  # seg ascends
     span = chunk * max(1, _SCREEN_SPAN // (n_queries * chunk))
     screened = np.empty((n_queries, span), dtype=np.float32)
     band = np.empty((span, n_groups), dtype=np.float32)
@@ -436,11 +433,11 @@ def _screen_l1(counts, block, maps, seg, fixed, true_scores):
             zn, zn_conj, yn, gn, gn_flat = z[:n], z_conj[:n], y[:n], g[:n], g_flat[:n]
             np.matmul(np.abs(z_flat[:n], out=gn_flat), row_weights, out=band[rows])
             np.conjugate(zn, out=zn_conj)
-            for k, queries in enumerate(members):
+            for k in range(n_groups):
                 np.multiply(zn, alpha[k, :n], out=yn)
                 np.multiply(zn_conj, beta[k, :n], out=gn)
                 yn += gn
-                for q in queries:
+                for q in range(members[k], members[k + 1]):
                     np.add(yn, c[q], out=gn)
                     np.matmul(np.abs(gn_flat, out=gn_flat), ones, out=screened[q, rows])
         diff = screened[:, : s1 - s0] - true_scores[:, None]
@@ -461,14 +458,15 @@ def _direct_scores(x, chain, params, anchors, norm):
     return _distance(np.subtract(gap, anchors, out=gap), norm, out=gap)
 
 
-def _add_direct(counts, sign, block, chain, params, norm, fixed, true_scores, rows, queries):
-    """Add ``sign`` times the direct-path ``(less, equal)`` outcomes of
-    ``(block row, query)`` pairs to ``counts``, ``_SCREEN_ROWS`` pairs at a
-    time.  Scores compare as ``np.sort`` orders them: NaN after every
-    number, and equal to NaN."""
+def _add_direct(counts, signs, block, chain, params, norm, fixed, true_scores, rows, queries):
+    """Add the direct-path ``(less, equal)`` outcomes of ``(block row,
+    query)`` pairs, each times its sign in ``signs``, to ``counts``,
+    ``_SCREEN_ROWS`` pairs at a time.  Scores compare as ``np.sort`` orders
+    them: NaN after every number, and equal to NaN."""
     for i in range(0, len(rows), _SCREEN_ROWS):
-        q = queries[i : i + _SCREEN_ROWS]
-        scores = _direct_scores(block[rows[i : i + _SCREEN_ROWS]], chain, params, fixed[q], norm)
+        part = slice(i, i + _SCREEN_ROWS)
+        q, sign = queries[part], signs[part]
+        scores = _direct_scores(block[rows[part]], chain, params, fixed[q], norm)
         truth_nan, nan = np.isnan(true_scores[q]), np.isnan(scores)
         np.add.at(counts, (q, 0), sign * ((scores < true_scores[q]) | (truth_nan & ~nan)))
         np.add.at(counts, (q, 1), sign * ((scores == true_scores[q]) | (truth_nan & nan)))
@@ -489,8 +487,7 @@ def filtered_rank(
     case of the grouped ranking that :func:`evaluate` runs.
     """
     triples = np.array([[int(x) for x in triple]], dtype=np.int64)
-    group = _group(model, triples, direction, filter_index)
-    return int(_rank_groups(model, [group], chunk_size)[0])
+    return int(_ranks(model, triples, (direction,), filter_index, chunk_size)[0, 0])
 
 
 @dataclass
@@ -582,14 +579,8 @@ def evaluate(
     if filter_index is None:
         filter_index = build_filter_index(store)
 
-    groups, where = [], []
-    for rid in np.unique(triples[:, 1]):
-        rows = np.flatnonzero(triples[:, 1] == rid)
-        for j, direction in enumerate((Direction.HEAD, Direction.TAIL)):
-            groups.append(_group(model, triples[rows], direction, filter_index))
-            where.append(2 * rows + j)
-    ranks = np.empty((len(triples), 2), dtype=np.int64)
-    ranks.reshape(-1)[np.concatenate(where)] = _rank_groups(model, groups, chunk_size)
+    directions = (Direction.HEAD, Direction.TAIL)
+    ranks = _ranks(model, triples, directions, filter_index, chunk_size)
 
     if categories is not None:
         cat_of = {c.relation: c.category.value for c in categories}
@@ -602,7 +593,7 @@ def evaluate(
         direction.value: {
             cat: MetricCell.from_ranks(ranks[labels == cat, j]) for cat in sorted(set(labels))
         }
-        for j, direction in enumerate((Direction.HEAD, Direction.TAIL))
+        for j, direction in enumerate(directions)
     }
 
     overall = MetricCell.from_ranks(ranks.ravel())

@@ -299,6 +299,15 @@ def test_incomplete_nested_header_names_dotted_key(tmp_path, path):
         load_checkpoint(ckpt_path)
 
 
+@pytest.mark.parametrize("key, n", [("entity_names", 6), ("relation_names", 2)])
+def test_name_list_longer_than_its_table_is_refused(tmp_path, key, n):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    rewrite_header(path, lambda header: header[key].append("extra"))
+    with pytest.raises(CheckpointError, match=f"header has {n + 1} {key} for {n} rows"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize(
     "path, value",
     [

@@ -361,19 +361,28 @@ def test_eval_hash_mismatch_refused(trained_run, tmp_path, capsys):
     store = generate_synthetic_kg(SyntheticPattern.SYMMETRIC, seed=11)
     save_splits(store, other)
     save_dictionaries(store, other)
-    # a trained checkpoint with its stored hash, and one saved through the
-    # API without a hash whose 5 entities are fewer than the dataset's
+    # a trained checkpoint with its stored hash, one saved through the API
+    # without a hash whose 5 entities are fewer than the dataset's, and one
+    # with the dataset's names but tables of 5 entities
     hashless = tmp_path / "hashless.ckpt"
     model = init_model(compound_spec("full", "SRT", "SRT", dim=4), 5, 1, np.random.default_rng(0))
     save_checkpoint(hashless, Checkpoint(model, [f"e{i}" for i in range(5)], ["r0"]))
     assert load_checkpoint(hashless).dataset_hash is None
-    for ckpt in (trained_run / "best.ckpt", hashless):
+    shrunk = tmp_path / "shrunk.ckpt"
+    save_checkpoint(shrunk, Checkpoint(model, store.entity_names, store.relation_names))
+    mismatch = "checkpoint/dataset mismatch"
+    for ckpt, error in (
+        (trained_run / "best.ckpt", mismatch),
+        (hashless, mismatch),
+        (shrunk, f"checkpoint header has {store.n_entities} entity_names for 5 rows"),
+    ):
         code = run_cli(["eval", "--checkpoint", str(ckpt), "--data", str(other)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: checkpoint/dataset mismatch")
+        assert err.startswith(f"error: {error}")
         assert err.count("\n") == 1  # one error line
-        assert err.count("hash") >= 2  # both hashes printed
+        if error == mismatch:
+            assert err.count("hash") >= 2  # both hashes printed
 
 
 def test_eval_v1_checkpoint_with_frozen_non_identity_group_fails_cleanly(

@@ -134,10 +134,10 @@ def rescored_pairs_and_mrr(monkeypatch, norm):
     rescored = []
     direct = evaluation._add_direct
 
-    def counting(counts, sign, *args):
-        if sign > 0:  # the screen's uncertain pairs, not the filtered ids
-            rescored.append(len(args[-1]))
-        return direct(counts, sign, *args)
+    def counting(counts, signs, *args):
+        # the screen's uncertain pairs, not the filtered ids
+        rescored.append(np.count_nonzero(signs > 0))
+        return direct(counts, signs, *args)
 
     monkeypatch.setattr(evaluation, "_add_direct", counting)
     report = evaluate(model, store, "test", None)
@@ -218,9 +218,9 @@ def test_one_pass_over_a_block_screens_every_group(monkeypatch, norm):
     starts = []
     score_block = evaluation._score_block
 
-    def counting(model, tiles, block, start, counts):
-        starts.append(start)
-        return score_block(model, tiles, block, start, counts)
+    def counting(*args):
+        starts.append(args[-2])
+        return score_block(*args)
 
     monkeypatch.setattr(evaluation, "_score_block", counting)
     report = evaluate(model, store, "test", None)
@@ -230,27 +230,37 @@ def test_one_pass_over_a_block_screens_every_group(monkeypatch, norm):
     assert report.mrr == MetricCell.from_ranks(np.array(ranks)).mrr
 
 
-@pytest.mark.parametrize("norm, tiles", [("l1", [30, 30]), ("l2", [25, 5, 25, 5])])
+@pytest.mark.parametrize(
+    "norm, tiles", [("l1", ([30, 30], [25, 5])), ("l2", ([25, 25, 10], [25, 5]))]
+)
 def test_only_the_l2_screen_cuts_a_large_group(monkeypatch, norm, tiles):
     # 30 test triples of one relation make two 30-query groups; at d = 200
-    # the L2 screen takes them in tiles of at most 25 queries, and the L1
-    # screen, whose buffers do not grow with a tile, whole
-    rng = np.random.default_rng(23)
-    store = random_store(rng, 50, 1, 100, 2, 30)
-    model = random_model(rng, 50, 1, dim=200, norm=norm)
-    sizes = []
-    screen = getattr(evaluation, f"_screen_{norm}")
+    # the L2 screen cuts the query table every 25 queries, across groups,
+    # and the L1 screen, whose buffers do not grow with a tile, keeps each
+    # group whole.  15 triples of 15 relations make 30 one-query groups,
+    # which both screens take in tiles of 25 and 5
+    sizes, screen = [], getattr(evaluation, f"_screen_{norm}")
 
-    def counting(counts, block, maps, seg, fixed, true_scores):
-        sizes.append(len(seg))
-        return screen(counts, block, maps, seg, fixed, true_scores)
+    def counting(*args):
+        sizes.append(len(args[4]))  # seg: one entry per query of the tile
+        return screen(*args)
 
     monkeypatch.setattr(evaluation, f"_screen_{norm}", counting)
-    report = evaluate(model, store, "test", None)
-    assert sizes == tiles
-    known = known_answers(store)
-    ranks = [oracle_rank(model, t, d, known, score_fn=score) for t in store.test for d in Direction]
-    assert report.mrr == MetricCell.from_ranks(np.array(ranks)).mrr
+    rng = np.random.default_rng(23)
+    for n_relations, want in zip((1, 15), tiles):
+        store = random_store(rng, 50, n_relations, 100, 2, 30 if n_relations == 1 else 300)
+        if n_relations > 1:
+            firsts = [np.flatnonzero(store.test[:, 1] == r)[0] for r in range(n_relations)]
+            store = replace(store, test=store.test[firsts])
+        model = random_model(rng, 50, n_relations, dim=200, norm=norm)
+        sizes.clear()
+        report = evaluate(model, store, "test", None)
+        assert sizes == want
+        known = known_answers(store)
+        ranks = [
+            oracle_rank(model, t, d, known, score_fn=score) for t in store.test for d in Direction
+        ]
+        assert report.mrr == MetricCell.from_ranks(np.array(ranks)).mrr
 
 
 # ---------------------------------------------------------------------------
