@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deterministic",
         action="store_true",
         default=None,
-        help="recorded in run_config.json; every run is single-threaded and repeatable",
+        help="recorded in run_config.json; every run is repeatable, at 1 or 2 BLAS threads alike",
     )
     p_train.set_defaults(func=cmd_train)
 

@@ -140,15 +140,18 @@ def _distance(diff: np.ndarray, norm: Norm, out: np.ndarray | None = None) -> np
 
 
 def _norm_and_grad(diff: np.ndarray, norm: Norm):
-    """Score and its gradient with respect to the transformed gap."""
-    f = _distance(diff, norm)
+    """Score and its gradient with respect to the transformed gap.
+
+    Under L1 ``diff`` is overwritten with its absolute values, so callers
+    pass a gap they no longer need.
+    """
     if norm is Norm.L1:
         # subgradient at the kink is taken as 0 (np.sign(0) == 0)
         g = np.sign(diff)
-    else:
-        safe = np.where(f == 0.0, 1.0, f)
-        g = diff / safe[..., None]
-    return f, g
+        return _distance(diff, norm, out=diff), g
+    f = _distance(diff, norm)
+    safe = np.where(f == 0.0, 1.0, f)
+    return f, diff / safe[..., None]
 
 
 def score(h, r: RelationParams, t, spec: CompoundSpec):

@@ -211,11 +211,30 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 
 
-def _accumulate_rows(ids, grads):
-    """Sum gradient rows sharing an id; returns (unique_ids, summed)."""
+# rows per scatter in _accumulate_rows, so its flat index array stays small
+_SCATTER_ROWS = 1024
+
+
+def _accumulate_rows(ids, pieces):
+    """Sum gradient rows sharing an id; returns (unique_ids, summed).
+
+    ``pieces`` are the 2-D gradient arrays whose rows ``ids`` (their
+    concatenated row ids) name, in order.  Each piece is scattered into one
+    accumulator through flat indices, a chunk of rows at a time, visiting
+    the rows in the order of ``ids``, so the sums are those of one 2-D
+    ``np.add.at`` over the concatenated rows, bit for bit.
+    """
     rows, inverse = np.unique(ids, return_inverse=True)
-    acc = np.zeros((len(rows),) + grads.shape[1:], dtype=np.float64)
-    np.add.at(acc, inverse, grads)
+    d = pieces[0].shape[1]
+    acc = np.zeros((len(rows), d))
+    flat, columns = acc.reshape(len(rows) * d), np.arange(d)
+    start = 0
+    for piece in pieces:
+        for lo in range(0, len(piece), _SCATTER_ROWS):
+            part = piece[lo : lo + _SCATTER_ROWS]
+            at = inverse[start + lo : start + lo + len(part), None] * d + columns
+            np.add.at(flat, at.ravel(), part.ravel())
+        start += len(piece)
     return rows, acc
 
 
@@ -300,7 +319,7 @@ def batch_loss_and_grads(
     del passes, tape  # the last group's tapes, before the row sums
 
     grads = {
-        name: _accumulate_rows(np.concatenate(row_list), np.concatenate(grad_list))
+        name: _accumulate_rows(np.concatenate(row_list), grad_list)
         for name, (row_list, grad_list) in tables.items()
     }
     return mean_loss, per_pos, grads

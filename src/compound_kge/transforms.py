@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -418,15 +419,23 @@ def chain_backward(grad_out, params: TransformParams, tape):
     if not chain:
         return g, grads
     d = g.shape[-1]
-    g = _pad(g, 0.0) if d % 2 else g
+    g = _pad(g, 0.0) if d % 2 else np.ascontiguousarray(g)
     m = blocks[-1][1]
-    # dM is summed over the axes that broadcasting the parameters added or stretched
-    lead = g.ndim - (m.ndim - 2)
-    axes = tuple(i for i in range(g.ndim - 1) if i < lead or m.shape[i - lead] == 1 < g.shape[i])
+    # dM is summed over the axes that broadcasting the parameters added or
+    # stretched; they go last and flat, so each block's dA is one (2, S) @ (S, 2)
+    n = g.ndim - 1
+    lead = n - (m.ndim - 3)
+    axes = [i for i in range(n) if i < lead or m.shape[i - lead] == 1 < g.shape[i]]
+    kept = [i for i in range(n) if i not in axes]
+    flat = math.prod(g.shape[i] for i in axes)
+    gb = g.reshape(g.shape[:-1] + m.shape[-3:-2] + (2,))
+    xb = np.broadcast_to(x, g.shape).reshape(gb.shape)
     dm = np.zeros(m.shape)
-    for i, j in itertools.product((0, 1), (0, 1, 2)):
-        term = g[..., i::2] * x[..., j::2] if j < 2 else g[..., i::2]
-        dm[..., i, j] = np.sum(term, axis=axes).reshape(m.shape[:-2])
+    dm[..., :2, :2] = np.matmul(
+        gb.transpose(kept + [n, n + 1] + axes).reshape(m.shape[:-2] + (2, flat)),
+        xb.transpose(kept + [n] + axes + [n + 1]).reshape(m.shape[:-2] + (flat, 2)),
+    )
+    dm[..., :2, 2] = gb.sum(axis=tuple(axes)).reshape(m.shape[:-2] + (2,))
     pairs = m.shape[:-3] + (2 * m.shape[-3],)
     right = dm  # dM S_k^T: the transposed factors after k, in reverse order
     for k in reversed(range(len(chain))):
@@ -441,4 +450,14 @@ def chain_backward(grad_out, params: TransformParams, tape):
         else:  # f holds cos and sin of the angles
             d_angle = f[..., 0, 0] * (df[..., 1, 0] - df[..., 0, 1])
             grads.angles = (d_angle - f[..., 1, 0] * (df[..., 0, 0] + df[..., 1, 1]))[..., : d // 2]
-    return _block_map(np.swapaxes(m[..., :2, :2], -1, -2), g)[..., :d], grads
+    # A^T g = F_K^T ... F_1^T g: the first product allocates, the rest run in place
+    gx = g
+    for op, (f, _) in zip(chain, blocks):
+        out = None if gx is g else gx
+        if op is OperatorKind.ROTATION:  # F^T rotates by -theta: times cos - i sin
+            w = f[..., 0, 0] - 1j * f[..., 1, 0]
+            out = None if out is None else out.view(np.complex128)
+            gx = np.multiply(gx.view(np.complex128), w, out=out).view(np.float64)
+        elif op is OperatorKind.SCALING:
+            gx = np.multiply(gx, f[..., [0, 1], [0, 1]].reshape(pairs), out=out)
+    return gx[..., :d], grads
