@@ -390,11 +390,16 @@ def chain_forward_tape(x, chain, params: TransformParams):
 def chain_backward(grad_out, params: TransformParams, tape):
     """Vector-Jacobian product back through a taped chain application.
 
-    For a block map ``M = F_1 ... F_K`` the input gradient is ``A^T g``, and
-    factor ``k`` gets ``dF_k = P_k^T dM S_k^T`` (``P_k``, ``S_k``: products of
-    the factors before and after it; ``dM``: ``g x^T`` and ``g`` summed over
-    the axes the parameters were broadcast along).  Translation reads
-    ``dF[:2, 2]``, scaling the diagonal, rotation ``<dF, dR/dtheta>``.
+    For a block map ``M = F_1 ... F_K`` factor ``k`` gets
+    ``dF_k = P_k^T dM S_k^T`` (``P_k``, ``S_k``: products of the factors
+    before and after it; ``dM``: ``g x^T`` and ``g`` summed over the axes
+    the parameters were broadcast along, the first as one batched matrix
+    product per block).  Translation reads ``dF[:2, 2]``, scaling the
+    diagonal, rotation ``<dF, dR/dtheta>``.  The input gradient
+    ``A^T g = A_K^T ... A_1^T g`` is applied one factor at a time: a
+    translation has no linear part, a rotation's transpose multiplies the
+    complex view of each block by ``cos - i sin``, and a scaling is an
+    elementwise product.
 
     Parameters
     ----------

@@ -176,6 +176,54 @@ def central_differences(fn, x, step):
     return g
 
 
+def chain_vjp(g, x, chain, params):
+    """Vector-Jacobian product of ``chain`` applied to rows ``x`` (B, M, d)
+    under parameters of leading shape (B, 1), for the output gradient ``g``.
+
+    Per block, the input gradient is ``A^T g`` with ``A`` from
+    :func:`block_matrix`.  A parameter's gradient is ``<dM, dM/dp>``: ``dM``
+    holds the six products of ``g`` with ``(x_even, x_odd, 1)``, each summed
+    over the M rows, and ``dM/dp`` comes from :func:`block_matrix` too, as
+    ``M(p = 1) - M(p = 0)`` for a translation or a scale, which enter ``M``
+    affinely, and for the angle as ``-sin C + cos D`` from
+    ``M = cos C + sin D + E``, read at 0, pi/2 and pi.  An odd dimension is
+    padded as :func:`block_transform` pads it.  Returns ``(grad_x,
+    TransformParams)`` in the shapes of ``x`` and of ``params``.
+    """
+    d = x.shape[-1]
+    pad = [(0, 0), (0, 0), (0, d % 2)]
+    x, g = np.pad(x, pad), np.pad(g, pad)
+    v, theta, s = (
+        np.pad(params.translation, pad),
+        np.pad(params.angles, pad),
+        np.pad(params.scale, pad, constant_values=1.0),
+    )
+    B, M, _ = x.shape
+    grad_x = np.zeros_like(x)
+    grads = [np.zeros_like(v), np.zeros_like(theta), np.zeros_like(s)]
+    for b in range(B):
+        for i in range(x.shape[-1] // 2):
+            p = [v[b, 0, 2 * i], v[b, 0, 2 * i + 1], theta[b, 0, i], s[b, 0, 2 * i], s[b, 0, 2 * i + 1]]
+
+            def top(k, value):
+                q = list(p)
+                q[k] = value
+                return block_matrix(chain, *q)[:2]
+
+            a = block_matrix(chain, *p)[:2, :2]
+            rows = [x[b, :, 2 * i], x[b, :, 2 * i + 1], np.ones(M)]
+            dm = np.array([[np.sum(g[b, :, 2 * i + r] * rows[c]) for c in range(3)] for r in range(2)])
+            for m in range(M):
+                grad_x[b, m, 2 * i : 2 * i + 2] = a.T @ g[b, m, 2 * i : 2 * i + 2]
+            at_0, at_90, at_180 = top(2, 0.0), top(2, np.pi / 2), top(2, np.pi)
+            cos_part, sin_part = (at_0 - at_180) / 2, at_90 - (at_0 + at_180) / 2
+            d_theta = -np.sin(p[2]) * cos_part + np.cos(p[2]) * sin_part
+            for k, (table, j) in enumerate([(0, 2 * i), (0, 2 * i + 1), (1, i), (2, 2 * i), (2, 2 * i + 1)]):
+                dp = d_theta if k == 2 else top(k, 1.0) - top(k, 0.0)
+                grads[table][b, 0, j] = np.sum(dm * dp)
+    return grad_x[..., :d], TransformParams(grads[0][..., :d], grads[1][..., : d // 2], grads[2][..., :d])
+
+
 def rel_err(analytic, numeric, floor=1e-8):
     """Worst absolute gap over the largest numeric magnitude (at least ``floor``)."""
     denom = max(np.max(np.abs(numeric)), floor)

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -604,6 +607,37 @@ def test_deterministic_runs_produce_identical_artifacts(data_dir, tmp_path, caps
         reports.append(out.read_text())
     assert blobs[0] == blobs[1]
     assert reports[0] == reports[1]
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(data_dir, tmp_path):
+    """Training's backward and the L2 screen make BLAS products, so a run at
+    one BLAS thread and one at two must write the same checkpoint, log
+    (apart from its elapsed_seconds column) and evaluation report."""
+    package_root = str(Path(compound_kge.__file__).resolve().parents[1])
+    artifacts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([package_root, env.get("PYTHONPATH", "")])
+        save, report = tmp_path / threads, tmp_path / f"{threads}.json"
+        train = ["train", "--data", str(data_dir), "--dim", "200", "--norm", "l2", "--steps", "20"]
+        train += ["--batch-size", "16", "--neg-size", "8", "--valid-interval", "10"]
+        train += ["--seed", "5", "--deterministic", "--save", str(save)]
+        eval_ = ["eval", "--checkpoint", str(save / "last.ckpt"), "--data", str(data_dir)]
+        for args in (train, eval_ + ["--out", str(report)]):
+            subprocess.run(
+                [sys.executable, "-m", "compound_kge.cli", *args],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+        log = (save / "training_log.csv").read_text().splitlines()
+        artifacts.append(
+            (
+                (save / "last.ckpt").read_bytes(),
+                [line.rsplit(",", 1)[0] for line in log],
+                report.read_text(),
+            )
+        )
+    assert len(artifacts[0][1]) == 21
+    assert artifacts[0] == artifacts[1]
 
 
 def test_package_version_matches_pyproject():

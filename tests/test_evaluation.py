@@ -206,6 +206,37 @@ def test_each_query_of_a_tile_takes_its_own_groups_band(norm):
         assert report.by_direction_category[direction.value]["all"] == MetricCell.from_ranks([rank])
 
 
+@pytest.mark.parametrize("norm, scale, tiny", [("l1", 1e36, 1e-44), ("l2", 1e140, 1e-160)])
+def test_each_query_of_a_tile_takes_its_own_groups_underflow_term(norm, scale, tiny):
+    # the head and the tail query of one test triple share a tile at d = 16.
+    # The tail side scales by `scale`, and the true tail's coordinates are
+    # `tiny`, so the L1 screen's float32 cast of them, or the L2 screen's
+    # float64 squares, are subnormal and lose up to half the smallest
+    # subnormal each, which the tail's weights magnify a billion times past
+    # every other term of the band (the fixed side is as small as the
+    # truth's image).  Only the tail group's own underflow term covers that
+    # loss; with the head group's, from unit scales, the screen certifies
+    # the truth and an unfiltered twin of it on one side of the truth's own
+    # score, which moves its rank whichever side that is.
+    rng = np.random.default_rng(24)
+    store = random_store(rng, 30, 1, 40, 1, 1)
+    model = random_model(rng, 30, 1, dim=16, norm=norm)
+    model.head.scales[...] = 1.0
+    model.head.translations[...] = 0.0
+    model.tail.translations[...] = 0.0
+    model.tail.scales[...] = scale
+    h, _, t = store.test[0]
+    signs = rng.choice([-1.0, 1.0], size=(2, 16))
+    model.entities[[h, t]] = signs * rng.uniform(0.5, 1.0, size=(2, 16)) * [[scale * tiny], [tiny]]
+    known = known_answers(store)
+    twin = min(set(range(30)) - known[0][(h, 0)] - {h})
+    model.entities[twin] = model.entities[t]
+    report = evaluate(model, store, "test", None)
+    for direction in Direction:
+        rank = oracle_rank(model, store.test[0], direction, known, score_fn=score)
+        assert report.by_direction_category[direction.value]["all"] == MetricCell.from_ranks([rank])
+
+
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 def test_one_pass_over_a_block_screens_every_group(monkeypatch, norm):
     # two test triples of different relations make four one-query groups;

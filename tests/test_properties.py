@@ -34,12 +34,18 @@ from compound_kge.training import TrainConfig, batch_loss_and_grads
 from compound_kge.transforms import (
     apply_chain,
     chain_affine_map,
+    chain_backward,
     chain_block_matrices,
+    chain_forward_tape,
     invert_blocks,
 )
 
 from oracles import (
+    R,
+    S,
+    T,
     central_difference_at,
+    chain_vjp,
     frozen_weight_loss,
     known_answers,
     linearre_score,
@@ -47,6 +53,7 @@ from oracles import (
     pairre_score,
     random_model,
     random_relation,
+    random_transform,
     random_store,
     rel_err,
     rotate_score,
@@ -381,6 +388,33 @@ def test_every_spec_has_block_matrices_and_diagnostics(spec, seed, shared_rotati
         exported = {row["component"] for row in export_relation_histograms(model, rid, bins=4)}
         names = {"T": "translation", "R": "rotation", "S": "scaling"}
         assert exported == {names[op.value] for op in spec.head_chain + spec.tail_chain}
+
+
+@pytest.mark.parametrize("side", ["fixed", "candidates"])
+@pytest.mark.parametrize(
+    "chain",
+    [c for k in range(4) for c in itertools.permutations([T, R, S], k)],
+    ids=lambda c: "".join(op.value for op in c) or "empty",
+)
+@settings(PROPERTY, max_examples=10)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), seeds)
+def test_chain_backward_equals_block_matrix_vjp(chain, side, half, batch, negatives, seed):
+    """The kernel's VJP against the block-matrix oracle, within rounding, for
+    both broadcast shapes training uses: (B, 1, d) rows against (B, 1)
+    parameters on the fixed side, and (B, 1+N, d) rows on the candidates'
+    side; at an even and an odd dimension, and on an empty batch."""
+    rng = np.random.default_rng(seed)
+    rows = 1 if side == "fixed" else 1 + negatives
+    for d, B in itertools.product((2 * half, 2 * half + 1), (0, batch)):
+        x, g = rng.normal(size=(2, B, rows, d))
+        params = random_transform(rng, d, (B, 1))
+        gx, grads = chain_backward(g, params, chain_forward_tape(x, chain, params)[1])
+        want_gx, want = chain_vjp(g, x, chain, params)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
+        for field in ("translation", "angles", "scale"):
+            got = getattr(grads, field)
+            assert got.shape == getattr(params, field).shape
+            np.testing.assert_allclose(got, getattr(want, field), rtol=1e-12, atol=1e-12)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from compound_kge import training
 from compound_kge.errors import TrainingDivergedError
 from compound_kge.model import init_model, model_from_preset
 from compound_kge.scoring import PRESETS, compound_spec, preset_rotate
@@ -306,6 +307,40 @@ def test_batch_gradients_cover_exactly_the_trainable_tables(shape):
         model, store.train[:4], neg_ids, np.arange(4) % 2 == 0, config
     )
     assert set(grads) == expected
+
+
+def test_row_sums_equal_one_2d_add_at_over_the_concatenation(monkeypatch):
+    """Each table's row sums are bit for bit those of np.unique and one 2-D
+    np.add.at over its concatenated gradient rows, and the ids passed along
+    (what the benchmark's tracer counts as rows in) name every gradient row.
+    Five entities make every id recur across the pieces, and a 32-row group
+    with 40 negatives gives a 1,312-row candidate piece, longer than one
+    scatter chunk."""
+    calls = []
+
+    def checked(ids, pieces):
+        rows, summed = accumulate(ids, pieces)
+        calls.append((ids, pieces))
+        assert len(ids) == sum(len(piece) for piece in pieces)
+        want_rows, inverse = np.unique(ids, return_inverse=True)
+        want = np.zeros_like(summed)
+        np.add.at(want, inverse, np.concatenate(pieces))
+        assert np.array_equal(rows, want_rows)
+        assert summed.tobytes() == want.tobytes()
+        return rows, summed
+
+    accumulate = training._accumulate_rows
+    monkeypatch.setattr(training, "_accumulate_rows", checked)
+    rng = np.random.default_rng(7)
+    model = fresh_model(dim=14, seed=7)
+    positives = np.stack([rng.integers(0, n, 64) for n in (5, 2, 5)], axis=1)
+    neg_ids = rng.integers(0, 5, size=(64, 40))
+    config = TrainConfig(batch_size=64, negative_size=40)
+    _, _, grads = batch_loss_and_grads(model, positives, neg_ids, np.arange(64) % 2 == 0, config)
+    assert len(calls) == len(grads)
+    ids, pieces = calls[0]  # the entities'
+    assert max(len(piece) for piece in pieces) > training._SCATTER_ROWS
+    assert len(np.intersect1d(ids[: len(pieces[0])], ids[len(pieces[0]) :])) == 5
 
 
 # ---------------------------------------------------------------------------
