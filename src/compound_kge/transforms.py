@@ -416,7 +416,8 @@ def chain_backward(grad_out, params: TransformParams, tape):
         Gradient with respect to the chain input, and per-operator
         parameter gradients in the parameters' shapes, summed over the axes
         the parameters were broadcast along; operators absent from the
-        chain get zeros.
+        chain get zeros.  A chain without rotation or scaling has
+        ``A = I``, and its ``grad_x`` is ``grad_out`` itself.
     """
     chain, x, blocks = tape
     g = np.asarray(grad_out, dtype=np.float64)
@@ -455,14 +456,15 @@ def chain_backward(grad_out, params: TransformParams, tape):
         else:  # f holds cos and sin of the angles
             d_angle = f[..., 0, 0] * (df[..., 1, 0] - df[..., 0, 1])
             grads.angles = (d_angle - f[..., 1, 0] * (df[..., 0, 0] + df[..., 1, 1]))[..., : d // 2]
-    # A^T g = F_K^T ... F_1^T g: the first product allocates, the rest run in place
+    # A^T g = A_K^T ... A_1^T g: the first product allocates, the rest run in place
     gx = g
     for op, (f, _) in zip(chain, blocks):
-        out = None if gx is g else gx
-        if op is OperatorKind.ROTATION:  # F^T rotates by -theta: times cos - i sin
+        in_place = gx is not g
+        if op is OperatorKind.ROTATION:  # A^T rotates by -theta: times cos - i sin
+            z = gx.view(np.complex128)
             w = f[..., 0, 0] - 1j * f[..., 1, 0]
-            out = None if out is None else out.view(np.complex128)
-            gx = np.multiply(gx.view(np.complex128), w, out=out).view(np.float64)
+            gx = np.multiply(z, w, out=z if in_place else None).view(np.float64)
         elif op is OperatorKind.SCALING:
-            gx = np.multiply(gx, f[..., [0, 1], [0, 1]].reshape(pairs), out=out)
+            s = f[..., [0, 1], [0, 1]].reshape(pairs)
+            gx = np.multiply(gx, s, out=gx if in_place else None)
     return gx[..., :d], grads

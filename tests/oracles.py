@@ -203,7 +203,10 @@ def chain_vjp(g, x, chain, params):
     grads = [np.zeros_like(v), np.zeros_like(theta), np.zeros_like(s)]
     for b in range(B):
         for i in range(x.shape[-1] // 2):
-            p = [v[b, 0, 2 * i], v[b, 0, 2 * i + 1], theta[b, 0, i], s[b, 0, 2 * i], s[b, 0, 2 * i + 1]]
+            pair = slice(2 * i, 2 * i + 2)
+            p = [*v[b, 0, pair], theta[b, 0, i], *s[b, 0, pair]]
+            # each entry of p: its table in grads and its index there
+            where = [(0, 2 * i), (0, 2 * i + 1), (1, i), (2, 2 * i), (2, 2 * i + 1)]
 
             def top(k, value):
                 q = list(p)
@@ -211,17 +214,19 @@ def chain_vjp(g, x, chain, params):
                 return block_matrix(chain, *q)[:2]
 
             a = block_matrix(chain, *p)[:2, :2]
-            rows = [x[b, :, 2 * i], x[b, :, 2 * i + 1], np.ones(M)]
-            dm = np.array([[np.sum(g[b, :, 2 * i + r] * rows[c]) for c in range(3)] for r in range(2)])
-            for m in range(M):
-                grad_x[b, m, 2 * i : 2 * i + 2] = a.T @ g[b, m, 2 * i : 2 * i + 2]
+            grad_x[b, :, pair] = [a.T @ row for row in g[b, :, pair]]
+            inputs = [x[b, :, 2 * i], x[b, :, 2 * i + 1], np.ones(M)]
+            dm = np.array(
+                [[np.sum(g[b, :, 2 * i + r] * inputs[c]) for c in range(3)] for r in range(2)]
+            )
             at_0, at_90, at_180 = top(2, 0.0), top(2, np.pi / 2), top(2, np.pi)
             cos_part, sin_part = (at_0 - at_180) / 2, at_90 - (at_0 + at_180) / 2
             d_theta = -np.sin(p[2]) * cos_part + np.cos(p[2]) * sin_part
-            for k, (table, j) in enumerate([(0, 2 * i), (0, 2 * i + 1), (1, i), (2, 2 * i), (2, 2 * i + 1)]):
+            for k, (table, j) in enumerate(where):
                 dp = d_theta if k == 2 else top(k, 1.0) - top(k, 0.0)
                 grads[table][b, 0, j] = np.sum(dm * dp)
-    return grad_x[..., :d], TransformParams(grads[0][..., :d], grads[1][..., : d // 2], grads[2][..., :d])
+    v, theta, s = grads
+    return grad_x[..., :d], TransformParams(v[..., :d], theta[..., : d // 2], s[..., :d])
 
 
 def rel_err(analytic, numeric, floor=1e-8):
