@@ -10,8 +10,7 @@ Layout::
 
 The header alone is enough to reconstruct the model shape: spec (whose
 chains say which operators act and train), entity/relation names,
-training step, RNG state, and a content hash of the dataset dictionaries
-the model was trained against.  Model arrays are computed in float64 but
+training step and RNG state.  Model arrays are computed in float64 but
 stored as float32; loading returns float64 arrays holding the float32
 values, so a second save/load round trip is the exact identity.
 
@@ -94,7 +93,6 @@ class Checkpoint:
     model: KGEModel
     entity_names: list[str]
     relation_names: list[str]
-    dataset_hash: str | None = None
     rng_state: dict | None = None
 
 
@@ -131,7 +129,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "n_entities": model.n_entities,
         "n_relations": model.n_relations,
         "step": model.step,
-        "dataset_hash": ckpt.dataset_hash,
         "entity_names": ckpt.entity_names,
         "relation_names": ckpt.relation_names,
         "rng_state": ckpt.rng_state,
@@ -300,6 +297,5 @@ def load_checkpoint(path) -> Checkpoint:
         model=model,
         entity_names=list(header["entity_names"]),
         relation_names=list(header["relation_names"]),
-        dataset_hash=header.get("dataset_hash"),
         rng_state=header.get("rng_state"),
     )

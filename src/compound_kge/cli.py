@@ -162,7 +162,6 @@ def cmd_train(args) -> int:
         f"{len(store.train)}/{len(store.valid)}/{len(store.test)} triples"
     )
     model = _build_model(config, store.n_entities, store.n_relations)
-    fingerprint = dataset_fingerprint(store.entity_names, store.relation_names)
 
     save_dir = Path(config.save) if config.save else None
     log_path = None
@@ -184,7 +183,6 @@ def cmd_train(args) -> int:
                     model=m,
                     entity_names=store.entity_names,
                     relation_names=store.relation_names,
-                    dataset_hash=fingerprint,
                     rng_state=state,
                 ),
             )
@@ -203,7 +201,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     store = load_dataset(args.data)
-    # from the checkpoint's names: a checkpoint saved through the API may have no stored hash
+    # the checkpoint's own name lists against the dataset's
     ckpt_hash = dataset_fingerprint(ckpt.entity_names, ckpt.relation_names)
     fingerprint = dataset_fingerprint(store.entity_names, store.relation_names)
     if ckpt_hash != fingerprint:

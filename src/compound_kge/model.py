@@ -11,6 +11,7 @@ head's: it is not listed, and its gradient is the head's.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -18,7 +19,11 @@ import numpy as np
 from .scoring import CompoundSpec, ModelPreset, RelationParams
 from .transforms import OperatorKind, TransformParams
 
-__all__ = ["ParamTables", "KGEModel", "init_model", "model_from_preset", "table_names"]
+__all__ = [
+    "ParamTables", "KGEModel", "init_model", "model_from_preset", "normalize_entities", "table_names"
+]
+
+log = logging.getLogger(__name__)
 
 
 # each operator's TransformParams field and ParamTables field
@@ -137,6 +142,27 @@ def _init_side(rng: np.random.Generator, m: int, d: int, chain) -> ParamTables:
     return ParamTables(translations, angles, np.ones((m, d)))
 
 
+def normalize_entities(table: np.ndarray, rng: np.random.Generator | None = None) -> int:
+    """Project every entity row to unit L2 norm, in place.
+
+    Rows with norm below 1e-12 cannot be normalized; they are
+    re-randomized first (then normalized) and counted.  Returns the
+    number of re-randomized rows.
+    """
+    norms = np.linalg.norm(table, axis=1)
+    degenerate = norms < 1e-12
+    n_bad = int(np.count_nonzero(degenerate))
+    if n_bad:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        d = table.shape[1]
+        table[degenerate] = rng.uniform(-0.5, 0.5, size=(n_bad, d)) / np.sqrt(d)
+        norms = np.linalg.norm(table, axis=1)
+        log.warning("re-randomized %d degenerate entity rows", n_bad)
+    table /= norms[:, None]
+    return n_bad
+
+
 def init_model(
     spec: CompoundSpec,
     n_entities: int,
@@ -156,8 +182,7 @@ def init_model(
         raise ValueError("need at least one entity and one relation")
     d = spec.dim
     entities = rng.uniform(-0.5, 0.5, size=(n_entities, d)) / np.sqrt(d)
-    norms = np.linalg.norm(entities, axis=1, keepdims=True)
-    entities = entities / np.where(norms < 1e-12, 1.0, norms)
+    normalize_entities(entities, rng)
     head = _init_side(rng, n_relations, d, spec.head_chain)
     tail = _init_side(rng, n_relations, d, spec.tail_chain)
     return KGEModel(

@@ -143,15 +143,17 @@ def _norm_and_grad(diff: np.ndarray, norm: Norm):
     """Score and its gradient with respect to the transformed gap.
 
     Under L1 ``diff`` is overwritten with its absolute values, so callers
-    pass a gap they no longer need.
+    pass a gap they no longer need.  Under L2 one gap-sized buffer holds
+    the squares and then the gradient.
     """
     if norm is Norm.L1:
         # subgradient at the kink is taken as 0 (np.sign(0) == 0)
         g = np.sign(diff)
         return _distance(diff, norm, out=diff), g
-    f = _distance(diff, norm)
+    g = np.empty_like(diff)
+    f = _distance(diff, norm, out=g)
     safe = np.where(f == 0.0, 1.0, f)
-    return f, diff / safe[..., None]
+    return f, np.divide(diff, safe[..., None], out=g)
 
 
 def score(h, r: RelationParams, t, spec: CompoundSpec):

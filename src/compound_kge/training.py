@@ -8,14 +8,17 @@ treated as constants during backpropagation.  After every optimizer
 step entity rows are projected back to unit norm.
 
 A positive is candidate 0 of its corrupted side, ahead of its N
-negatives, so a batch scores one (B, 1+N) array.  The rows run in two
-corruption groups (head-corrupted, tail-corrupted), each one chain pass
-per side through the affine-map kernel and distance that
-``scoring.score`` and evaluation use, with the relation parameters
-broadcast over the candidates.  Gradients are collected per table name
-(``entities``, ``head.angles``, ...; see ``model.table_names``) for the
-tables of the operators each side's chain holds; under shared rotation
-both chains' angle gradients go to ``head.angles``.
+negatives.  The rows run in two corruption groups (head-corrupted,
+tail-corrupted), one after the other: a group scores its own (B_g, 1+N)
+array by one chain pass per side through the affine-map kernel and
+distance that ``scoring.score`` and evaluation use, with the relation
+parameters broadcast over the candidates, then takes its rows' weights,
+losses and backward before the next group's forward, since a row's
+weights and loss read only its own scores.  Gradients are collected per
+table name (``entities``, ``head.angles``, ...; see
+``model.table_names``) for the tables of the operators each side's chain
+holds; under shared rotation both chains' angle gradients go to
+``head.angles``.
 
 The filter index for validation (``dataset.FilterIndex``: sorted key
 arrays over every split) is built once, on the first validation step, so
@@ -33,7 +36,7 @@ import numpy as np
 
 from .dataset import TripleStore, build_filter_index
 from .errors import TrainingDivergedError
-from .model import _PARAM_GROUPS, KGEModel
+from .model import _PARAM_GROUPS, KGEModel, normalize_entities
 from .scoring import _norm_and_grad
 from .transforms import OperatorKind, chain_backward, chain_forward_tape
 
@@ -140,27 +143,6 @@ def loss(pos_score, neg_scores, weights, margin: float):
     return pos_term + neg_term
 
 
-def normalize_entities(table: np.ndarray, rng: np.random.Generator | None = None) -> int:
-    """Project every entity row to unit L2 norm, in place.
-
-    Rows with norm below 1e-12 cannot be normalized; they are
-    re-randomized first (then normalized) and counted.  Returns the
-    number of re-randomized rows.
-    """
-    norms = np.linalg.norm(table, axis=1)
-    degenerate = norms < 1e-12
-    n_bad = int(np.count_nonzero(degenerate))
-    if n_bad:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        d = table.shape[1]
-        table[degenerate] = rng.uniform(-0.5, 0.5, size=(n_bad, d)) / np.sqrt(d)
-        norms = np.linalg.norm(table, axis=1)
-        log.warning("re-randomized %d degenerate entity rows", n_bad)
-    table /= norms[:, None]
-    return n_bad
-
-
 # ---------------------------------------------------------------------------
 # Optimizer (sparse row updates over embedding tables)
 # ---------------------------------------------------------------------------
@@ -256,42 +238,17 @@ def batch_loss_and_grads(
     A group's corrupted side transforms (B_g, 1+N) candidates, the
     positive first, and its other side (B_g, 1) entities; the corrupted
     side's upstream gradient is the candidates' own and the other side's
-    their negated sum.  A group with no rows runs on empty arrays.
+    their negated sum.  Each group runs its forward, loss and backward
+    before the next group's forward, so one group's tapes are held at a
+    time.  A group with no rows runs on empty arrays.
 
     Returns ``(mean_loss, per_positive_loss, grads)`` with ``grads``
     mapping table names (see :meth:`KGEModel.table`) to
     ``(rows, grad_rows)`` pairs.
     """
     spec = model.spec
-    B, N = neg_ids.shape
-    f = np.empty((B, 1 + N))
-    groups = []  # (corrupted side, batch rows, relation ids, {side: (ids, params, tape)}, dgap)
-    for side, in_group in (("head", corrupt_head), ("tail", ~corrupt_head)):
-        rows = np.flatnonzero(in_group)
-        r = positives[rows, 1]
-        ids = {"head": positives[rows, :1], "tail": positives[rows, 2:]}
-        ids[side] = np.hstack([ids[side], neg_ids[rows]])
-        passes, out = {}, {}
-        for s in ("head", "tail"):
-            chain, p = getattr(spec, f"{s}_chain"), getattr(model, s)[r[:, None]]
-            out[s], tape = chain_forward_tape(model.entities[ids[s]], chain, p)
-            passes[s] = (ids[s], p, tape)
-        # the gap (head - tail) is formed in place in the corrupted side's output
-        f[rows], g = _norm_and_grad(np.subtract(out["head"], out["tail"], out=out[side]), spec.norm)
-        del out
-        groups.append((side, rows, r, passes, g))
-    f_pos, f_neg = f[:, 0], f[:, 1:]
-
-    if weights is None:
-        weights = self_adversarial_weights(f_neg, config.adversarial_temperature)
-    per_pos = loss(f_pos, f_neg, weights, config.margin)
-    mean_loss = float(np.mean(per_pos))
-
-    # d loss / d score, already divided by the batch size
-    c = np.empty((B, 1 + N))
-    c[:, 0] = _sigmoid(f_pos - config.margin) / B
-    c[:, 1:] = -weights * _sigmoid(config.margin - f_neg) / B
-
+    B = len(positives)
+    per_pos = np.empty(B)
     tables = {}  # table name -> (row id arrays, gradient arrays)
 
     def collect(name, rows, grad):
@@ -299,30 +256,49 @@ def batch_loss_and_grads(
         row_list.append(rows)
         grad_list.append(grad)
 
-    # each group's tapes and upstreams are released once it has been walked,
-    # so the (B, 1+N, d) intermediates do not pile up
-    while groups:
-        side, rows, r, passes, g = groups.pop(0)
+    for side, in_group in (("head", corrupt_head), ("tail", ~corrupt_head)):
+        rows = np.flatnonzero(in_group)
+        r = positives[rows, 1]
+        ids = {"head": positives[rows, :1], "tail": positives[rows, 2:]}
+        ids[side] = np.hstack([ids[side], neg_ids[rows]])
+        params, out, tapes = {}, {}, {}
+        for s in ("head", "tail"):
+            params[s] = getattr(model, s)[r[:, None]]
+            chain = getattr(spec, f"{s}_chain")
+            out[s], tapes[s] = chain_forward_tape(model.entities[ids[s]], chain, params[s])
+        # the gap (head - tail) is formed in place in the corrupted side's output
+        f, g = _norm_and_grad(np.subtract(out["head"], out["tail"], out=out[side]), spec.norm)
+        del out
+        f_pos, f_neg = f[:, 0], f[:, 1:]
+        if weights is None:
+            w = self_adversarial_weights(f_neg, config.adversarial_temperature)
+        else:
+            w = weights[rows]
+        per_pos[rows] = loss(f_pos, f_neg, w, config.margin)
+
+        # d loss / d score, divided by the whole batch's size
+        c = np.empty_like(f)
+        c[:, 0] = _sigmoid(f_pos - config.margin) / B
+        c[:, 1:] = -w * _sigmoid(config.margin - f_neg) / B
         # the tail is subtracted in the gap, so its candidates' sign is folded into c
-        g *= (c[rows] if side == "head" else -c[rows])[:, :, None]
-        upstreams = {s: g if s == side else -np.sum(g, axis=1, keepdims=True) for s in passes}
+        g *= (c if side == "head" else -c)[:, :, None]
+        upstreams = {s: g if s == side else -np.sum(g, axis=1, keepdims=True) for s in tapes}
         del g
-        for s, (ids, p, tape) in passes.items():
-            gx, g_par = chain_backward(upstreams.pop(s), p, tape)
-            collect("entities", ids.ravel(), gx.reshape(-1, spec.dim))
+        for s in ("head", "tail"):
+            gx, g_par = chain_backward(upstreams.pop(s), params[s], tapes.pop(s))
+            collect("entities", ids[s].ravel(), gx.reshape(-1, spec.dim))
             for op, field, table in _PARAM_GROUPS:
                 if op in getattr(spec, f"{s}_chain"):
                     # under shared rotation the head's angle table owns both sides
                     owner = "head" if model.shared_rotation and op is OperatorKind.ROTATION else s
                     grad = getattr(g_par, field)
                     collect(f"{owner}.{table}", r, grad.reshape(len(r), grad.shape[-1]))
-    del passes, tape  # the last group's tapes, before the row sums
 
     grads = {
         name: _accumulate_rows(np.concatenate(row_list), grad_list)
         for name, (row_list, grad_list) in tables.items()
     }
-    return mean_loss, per_pos, grads
+    return float(np.mean(per_pos)), per_pos, grads
 
 
 def train_step(

@@ -41,7 +41,6 @@ def sample_checkpoint(seed=0, shared=True):
         model=model,
         entity_names=[f"e{i}" for i in range(6)],
         relation_names=["r0", "r1"],
-        dataset_hash=dataset_fingerprint([f"e{i}" for i in range(6)], ["r0", "r1"]),
         rng_state=rng.bit_generator.state,
     )
 
@@ -92,7 +91,6 @@ def test_round_trip_is_identity_on_storage_lattice(tmp_path):
     assert loaded.model.spec == ckpt.model.spec
     assert loaded.entity_names == ckpt.entity_names
     assert loaded.relation_names == ckpt.relation_names
-    assert loaded.dataset_hash == ckpt.dataset_hash
     assert loaded.rng_state == ckpt.rng_state
 
 
@@ -393,7 +391,6 @@ def test_v1_full_srt_loads_unchanged(tmp_path):
     model = loaded.model
     assert model.spec == compound_spec("full", "SRT", "SRT", dim=4)
     assert model.shared_rotation and model.head.angles is model.tail.angles
-    assert loaded.dataset_hash == dataset_fingerprint(["e0", "e1", "e2"], ["r0", "r1"])
     assert_format_2_round_trip_keeps(loaded, tmp_path)
 
 

@@ -320,7 +320,6 @@ def test_eval_report_matches_library(data_dir, trained_run, tmp_path, capsys):
 def test_eval_perfect_memorization_prints_mrr_one(tmp_path, capsys):
     # a self-loop store plus identical head/tail transforms scores the
     # ground truth at exactly zero, uniquely
-    from compound_kge.checkpoint import dataset_fingerprint
     from compound_kge.dataset import TripleStore
 
     n = 5
@@ -342,15 +341,7 @@ def test_eval_perfect_memorization_prints_mrr_one(tmp_path, capsys):
     model.tail.angles[:] = model.head.angles
     model.tail.scales[:] = model.head.scales
     ckpt_path = tmp_path / "perfect.ckpt"
-    save_checkpoint(
-        ckpt_path,
-        Checkpoint(
-            model,
-            store.entity_names,
-            store.relation_names,
-            dataset_fingerprint(store.entity_names, store.relation_names),
-        ),
-    )
+    save_checkpoint(ckpt_path, Checkpoint(model, store.entity_names, store.relation_names))
     code = run_cli(
         ["eval", "--checkpoint", str(ckpt_path), "--data", str(data), "--split", "test"]
     )
@@ -364,13 +355,12 @@ def test_eval_hash_mismatch_refused(trained_run, tmp_path, capsys):
     store = generate_synthetic_kg(SyntheticPattern.SYMMETRIC, seed=11)
     save_splits(store, other)
     save_dictionaries(store, other)
-    # a trained checkpoint with its stored hash, one saved through the API
-    # without a hash whose 5 entities are fewer than the dataset's, and one
-    # with the dataset's names but tables of 5 entities
+    # a trained checkpoint, one saved through the API whose 5 entities are
+    # fewer than the dataset's, and one with the dataset's names but tables
+    # of 5 entities
     hashless = tmp_path / "hashless.ckpt"
     model = init_model(compound_spec("full", "SRT", "SRT", dim=4), 5, 1, np.random.default_rng(0))
     save_checkpoint(hashless, Checkpoint(model, [f"e{i}" for i in range(5)], ["r0"]))
-    assert load_checkpoint(hashless).dataset_hash is None
     shrunk = tmp_path / "shrunk.ckpt"
     save_checkpoint(shrunk, Checkpoint(model, store.entity_names, store.relation_names))
     mismatch = "checkpoint/dataset mismatch"

@@ -473,7 +473,6 @@ def checkpoints(draw):
         model=model,
         entity_names=[draw(st.text()) for _ in range(n_entities)],
         relation_names=[draw(st.text()) for _ in range(n_relations)],
-        dataset_hash=draw(st.none() | st.text()),
         rng_state=draw(st.sampled_from([None, rng_state])),
     )
 
@@ -497,4 +496,4 @@ def test_checkpoint_round_trip_is_the_identity(ckpt):
             ckpt.model.spec, ckpt.model.shared_rotation, ckpt.model.step
         )
         assert (got.entity_names, got.relation_names) == (ckpt.entity_names, ckpt.relation_names)
-        assert (got.dataset_hash, got.rng_state) == (ckpt.dataset_hash, ckpt.rng_state)
+        assert got.rng_state == ckpt.rng_state

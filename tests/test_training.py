@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -5,7 +7,7 @@ import scipy.stats
 from compound_kge import training
 from compound_kge.errors import TrainingDivergedError
 from compound_kge.model import init_model, model_from_preset
-from compound_kge.scoring import PRESETS, compound_spec, preset_rotate
+from compound_kge.scoring import PRESETS, Norm, compound_spec, preset_rotate
 from compound_kge.synthetic import SyntheticPattern, generate_synthetic_kg
 from compound_kge.transforms import OperatorKind
 from compound_kge.training import (
@@ -341,6 +343,64 @@ def test_row_sums_equal_one_2d_add_at_over_the_concatenation(monkeypatch):
     ids, pieces = calls[0]  # the entities'
     assert max(len(piece) for piece in pieces) > training._SCATTER_ROWS
     assert len(np.intersect1d(ids[: len(pieces[0])], ids[len(pieces[0]) :])) == 5
+
+
+# full SRT/SRT under L1 and RotatE under L2, over n entities and 5 relations
+MIXED_BATCH_MODELS = {
+    "srt-l1": lambda d, n, rng: init_model(compound_spec("full", "SRT", "SRT", d), n, 5, rng),
+    "rotate-l2": lambda d, n, rng: model_from_preset(preset_rotate(d, Norm.L2), n, 5, rng),
+}
+
+
+def mixed_batch(n, B, N, seed):
+    rng = np.random.default_rng(seed)
+    positives = np.stack([rng.integers(0, m, B) for m in (n, 5, n)], axis=1)
+    return positives, rng.integers(0, n, (B, N)), np.arange(B) % 2 == 0
+
+
+@pytest.mark.parametrize("name", list(MIXED_BATCH_MODELS))
+def test_two_group_batch_holds_one_group_at_a_time(name):
+    """A group's forward, loss and backward run before the next group's
+    forward, so a two-group batch's traced peak exceeds that of a batch of
+    its head-corrupted rows alone by less than 1.5 (B/2, 1+N, d) float64
+    arrays: the first group's candidate gradients wait for the row sums,
+    its tapes do not.  100 entities keep the row sums' accumulator small
+    beside a group's arrays."""
+    d, B, N = 64, 64, 63
+    model = MIXED_BATCH_MODELS[name](d, 100, np.random.default_rng(3))
+    positives, neg_ids, corrupt_head = mixed_batch(100, B, N, seed=3)
+    config = TrainConfig(batch_size=B, negative_size=N)
+    head_only = (positives[corrupt_head], neg_ids[corrupt_head], corrupt_head[corrupt_head])
+
+    def traced_peak(args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batch_loss_and_grads(model, *args, config)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    one = traced_peak(head_only)
+    two = traced_peak((positives, neg_ids, corrupt_head))
+    unit = (B // 2) * (1 + N) * d * 8
+    assert two - one < 1.5 * unit, ((two - one) / unit, one / unit)
+
+
+@pytest.mark.parametrize("name", list(MIXED_BATCH_MODELS))
+def test_row_loss_does_not_depend_on_the_other_group(name):
+    """A row's weights and loss read only its own scores: each row's loss in
+    a mixed batch is bit-identical to its loss in a batch of its own
+    group's rows alone (where the other group runs on empty arrays)."""
+    model = MIXED_BATCH_MODELS[name](10, 7, np.random.default_rng(4))
+    positives, neg_ids, corrupt_head = mixed_batch(7, 9, 6, seed=4)
+    config = TrainConfig(batch_size=9, negative_size=6)
+    _, mixed, _ = batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
+    for group in (corrupt_head, ~corrupt_head):
+        _, alone, _ = batch_loss_and_grads(
+            model, positives[group], neg_ids[group], corrupt_head[group], config
+        )
+        assert alone.tobytes() == mixed[group].tobytes()
 
 
 # ---------------------------------------------------------------------------
