@@ -247,21 +247,29 @@ def _screen_l2(counts, block, a, b, seg, fixed, true_scores):
 
     **The bound.**  With ``u`` the unit roundoff and ``g_k = gamma(k)``, let
     ``p = |A||x|`` and ``r = |b| + |f|`` per coordinate, ``P = sum p^2`` and
-    ``R = sum r^2``.  The direct path (:func:`_block_map`, subtract, square,
-    sum, ``sqrt``) gives ``D`` with each gap coordinate within
-    ``g_4 (p + r)`` of exact (three roundings in the map, one in the
-    subtraction), then ``g_d`` for the squares and the sum and ``2u`` for
-    ``sqrt``, so ``|D^2 - ||A x + c||^2| <= 2 g_{d+11} (P + R)``.  The screen
+    ``R = sum r^2``.  The direct path (the chain's factors, ``+ b``,
+    subtract, square, sum, ``sqrt``) gives ``D`` with each gap coordinate
+    within ``g_6 (p + r)`` of exact: a scaling's product and a rotation's
+    complex product (two roundings per coordinate, with or without FMA) put
+    the factors' product within ``g_3 |R||S||x|`` of ``R S x`` in either
+    order, ``|R||S| = |RS|`` entrywise because ``S`` is diagonal, ``A`` is
+    ``RS`` rounded once per entry, and adding ``b`` and subtracting ``f``
+    round once each.  Then ``g_d`` for the squares and the sum and ``2u``
+    for ``sqrt`` give ``|D^2 - ||A x + c||^2| <= 2 g_{d+15} (P + R)``.
+    Gradual underflow in the factors' products and in ``A``'s entries moves
+    a gap coordinate by at most ``e = eta (2 + |x_2i| + |x_2i+1|)``, which
+    costs ``2 (p + r) e <= g_1 (p + r)^2 + e^2 / g_1``: ``g_2 (P + R)`` and
+    terms of order ``eta^2 / u``, far below ``eta``.  The screen
     rounds ``G`` by ``g_2 |A|^T|A|``, which with the feature products and the
     ``3d/2``-term sum costs ``g_{3d/2+4} P`` since ``|x|^T |A|^T|A| |x| = P``;
     ``c`` and ``2 A^T c`` cost ``2 g_3 |x|^T|A|^T|c|`` and the ``d``-term
     product ``g_d`` more, together ``g_{d+4} (P + R)`` since
     ``2 p |c| <= p^2 + r^2``; ``||c||^2`` costs ``g_{d+4} R``; the truth's
     ``t^2`` and the three sums that fold ``S - t^2`` cost
-    ``g_2 (2P + 2R + t^2)`` and ``2u t^2``.  So the screened ``S - t^2``
-    is within
+    ``g_2 (2P + 2R + t^2)`` and ``2u t^2``.  These add up to
+    ``g_{9d/2+44} P + g_{4d+44} R``, so the screened ``S - t^2`` is within
 
-        beta = g_{5d+40} (P + R) + g_4 t^2 + eta (3 ||x||^2 + W + 5d + 4)
+        beta = g_{5d+46} (P + R) + g_4 t^2 + eta (3 ||x||^2 + W + 5d + 4)
 
     of ``D^2 - t^2``, where the last term covers gradual underflow (each
     product may lose ``eta/2``, the smallest subnormal; ``W`` sums the
@@ -280,7 +288,7 @@ def _screen_l2(counts, block, a, b, seg, fixed, true_scores):
     """
     n_queries, d = fixed.shape
     pairs, n_groups = d // 2, len(a)
-    gamma = _gamma(5 * d + 40)
+    gamma = _gamma(5 * d + 46)
     # G = A^T A and the row sums of |A|^T |A| per block, written out
     # elementwise: a rotation's G_01 is then exactly zero
     (a00, a01), (a10, a11) = np.moveaxis(a, (-2, -1), (0, 1))
@@ -362,10 +370,12 @@ def _screen_l1(counts, block, a, b, seg, fixed, true_scores):
     ``|Re alpha| + |Im alpha| + |Re beta| + |Im beta|``, and bounds both
     column sums of ``|A|``), let ``B = sum_i w_i (|x_2i| + |x_2i+1|)`` and
     ``R = sum |b| + |f|``, so the exact score ``E = ||A x + c||_1`` is at
-    most ``B + R``.  The direct path (three roundings in
-    :func:`_block_map`, one in the subtraction, then a ``d``-term float64
-    sum) is within ``g^64_{d+3} (B + R) + 2 d eta_64 <= g_1 (B + R) + eta``
-    of ``E``.  In the screen, ``alpha``, ``beta`` and ``c`` are rounded in
+    most ``B + R``.  The direct path (five roundings in the map, which
+    applies ``A`` as its factors and adds ``b`` last, as the L2 screen's
+    bound counts them, one in the subtraction, then a ``d``-term float64
+    sum) is within ``g^64_{d+5} (B + R) + eta_64 (4m + 2 ||x||_1) <= g_1 (B
+    + R) + eta`` of ``E`` (an ``x`` past float32's range overflows the
+    screen).  In the screen, ``alpha``, ``beta`` and ``c`` are rounded in
     float64 and again by the cast (``g_2`` relative) and ``x`` by the cast
     (``u``), so each product of rounded inputs is within ``g_3`` of the
     exact one; a coordinate's four products and ``c`` then pass through

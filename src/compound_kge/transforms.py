@@ -16,9 +16,10 @@ block's compound map has a homogeneous 3x3 matrix representation with
 bottom row (0, 0, 1); products and inverses of those matrices stay in
 that form, which is what makes the operator family closed under
 composition and (when the scaling is nonzero) inversion.  Applying a
-chain runs that affine map, ``y = A x + b`` per block, and its gradients
-come from the map's one vector-Jacobian product, returned as a
-``TransformParams`` of gradients in the parameters' shapes.
+chain runs that affine map, ``y = A x + b`` per block, as ``A``'s factors
+one at a time and then ``b``, and its gradients come from the map's one
+vector-Jacobian product, returned as a ``TransformParams`` of gradients in
+the parameters' shapes.
 
 All functions are pure and broadcast over leading batch dimensions.
 """
@@ -162,20 +163,6 @@ def _check_same_dim(x, other, name):
         )
 
 
-def _block_map(a, x, b=None):
-    """``a x + b`` per 2D block of ``x``, for (..., d/2, 2, 2) and (..., d/2, 2)
-    stacks, written out elementwise so that a row's result is bit-identical
-    alone or in a batch (the filtered rank's tie count relies on it)."""
-    xe, xo = x[..., 0::2], x[..., 1::2]
-    y = np.empty(np.broadcast_shapes(xe.shape, a.shape[:-2])[:-1] + (x.shape[-1],))
-    for i in (0, 1):
-        np.multiply(a[..., i, 0], xe, out=y[..., i::2])
-        y[..., i::2] += a[..., i, 1] * xo
-        if b is not None:
-            y[..., i::2] += b[..., i]
-    return y
-
-
 def apply_translation(x, t):
     """Return ``x + t`` elementwise."""
     x = np.asarray(x, dtype=np.float64)
@@ -207,8 +194,7 @@ def apply_rotation(x, angles):
         raise ValueError(
             f"expected {d // 2} angles for dimension {d}, got {angles.shape[-1]}"
         )
-    m = _operator_blocks(OperatorKind.ROTATION, TransformParams(np.zeros(d), angles, np.ones(d)))
-    return _block_map(m[..., :2, :2], x)
+    return apply_chain(x, (OperatorKind.ROTATION,), TransformParams(np.zeros(d), angles, np.ones(d)))
 
 
 def apply_chain(x, chain, params: TransformParams):
@@ -243,19 +229,17 @@ def _operator_blocks(op: OperatorKind, params: TransformParams) -> np.ndarray:
     return m
 
 
-def _pad(a, value):
-    return np.concatenate([a, np.full(a.shape[:-1] + (1,), value)], axis=-1)
+def _pad(a, value, width):  # fill the last axis up to width entries
+    return np.concatenate([a, np.full(a.shape[:-1] + (width - a.shape[-1],), value)], axis=-1)
 
 
-def _compile_chain(chain, params: TransformParams):
+def _compile_chain(chain, params: TransformParams, width):
     """Each operator's block stack paired with the chain's product up to it;
-    the last product is the chain's map.  At an odd dimension the last
-    coordinate forms a block with a padding coordinate that no operator
-    moves."""
-    if params.dim % 2:
-        params = TransformParams(
-            _pad(params.translation, 0.0), _pad(params.angles, 0.0), _pad(params.scale, 1.0)
-        )
+    the last product is the chain's map.  Blocks that no operator moves pad
+    the parameters to ``width`` coordinates (an odd ``d``'s last block)."""
+    if width > params.dim:
+        t, a, s = params.translation, params.angles, params.scale
+        params = TransformParams(_pad(t, 0.0, width), _pad(a, 0.0, width // 2), _pad(s, 1.0, width))
     factors = [_operator_blocks(op, params) for op in chain]
     return list(zip(factors, itertools.accumulate(factors, np.matmul)))
 
@@ -274,7 +258,7 @@ def chain_block_matrices(chain, params: TransformParams) -> np.ndarray:
     if not chain:
         shape = params.angles.shape[:-1] + ((params.dim + 1) // 2, 3, 3)
         return np.broadcast_to(np.eye(3), shape).copy()
-    m = _compile_chain(chain, params)[-1][1]
+    m = _compile_chain(chain, params, params.dim + params.dim % 2)[-1][1]
     m[..., 2, :] = (0.0, 0.0, 1.0)
     return m
 
@@ -367,24 +351,51 @@ def chain_affine_map(chain, params: TransformParams):
     return m[..., :2, :2], m[..., :2, 2]
 
 
-def chain_forward_tape(x, chain, params: TransformParams):
-    """Apply a chain as one affine map per block, recording it for backprop.
+def _apply_linear(v, chain, blocks, out, transpose=False):
+    """``A v`` (or ``A^T v``) for a taped chain's map ``A = A_1 ... A_K``,
+    one factor at a time into ``out``, right to left (left to right): a
+    rotation multiplies the complex view of each block by ``cos + i sin``
+    (``cos - i sin``), a scaling is an elementwise product and a translation
+    has no linear part.  Returns ``out``, or ``v`` if no factor is linear."""
+    factors = [(op, f) for op, (f, _) in zip(chain, blocks)]
+    for op, f in factors if transpose else factors[::-1]:
+        if op is OperatorKind.ROTATION:
+            w = f[..., 0, 0] + (-1j if transpose else 1j) * f[..., 1, 0]
+            np.multiply(v.view(np.complex128), w, out=out.view(np.complex128))
+        elif op is OperatorKind.SCALING:
+            np.multiply(v, f[..., [0, 1], [0, 1]].reshape(f.shape[:-3] + (2 * f.shape[-3],)), out=out)
+        else:
+            continue
+        v = out
+    return v
 
-    Returns ``(y, tape)`` with ``tape = (chain, x, blocks)``; ``blocks``
-    pairs each operator's block stack with the chain's product up to it,
-    so the last product is the chain's map.  An empty chain returns ``x``.
-    """
+
+def chain_forward_tape(x, chain, params: TransformParams):
+    """Apply a chain, recording it for backprop: its linear factors act one
+    at a time into one output buffer, and the compiled translation ``b`` of
+    :func:`chain_affine_map` is added once, last, so ``y = A x + b`` with
+    ``A`` as its factors and ``b`` bit for bit.  A row's result is
+    bit-identical alone or in a batch.  Returns ``(y, tape)`` with ``tape =
+    (chain, x, blocks)``: ``x`` padded as the kernel ran it, and ``blocks``
+    pairing each operator's block stack with the chain's product up to it.
+    An empty chain returns ``x``."""
     chain = validate_chain(chain)
     x = np.asarray(x, dtype=np.float64)
     if not chain:
         return x, (chain, x, [])
     _check_same_dim(x, params.translation, "translation")
+    # an odd d gains a padding coordinate, and one block an identity block:
+    # numpy rounds a complex product over a one-element inner loop its own way
     d = x.shape[-1]
-    if d % 2:
-        x = _pad(x, 0.0)
-    blocks = _compile_chain(chain, params)
+    width = max(4, d + d % 2)
+    x = np.ascontiguousarray(_pad(x, 0.0, width) if width > d else x)  # for the complex view
+    blocks = _compile_chain(chain, params, width)
     m = blocks[-1][1]
-    return _block_map(m[..., :2, :2], x, m[..., :2, 2])[..., :d], (chain, x, blocks)
+    y = np.empty(np.broadcast_shapes(x.shape[:-1], m.shape[:-3]) + (width,))
+    v = _apply_linear(x, chain, blocks, y)
+    if OperatorKind.TRANSLATION in chain:  # otherwise b is zero
+        np.add(v, m[..., :2, 2].reshape(m.shape[:-3] + (width,)), out=y)
+    return y[..., :d], (chain, x, blocks)
 
 
 def chain_backward(grad_out, params: TransformParams, tape):
@@ -396,10 +407,7 @@ def chain_backward(grad_out, params: TransformParams, tape):
     the parameters were broadcast along, the first as one batched matrix
     product per block).  Translation reads ``dF[:2, 2]``, scaling the
     diagonal, rotation ``<dF, dR/dtheta>``.  The input gradient
-    ``A^T g = A_K^T ... A_1^T g`` is applied one factor at a time: a
-    translation has no linear part, a rotation's transpose multiplies the
-    complex view of each block by ``cos - i sin``, and a scaling is an
-    elementwise product.
+    ``A^T g = A_K^T ... A_1^T g`` is applied one factor at a time.
 
     Parameters
     ----------
@@ -424,8 +432,8 @@ def chain_backward(grad_out, params: TransformParams, tape):
     grads = TransformParams(*map(np.zeros_like, (params.translation, params.angles, params.scale)))
     if not chain:
         return g, grads
-    d = g.shape[-1]
-    g = _pad(g, 0.0) if d % 2 else np.ascontiguousarray(g)
+    d, width = g.shape[-1], x.shape[-1]
+    g = np.ascontiguousarray(_pad(g, 0.0, width) if width > d else g)
     m = blocks[-1][1]
     # dM is summed over the axes that broadcasting the parameters added or
     # stretched; they go last and flat, so each block's dA is one (2, S) @ (S, 2)
@@ -456,15 +464,5 @@ def chain_backward(grad_out, params: TransformParams, tape):
         else:  # f holds cos and sin of the angles
             d_angle = f[..., 0, 0] * (df[..., 1, 0] - df[..., 0, 1])
             grads.angles = (d_angle - f[..., 1, 0] * (df[..., 0, 0] + df[..., 1, 1]))[..., : d // 2]
-    # A^T g = A_K^T ... A_1^T g: the first product allocates, the rest run in place
-    gx = g
-    for op, (f, _) in zip(chain, blocks):
-        in_place = gx is not g
-        if op is OperatorKind.ROTATION:  # A^T rotates by -theta: times cos - i sin
-            z = gx.view(np.complex128)
-            w = f[..., 0, 0] - 1j * f[..., 1, 0]
-            gx = np.multiply(z, w, out=z if in_place else None).view(np.float64)
-        elif op is OperatorKind.SCALING:
-            s = f[..., [0, 1], [0, 1]].reshape(pairs)
-            gx = np.multiply(gx, s, out=gx if in_place else None)
+    gx = _apply_linear(g, chain, blocks, np.empty(g.shape), transpose=True)
     return gx[..., :d], grads

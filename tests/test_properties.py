@@ -38,12 +38,14 @@ from compound_kge.transforms import (
     chain_block_matrices,
     chain_forward_tape,
     invert_blocks,
+    TransformParams,
 )
 
 from oracles import (
     R,
     S,
     T,
+    block_transform,
     central_difference_at,
     chain_vjp,
     frozen_weight_loss,
@@ -197,6 +199,58 @@ def test_screen_without_its_band_misranks_near_ties(monkeypatch):
 
 def test_l1_screen_without_its_band_misranks_near_ties(monkeypatch):
     misranked_without_the_band(monkeypatch, near_tie_graphs(st.just("l1")))
+
+
+# every chain, the empty one included
+CHAINS = [c for k in range(4) for c in itertools.permutations([T, R, S], k)]
+
+
+def self_certified(chain, params, x, anchors, norm):
+    """How many rows of ``x`` the norm's screen certifies against a query
+    whose ground truth is the row itself: its own direct score against its
+    anchor, the row of ``anchors`` with its index."""
+    true_scores = evaluation._direct_scores(x.copy(), chain, params, anchors, norm)
+    a, b = chain_affine_map(chain, params)
+    screen = evaluation._screen_l1 if norm is Norm.L1 else evaluation._screen_l2
+    counts = np.zeros((len(x), 2), dtype=np.int64)
+    seg = np.zeros(len(x), dtype=np.int64)
+    rows, queries = screen(counts, x, a[None], b[None], seg, anchors, true_scores)
+    return len(x) - np.count_nonzero(rows == queries)
+
+
+def test_no_screen_certifies_a_row_against_its_own_direct_score():
+    """A candidate screened against its own direct score is never certified
+    better or worse than itself, by either screen: the direct path applies
+    the ``(A, b)`` the screens bound, within the rounding their bands allow.
+    Random cases cover every chain, d up to 200 and magnitudes from 1e-30 to
+    1e25.  Targeted ones translate by ``t``, with ``|t|`` far above
+    ``|x|``, before a rotation by pi/4 that cancels ``t`` in one coordinate
+    of each block, and scale the other coordinate to nearly zero; adding
+    ``t`` in chain order, before the rotation, loses ``x`` to that
+    cancellation."""
+    rng = np.random.default_rng(16)
+    magnitude = lambda *shape: 10.0 ** rng.uniform(-30, 25, shape)  # noqa: E731
+    cases = []
+    for chain in CHAINS:
+        for _ in range(16):
+            d = int(rng.integers(1, 201))
+            params = random_transform(rng, d)
+            params.translation *= magnitude()
+            params.scale *= magnitude()
+            x, anchors = rng.normal(size=(2, 16, d)) * magnitude(2, 16, 1)
+            cases.append((chain, params, x, anchors))
+    for _ in range(64):
+        d = 2 * int(rng.integers(1, 101))
+        t = 10.0 ** rng.uniform(4, 14) * rng.normal(size=d // 2)
+        params = TransformParams(
+            np.stack([t, t + rng.normal(size=d // 2)], axis=-1).ravel(),
+            np.full(d // 2, np.pi / 4),
+            np.stack([rng.normal(size=d // 2), 10.0 ** rng.uniform(-30, -10, d // 2)], -1).ravel(),
+        )
+        x, anchors = rng.normal(size=(2, 16, d))
+        cases.append(((S, R, T), params, x, anchors))
+    for norm in Norm:
+        assert sum(self_certified(*case, norm) for case in cases) == 0, norm
 
 
 def cells_equal_oracle(case) -> bool:
@@ -388,6 +442,42 @@ def test_every_spec_has_block_matrices_and_diagnostics(spec, seed, shared_rotati
         exported = {row["component"] for row in export_relation_histograms(model, rid, bins=4)}
         names = {"T": "translation", "R": "rotation", "S": "scaling"}
         assert exported == {names[op.value] for op in spec.head_chain + spec.tail_chain}
+
+
+@pytest.mark.parametrize("side", ["fixed", "candidates"])
+@pytest.mark.parametrize(
+    "chain",
+    [c for k in range(4) for c in itertools.permutations([T, R, S], k)],
+    ids=lambda c: "".join(op.value for op in c) or "empty",
+)
+@settings(PROPERTY, max_examples=10)
+@given(st.integers(1, 3), st.integers(1, 4), seeds)
+def test_chain_forward_equals_block_matrix_oracle(chain, side, batch, negatives, seed):
+    """The kernel's forward against the block-matrix oracle, within rounding,
+    for both broadcast shapes training uses (see the VJP test below), at
+    d = 1, 2, 3 and 8 and on an empty batch.  Non-contiguous inputs (a
+    reversed-column view, a Fortran-order array and a column slice) give
+    the same bits as their contiguous copies."""
+    rng = np.random.default_rng(seed)
+    rows = 1 if side == "fixed" else 1 + negatives
+    for d, B in itertools.product((1, 2, 3, 8), (0, batch)):
+        x = rng.normal(size=(B, rows, d))
+        params = random_transform(rng, d, (B, 1))
+        y, tape = chain_forward_tape(x, chain, params)
+        want = [
+            block_transform(x[i, j], chain, TransformParams(*(p[i, 0] for p in params_fields(params))))
+            for i in range(B)
+            for j in range(rows)
+        ]
+        np.testing.assert_allclose(y, np.reshape(want, x.shape), rtol=1e-12, atol=1e-12)
+        wide = rng.normal(size=(B, rows, d + 3))
+        for view in (x[..., ::-1], np.asfortranarray(x), wide[..., 1 : d + 1]):
+            got = chain_forward_tape(view, chain, params)[0]
+            assert np.array_equal(got, apply_chain(view.copy(order="C"), chain, params))
+
+
+def params_fields(params):
+    return params.translation, params.angles, params.scale
 
 
 @pytest.mark.parametrize("side", ["fixed", "candidates"])

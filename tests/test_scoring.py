@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,33 +120,56 @@ BATCH_SPECS = {
 }
 
 
+def _take(params, index):
+    return TransformParams(params.translation[index], params.angles[index], params.scale[index])
+
+
 @pytest.mark.parametrize("name", list(BATCH_SPECS))
 def test_rows_alone_equal_rows_of_a_batch_bit_for_bit(name):
     """A row transformed or scored alone equals, bit for bit, the same row
     of a batched call.  The filtered rank's ``ties = equal - 1`` relies on
     it: the truth's score inside its candidate block must equal the score
-    it was ranked against."""
-    spec = BATCH_SPECS[name]
+    it was ranked against.  Checked at one block (numpy rounds a complex
+    product whose inner loop has one element differently), at an odd d and
+    at several blocks; against one relation's params, against one row of
+    params per row, and in training's shapes, (B, 1+N, d) and (B, 1, d)
+    rows against (B, 1, d) params, each row alone, in a one-row batch and
+    in the whole batch."""
+    base = BATCH_SPECS[name]
     rng = np.random.default_rng(sorted(BATCH_SPECS).index(name))
     n = 7
-    r = random_relation(rng, 8)
-    h, t = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
-    u = apply_chain(h, spec.head_chain, r.head)
-    v = apply_chain(t, spec.tail_chain, r.tail)
-    scores = score(h, r, t, spec)
-    candidates = score(h[0], r, t, spec)  # one fixed side against a block
-    # one relation per row, as training gathers the parameters
-    rows = random_transform(rng, 8, (n,))
-    per_row = apply_chain(h, spec.head_chain, rows)
-    for i in range(n):
-        row_params = TransformParams(rows.translation[i], rows.angles[i], rows.scale[i])
-        np.testing.assert_array_equal(apply_chain(h[i], spec.head_chain, r.head), u[i])
-        np.testing.assert_array_equal(apply_chain(t[i], spec.tail_chain, r.tail), v[i])
-        np.testing.assert_array_equal(
-            apply_chain(h[i], spec.head_chain, row_params), per_row[i]
-        )
-        assert score(h[i], r, t[i], spec) == scores[i]
-        assert score(h[0], r, t[i : i + 1], spec)[0] == candidates[i]
+    for d in (2, 3, 8):
+        r = random_relation(rng, d)
+        h, t = rng.normal(size=(2, n, d))
+        u = apply_chain(h, base.head_chain, r.head)
+        v = apply_chain(t, base.tail_chain, r.tail)
+        # one relation per row, as training gathers the parameters
+        rows = random_transform(rng, d, (n,))
+        per_row = apply_chain(h, base.head_chain, rows)
+        for i in range(n):
+            np.testing.assert_array_equal(apply_chain(h[i], base.head_chain, r.head), u[i])
+            np.testing.assert_array_equal(apply_chain(t[i], base.tail_chain, r.tail), v[i])
+            np.testing.assert_array_equal(
+                apply_chain(h[i], base.head_chain, _take(rows, i)), per_row[i]
+            )
+        for chain in (base.head_chain, base.tail_chain):
+            params = random_transform(rng, d, (n, 1))
+            for x in (rng.normal(size=(n, 5, d)), rng.normal(size=(n, 1, d))):
+                y = apply_chain(x, chain, params)
+                for i in range(n):
+                    one = apply_chain(x[i : i + 1], chain, _take(params, slice(i, i + 1)))
+                    np.testing.assert_array_equal(one[0], y[i])
+                    for j in range(x.shape[1]):
+                        alone = apply_chain(x[i, j], chain, _take(params, (i, 0)))
+                        np.testing.assert_array_equal(alone, y[i, j])
+        if d % 2 and OperatorKind.ROTATION in base.head_chain + base.tail_chain:
+            continue  # a spec with rotation needs an even d
+        spec = replace(base, dim=d)
+        scores = score(h, r, t, spec)
+        candidates = score(h[0], r, t, spec)  # one fixed side against a block
+        for i in range(n):
+            assert score(h[i], r, t[i], spec) == scores[i]
+            assert score(h[0], r, t[i : i + 1], spec)[0] == candidates[i]
 
 
 # ---------------------------------------------------------------------------
