@@ -68,6 +68,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 # every nonempty chain, written as an order string
 ORDERS = ["".join(p) for k in (1, 2, 3) for p in itertools.permutations("TRS", k)]
+# every chain, the empty one included
+CHAINS = [c for k in range(4) for c in itertools.permutations([T, R, S], k)]
 seeds = st.integers(0, 2**32 - 1)
 norms = st.sampled_from(["l1", "l2"])
 
@@ -201,10 +203,6 @@ def test_l1_screen_without_its_band_misranks_near_ties(monkeypatch):
     misranked_without_the_band(monkeypatch, near_tie_graphs(st.just("l1")))
 
 
-# every chain, the empty one included
-CHAINS = [c for k in range(4) for c in itertools.permutations([T, R, S], k)]
-
-
 def self_certified(chain, params, x, anchors, norm):
     """How many rows of ``x`` the norm's screen certifies against a query
     whose ground truth is the row itself: its own direct score against its
@@ -229,7 +227,10 @@ def test_no_screen_certifies_a_row_against_its_own_direct_score():
     ``t`` in chain order, before the rotation, loses ``x`` to that
     cancellation."""
     rng = np.random.default_rng(16)
-    magnitude = lambda *shape: 10.0 ** rng.uniform(-30, 25, shape)  # noqa: E731
+
+    def magnitude(*shape):
+        return 10.0 ** rng.uniform(-30, 25, shape)
+
     cases = []
     for chain in CHAINS:
         for _ in range(16):
@@ -445,11 +446,7 @@ def test_every_spec_has_block_matrices_and_diagnostics(spec, seed, shared_rotati
 
 
 @pytest.mark.parametrize("side", ["fixed", "candidates"])
-@pytest.mark.parametrize(
-    "chain",
-    [c for k in range(4) for c in itertools.permutations([T, R, S], k)],
-    ids=lambda c: "".join(op.value for op in c) or "empty",
-)
+@pytest.mark.parametrize("chain", CHAINS, ids=lambda c: "".join(op.value for op in c) or "empty")
 @settings(PROPERTY, max_examples=10)
 @given(st.integers(1, 3), st.integers(1, 4), seeds)
 def test_chain_forward_equals_block_matrix_oracle(chain, side, batch, negatives, seed):
@@ -464,20 +461,16 @@ def test_chain_forward_equals_block_matrix_oracle(chain, side, batch, negatives,
         x = rng.normal(size=(B, rows, d))
         params = random_transform(rng, d, (B, 1))
         y, tape = chain_forward_tape(x, chain, params)
-        want = [
-            block_transform(x[i, j], chain, TransformParams(*(p[i, 0] for p in params_fields(params))))
+        row_params = [
+            TransformParams(params.translation[i, 0], params.angles[i, 0], params.scale[i, 0])
             for i in range(B)
-            for j in range(rows)
         ]
+        want = [block_transform(x[i, j], chain, row_params[i]) for i in range(B) for j in range(rows)]
         np.testing.assert_allclose(y, np.reshape(want, x.shape), rtol=1e-12, atol=1e-12)
         wide = rng.normal(size=(B, rows, d + 3))
         for view in (x[..., ::-1], np.asfortranarray(x), wide[..., 1 : d + 1]):
             got = chain_forward_tape(view, chain, params)[0]
             assert np.array_equal(got, apply_chain(view.copy(order="C"), chain, params))
-
-
-def params_fields(params):
-    return params.translation, params.angles, params.scale
 
 
 @pytest.mark.parametrize("side", ["fixed", "candidates"])
