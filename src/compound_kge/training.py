@@ -27,9 +27,12 @@ a run that never validates never builds it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import os
 import time
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,29 +198,113 @@ def _sigmoid(x):
 
 # rows per scatter in _accumulate_rows, so its flat index array stays small
 _SCATTER_ROWS = 1024
+# bytes of a row part's (rows, 1+N, d) float64 candidate array
+_PART_BYTES = 4 << 20
+_pool = None  # (pid, executor) of the worker thread, made on first use
 
 
 def _accumulate_rows(ids, pieces):
     """Sum gradient rows sharing an id; returns (unique_ids, summed).
 
-    ``pieces`` are the 2-D gradient arrays whose rows ``ids`` (their
-    concatenated row ids) name, in order.  Each piece is scattered into one
-    accumulator through flat indices, a chunk of rows at a time, visiting
-    the rows in the order of ``ids``, so the sums are those of one 2-D
-    ``np.add.at`` over the concatenated rows, bit for bit.
+    ``pieces`` yields the 2-D gradient arrays whose rows ``ids`` (their
+    concatenated row ids) name, in order.  It may be a generator: it is
+    consumed after the ids are sorted, one piece at a time, so a piece can
+    be made after the one before it was summed.  Each piece is scattered
+    into one accumulator through flat indices, a chunk of rows at a time,
+    visiting the rows in the order of ``ids``, so the sums are those of one
+    2-D ``np.add.at`` over the concatenated rows, bit for bit.
     """
     rows, inverse = np.unique(ids, return_inverse=True)
-    d = pieces[0].shape[1]
-    acc = np.zeros((len(rows), d))
-    flat, columns = acc.reshape(len(rows) * d), np.arange(d)
+    acc = None
     start = 0
     for piece in pieces:
+        if acc is None:
+            d = piece.shape[1]
+            acc = np.zeros((len(rows), d))
+            flat, columns = acc.reshape(len(rows) * d), np.arange(d)
         for lo in range(0, len(piece), _SCATTER_ROWS):
             part = piece[lo : lo + _SCATTER_ROWS]
             at = inverse[start + lo : start + lo + len(part), None] * d + columns
             np.add.at(flat, at.ravel(), part.ravel())
         start += len(piece)
+        piece = part = None  # summed: not held while the next piece is made
     return rows, acc
+
+
+def _worker():
+    """The one worker thread for row parts, made on first use; None when
+    the process may run on one CPU only."""
+    global _pool
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    if _pool is None or _pool[0] != os.getpid():  # a forked child has no worker thread
+        _pool = os.getpid(), futures.ThreadPoolExecutor(1, "compound-kge-part")
+    return _pool[1]
+
+
+def _run_parts(run, parts):
+    """Yield ``run(*parts[0]), run(*parts[1]), ...`` in order.
+
+    With a worker thread the calling thread runs the even parts and the
+    worker the odd ones, each started as the calling thread starts the part
+    before it, so at most two parts are in flight.  If a part raises, the
+    other part in flight is waited for before the error propagates.
+    """
+    pool = _worker() if len(parts) > 1 else None
+    if pool is None:
+        for args in parts:
+            yield run(*args)
+        return
+    ahead = pool.submit(run, *parts[1])
+    try:
+        for p in range(0, len(parts), 2):
+            yield run(*parts[p])
+            if p + 1 < len(parts):
+                out = ahead.result()
+                ahead = pool.submit(run, *parts[p + 3]) if p + 3 < len(parts) else None
+                yield out
+                del out
+    finally:
+        if ahead is not None:
+            futures.wait([ahead])
+
+
+def _part_loss_and_grads(model, config, B, side, r, ids, w):
+    """Forward, losses and backward of one row part of a corruption group.
+
+    ``side`` is the corrupted side, ``r`` the part's relation ids, ``ids``
+    each side's entity ids ((rows, 1+N) on the corrupted side, (rows, 1) on
+    the other) and ``w`` its rows' weights (None: self-adversarial).
+    Returns the rows' losses and, per side, the (rows, 1+N or 1, d) entity
+    gradient and the ``TransformParams`` gradients.
+    """
+    spec = model.spec
+    params, out, tapes = {}, {}, {}
+    for s in ("head", "tail"):
+        params[s] = getattr(model, s)[r[:, None]]
+        chain = getattr(spec, f"{s}_chain")
+        out[s], tapes[s] = chain_forward_tape(model.entities[ids[s]], chain, params[s])
+    # the gap (head - tail) is formed in place in the corrupted side's output
+    f, g = _norm_and_grad(np.subtract(out["head"], out["tail"], out=out[side]), spec.norm)
+    del out
+    f_pos, f_neg = f[:, 0], f[:, 1:]
+    if w is None:
+        w = self_adversarial_weights(f_neg, config.adversarial_temperature)
+    per_row = loss(f_pos, f_neg, w, config.margin)
+
+    # d loss / d score, divided by the whole batch's size
+    c = np.empty_like(f)
+    c[:, 0] = _sigmoid(f_pos - config.margin) / B
+    c[:, 1:] = -w * _sigmoid(config.margin - f_neg) / B
+    # the tail is subtracted in the gap, so its candidates' sign is folded into c
+    g *= (c if side == "head" else -c)[:, :, None]
+    upstreams = {s: g if s == side else -np.sum(g, axis=1, keepdims=True) for s in tapes}
+    del g
+    return per_row, {s: chain_backward(upstreams.pop(s), params[s], tapes.pop(s)) for s in ("head", "tail")}
 
 
 def batch_loss_and_grads(
@@ -238,9 +325,21 @@ def batch_loss_and_grads(
     A group's corrupted side transforms (B_g, 1+N) candidates, the
     positive first, and its other side (B_g, 1) entities; the corrupted
     side's upstream gradient is the candidates' own and the other side's
-    their negated sum.  Each group runs its forward, loss and backward
-    before the next group's forward, so one group's tapes are held at a
-    time.  A group with no rows runs on empty arrays.
+    their negated sum.  The head-corrupted group runs before the
+    tail-corrupted one, each in consecutive row parts whose candidate
+    arrays hold at most ``_PART_BYTES``.  A part's forward, losses and
+    backward read only its own rows, and with a second CPU two parts run
+    at a time (see ``_run_parts``).  A group with no rows runs as one part
+    on empty arrays.
+
+    Every entity id is known before the forward, so the entity row sums
+    are set up first and each part's candidate rows are summed as the part
+    finishes, in part order; the other side's rows follow at the group's
+    end.  In the tail-corrupted group the other side, the head, comes first
+    in the order below, so its candidate rows of ids that the heads also
+    name wait for the heads.  Each entity's and each relation's gradient
+    rows are so added in one order however the rows are cut: group by
+    group, a group's head side, then its tail side.
 
     Returns ``(mean_loss, per_positive_loss, grads)`` with ``grads``
     mapping table names (see :meth:`KGEModel.table`) to
@@ -249,55 +348,55 @@ def batch_loss_and_grads(
     spec = model.spec
     B = len(positives)
     per_pos = np.empty(B)
-    tables = {}  # table name -> (row id arrays, gradient arrays)
-
-    def collect(name, rows, grad):
-        row_list, grad_list = tables.setdefault(name, ([], []))
-        row_list.append(rows)
-        grad_list.append(grad)
-
+    groups, entity_ids = [], []
     for side, in_group in (("head", corrupt_head), ("tail", ~corrupt_head)):
         rows = np.flatnonzero(in_group)
-        r = positives[rows, 1]
         ids = {"head": positives[rows, :1], "tail": positives[rows, 2:]}
         ids[side] = np.hstack([ids[side], neg_ids[rows]])
-        params, out, tapes = {}, {}, {}
-        for s in ("head", "tail"):
-            params[s] = getattr(model, s)[r[:, None]]
-            chain = getattr(spec, f"{s}_chain")
-            out[s], tapes[s] = chain_forward_tape(model.entities[ids[s]], chain, params[s])
-        # the gap (head - tail) is formed in place in the corrupted side's output
-        f, g = _norm_and_grad(np.subtract(out["head"], out["tail"], out=out[side]), spec.norm)
-        del out
-        f_pos, f_neg = f[:, 0], f[:, 1:]
-        if weights is None:
-            w = self_adversarial_weights(f_neg, config.adversarial_temperature)
-        else:
-            w = weights[rows]
-        per_pos[rows] = loss(f_pos, f_neg, w, config.margin)
+        other = "tail" if side == "head" else "head"
+        if side == "head":
+            late = np.zeros(ids[side].shape, dtype=bool)
+        else:  # candidate rows summed after the heads
+            late = np.isin(ids[side], ids[other])
+        entity_ids += [ids[side][~late], ids[other].ravel(), ids[side][late]]
+        groups.append((side, other, rows, ids, late))
+    tables = {}  # relation table name -> (row id arrays, gradient arrays)
 
-        # d loss / d score, divided by the whole batch's size
-        c = np.empty_like(f)
-        c[:, 0] = _sigmoid(f_pos - config.margin) / B
-        c[:, 1:] = -w * _sigmoid(config.margin - f_neg) / B
-        # the tail is subtracted in the gap, so its candidates' sign is folded into c
-        g *= (c if side == "head" else -c)[:, :, None]
-        upstreams = {s: g if s == side else -np.sum(g, axis=1, keepdims=True) for s in tapes}
-        del g
-        for s in ("head", "tail"):
-            gx, g_par = chain_backward(upstreams.pop(s), params[s], tapes.pop(s))
-            collect("entities", ids[s].ravel(), gx.reshape(-1, spec.dim))
-            for op, field, table in _PARAM_GROUPS:
-                if op in getattr(spec, f"{s}_chain"):
-                    # under shared rotation the head's angle table owns both sides
-                    owner = "head" if model.shared_rotation and op is OperatorKind.ROTATION else s
-                    grad = getattr(g_par, field)
-                    collect(f"{owner}.{table}", r, grad.reshape(len(r), grad.shape[-1]))
+    def entity_pieces():
+        for side, other, rows, ids, late in groups:
+            size = max(1, _PART_BYTES // (ids[side].shape[1] * spec.dim * 8))
+            cuts = [slice(lo, lo + size) for lo in range(0, max(len(rows), 1), size)]
+            parts = [
+                (side, positives[rows[cut], 1], {s: ids[s][cut] for s in ids},
+                 None if weights is None else weights[rows[cut]])
+                for cut in cuts
+            ]
+            run = functools.partial(_part_loss_and_grads, model, config, B)
+            held, par = [], {"head": [], "tail": []}
+            for cut, (per_row, grads) in zip(cuts, _run_parts(run, parts)):
+                per_pos[rows[cut]] = per_row
+                gx, keep = grads[side][0], ~late[cut]
+                yield gx.reshape(-1, spec.dim) if keep.all() else gx[keep]
+                held.append((grads[other][0].reshape(-1, spec.dim), gx[late[cut]]))
+                for s in par:
+                    par[s].append(grads[s][1])
+                del per_row, grads, gx, keep  # not held while the next part runs
+            yield from (other_rows for other_rows, _ in held)
+            yield from (late_rows for _, late_rows in held)
+            for s in ("head", "tail"):
+                for op, field, table in _PARAM_GROUPS:
+                    if op in getattr(spec, f"{s}_chain"):
+                        # under shared rotation the head's angle table owns both sides
+                        owner = "head" if model.shared_rotation and op is OperatorKind.ROTATION else s
+                        row_list, grad_list = tables.setdefault(f"{owner}.{table}", ([], []))
+                        for (_, r, _, _), g_par in zip(parts, par[s]):
+                            grad = getattr(g_par, field)
+                            row_list.append(r)
+                            grad_list.append(grad.reshape(len(r), grad.shape[-1]))
 
-    grads = {
-        name: _accumulate_rows(np.concatenate(row_list), grad_list)
-        for name, (row_list, grad_list) in tables.items()
-    }
+    grads = {"entities": _accumulate_rows(np.concatenate(entity_ids), entity_pieces())}
+    for name, (row_list, grad_list) in tables.items():
+        grads[name] = _accumulate_rows(np.concatenate(row_list), grad_list)
     return float(np.mean(per_pos)), per_pos, grads
 
 

@@ -14,10 +14,13 @@ from compound_kge.dataset import TripleStore
 from compound_kge.evaluation import Direction
 from compound_kge.model import init_model
 from compound_kge.scoring import Norm, RelationParams, compound_spec, score
+from compound_kge import training
 from compound_kge.training import batch_loss_and_grads, self_adversarial_weights
 from compound_kge.transforms import OperatorKind, TransformParams
 
 T, R, S = OperatorKind.TRANSLATION, OperatorKind.ROTATION, OperatorKind.SCALING
+# each operator's TransformParams field and model table
+OPERATOR_TABLES = ((T, "translation", "translations"), (R, "angles", "angles"), (S, "scale", "scales"))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +267,40 @@ def frozen_weight_loss(model, positives, neg_ids, corrupt_head, config):
         return float(np.mean(per_pos))
 
     return weights, loss
+
+
+def summed_in_side_order(model, positives, neg_ids, corrupt_head, config, weights=None):
+    """``batch_loss_and_grads`` with every table's gradient rows summed in
+    one stated order: each corruption group whole, the head-corrupted one
+    first, and within a group its head side, then its tail side.  The
+    groups' forwards and backwards are the library's own, each group taken
+    as one row part; the row sums are one 2-D ``np.add.at`` over each
+    table's rows concatenated in that order."""
+    B = len(positives)
+    per_pos = np.empty(B)
+    pieces = {}  # table name -> [(row ids, gradient rows)] in summing order
+    for side, in_group in (("head", corrupt_head), ("tail", ~corrupt_head)):
+        rows = np.flatnonzero(in_group)
+        r = positives[rows, 1]
+        ids = {"head": positives[rows, :1], "tail": positives[rows, 2:]}
+        ids[side] = np.hstack([ids[side], neg_ids[rows]])
+        w = None if weights is None else weights[rows]
+        per_pos[rows], grads = training._part_loss_and_grads(model, config, B, side, r, ids, w)
+        for s in ("head", "tail"):
+            gx, g_par = grads[s]
+            pieces.setdefault("entities", []).append((ids[s].ravel(), gx.reshape(-1, model.dim)))
+            for op, field, table in OPERATOR_TABLES:
+                if op in getattr(model.spec, f"{s}_chain"):
+                    owner = "head" if model.shared_rotation and op is R else s
+                    grad = getattr(g_par, field)
+                    pieces.setdefault(f"{owner}.{table}", []).append((r, grad.reshape(len(r), grad.shape[-1])))
+    summed = {}
+    for name, parts in pieces.items():
+        rows, inverse = np.unique(np.concatenate([i for i, _ in parts]), return_inverse=True)
+        acc = np.zeros((len(rows), parts[0][1].shape[1]))
+        np.add.at(acc, inverse, np.concatenate([g for _, g in parts]))
+        summed[name] = rows, acc
+    return float(np.mean(per_pos)), per_pos, summed
 
 
 # ---------------------------------------------------------------------------

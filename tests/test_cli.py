@@ -630,6 +630,45 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(data_dir, tmp_path):
     assert artifacts[0] == artifacts[1]
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs a second CPU",
+)
+def test_artifacts_do_not_depend_on_the_cpu_count(data_dir, tmp_path):
+    """Training runs a corruption group's row parts on a worker thread when
+    the process may use a second CPU, and inline on one, so a run pinned to
+    one CPU and one on all of them must write the same checkpoint, log
+    (apart from its elapsed_seconds column) and evaluation report.  At d =
+    200 and 64 negatives a part holds 40 rows, so each 128-row group makes
+    four parts."""
+    package_root = str(Path(compound_kge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([package_root, env.get("PYTHONPATH", "")])
+    cpu = min(os.sched_getaffinity(0))
+    artifacts = []
+    for name, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+        save, report = tmp_path / name, tmp_path / f"{name}.json"
+        train = ["train", "--data", str(data_dir), "--dim", "200", "--steps", "20"]
+        train += ["--batch-size", "256", "--neg-size", "64", "--valid-interval", "10"]
+        train += ["--seed", "5", "--deterministic", "--save", str(save)]
+        eval_ = ["eval", "--checkpoint", str(save / "last.ckpt"), "--data", str(data_dir)]
+        for args in (train, eval_ + ["--out", str(report)]):
+            subprocess.run(
+                [sys.executable, "-m", "compound_kge.cli", *args],
+                env=env, check=True, capture_output=True, timeout=300, preexec_fn=pin,
+            )
+        log = (save / "training_log.csv").read_text().splitlines()
+        artifacts.append(
+            (
+                (save / "last.ckpt").read_bytes(),
+                [line.rsplit(",", 1)[0] for line in log],
+                report.read_text(),
+            )
+        )
+    assert len(artifacts[0][1]) == 21
+    assert artifacts[0] == artifacts[1]
+
+
 def test_package_version_matches_pyproject():
     text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
     (version,) = re.findall(r'^version = "([^"]+)"$', text, re.M)

@@ -26,10 +26,10 @@ from compound_kge.diagnostics import (
     relation_diagnostics,
     relation_matrices,
 )
-from compound_kge import evaluation
 from compound_kge.evaluation import Direction, MetricCell, evaluate, filtered_rank
 from compound_kge.model import init_model, model_from_preset
-from compound_kge.scoring import PRESETS, Norm, compound_spec, score
+from compound_kge import evaluation, training
+from compound_kge.scoring import PRESETS, Norm, compound_spec, preset_pairre, preset_rotate, score
 from compound_kge.training import TrainConfig, batch_loss_and_grads
 from compound_kge.transforms import (
     apply_chain,
@@ -59,6 +59,7 @@ from oracles import (
     random_store,
     rel_err,
     rotate_score,
+    summed_in_side_order,
     transe_score,
     two_sided_score,
 )
@@ -537,6 +538,64 @@ def test_batch_gradients_match_central_differences(case):
             ]
         )
         assert rel_err(analytic, numeric) < 1e-6, name
+
+
+# the models whose row parts are checked: (spec, shared rotation)
+ROW_PART_MODELS = {
+    "srt-l1-shared-rotation": (compound_spec("full", "SRT", "SRT", dim=6, norm="l1"), True),
+    "rotate-l2": (preset_rotate(6, Norm.L2).spec, False),
+    "pairre": (preset_pairre(5).spec, False),
+    "head-trs": (compound_spec("head", "TRS", "", dim=6), False),
+}
+
+
+@st.composite
+def row_part_cases(draw):
+    """A rough model of ``ROW_PART_MODELS``, a batch of 1 to 9 rows over a
+    few entities and relations (so ids recur across parts and sides), a
+    mask leaving one group empty or mixing both, the caller's weights or
+    none, and a part size of 1, 2 or 3 rows."""
+    spec, shared_rotation = ROW_PART_MODELS[draw(st.sampled_from(list(ROW_PART_MODELS)))]
+    n_entities, n_relations = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    B, N = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    mask = draw(st.sampled_from(["head", "tail", "mixed"]))
+    rng = np.random.default_rng(draw(seeds))
+    model = rough_model(rng, spec, n_entities, n_relations, shared_rotation)
+    positives = np.stack(
+        [rng.integers(0, n, B) for n in (n_entities, n_relations, n_entities)], axis=1
+    )
+    neg_ids = rng.integers(0, n_entities, (B, N))
+    corrupt_head = {"head": np.ones(B, bool), "tail": np.zeros(B, bool), "mixed": rng.random(B) < 0.5}[mask]
+    weights = rng.dirichlet(np.ones(N), size=B) if draw(st.booleans()) else None
+    config = TrainConfig(batch_size=B, negative_size=N)
+    return model, (positives, neg_ids, corrupt_head, config), weights, draw(st.integers(1, 3))
+
+
+def assert_same_bits(got, want):
+    (got_mean, got_rows, got_grads), (want_mean, want_rows, want_grads) = got, want
+    assert np.float64(got_mean).tobytes() == np.float64(want_mean).tobytes()
+    assert got_rows.tobytes() == want_rows.tobytes()
+    assert got_grads.keys() == want_grads.keys()
+    for name, (rows, grads) in want_grads.items():
+        assert np.array_equal(got_grads[name][0], rows), name
+        assert got_grads[name][1].tobytes() == grads.tobytes(), name
+
+
+@PROPERTY
+@given(row_part_cases())
+def test_row_parts_change_no_bit(case):
+    """Cut into row parts of 1 to 3 rows (run two at a time when a second
+    CPU is there), a batch's mean loss, per-row losses and every table's
+    rows and gradients are bit for bit those of the call in one part per
+    group, and of ``summed_in_side_order``, which sums every table's rows
+    group by group, head side then tail side, in one ``np.add.at``."""
+    model, batch, weights, part_rows = case
+    positives, neg_ids, corrupt_head, config = batch
+    want = summed_in_side_order(model, *batch, weights=weights)
+    assert_same_bits(batch_loss_and_grads(model, *batch, weights=weights), want)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_PART_BYTES", part_rows * (1 + config.negative_size) * model.dim * 8)
+        assert_same_bits(batch_loss_and_grads(model, *batch, weights=weights), want)
 
 
 @st.composite

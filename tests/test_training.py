@@ -1,3 +1,5 @@
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -321,6 +323,7 @@ def test_row_sums_equal_one_2d_add_at_over_the_concatenation(monkeypatch):
     calls = []
 
     def checked(ids, pieces):
+        pieces = list(pieces)  # a generator: the entities' run the batch's row parts
         rows, summed = accumulate(ids, pieces)
         calls.append((ids, pieces))
         assert len(ids) == sum(len(piece) for piece in pieces)
@@ -385,6 +388,75 @@ def test_two_group_batch_holds_one_group_at_a_time(name):
     two = traced_peak((positives, neg_ids, corrupt_head))
     unit = (B // 2) * (1 + N) * d * 8
     assert two - one < 1.5 * unit, ((two - one) / unit, one / unit)
+
+
+def test_row_sums_beside_a_large_entity_table_add_only_their_accumulator(monkeypatch):
+    """Each row part's candidate rows are summed as the part finishes, so in
+    one-row parts a call over 14,541 entities peaks above the same call over
+    100 by at most the (unique rows, d) accumulator, and holds less than one
+    (B/2, 1+N, d) float64 array beside it: the row sums no longer wait for
+    every group's candidate gradients."""
+    d, B, N = 64, 64, 63
+    monkeypatch.setattr(training, "_PART_BYTES", (1 + N) * d * 8)
+    config = TrainConfig(batch_size=B, negative_size=N)
+    peaks = {}
+    for n in (100, 14541, 100, 14541):  # the first two calls start the worker thread
+        model = MIXED_BATCH_MODELS["rotate-l2"](d, n, np.random.default_rng(3))
+        positives, neg_ids, corrupt_head = mixed_batch(n, B, N, seed=3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    accumulator = len(np.union1d(positives[:, [0, 2]], neg_ids)) * d * 8
+    unit = (B // 2) * (1 + N) * d * 8
+    assert peaks[14541] - peaks[100] <= accumulator, (peaks[14541] - peaks[100]) / accumulator
+    assert peaks[14541] - accumulator < unit, (peaks[14541] - accumulator) / unit
+
+
+def test_a_failing_row_part_raises_once_both_parts_are_done(monkeypatch):
+    """A part that raises, on the worker thread or on the calling one while
+    the worker's part is still running, fails the call with its own error
+    once no part is in flight, and the next call equals a fresh one."""
+    if training._worker() is None:
+        pytest.skip("one CPU: every part runs on the calling thread")
+    model = MIXED_BATCH_MODELS["srt-l1"](8, 7, np.random.default_rng(5))
+    positives, neg_ids, corrupt_head = mixed_batch(7, 12, 4, seed=5)
+    config = TrainConfig(batch_size=12, negative_size=4)
+    want = batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
+    monkeypatch.setattr(training, "_PART_BYTES", 2 * 5 * 8 * 8)  # 2-row parts
+    backward, pool = training.chain_backward, training._worker()
+    submitted = []
+
+    class Recording:
+        def submit(self, *args):
+            submitted.append(pool.submit(*args))
+            return submitted[-1]
+
+    monkeypatch.setattr(training, "_worker", Recording)
+    for failing in ("worker", "caller"):
+
+        def chain_backward(*args):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker == (failing == "worker"):
+                raise FloatingPointError(failing)
+            time.sleep(0.05)  # the other part is still running when it raises
+            return backward(*args)
+
+        submitted.clear()
+        monkeypatch.setattr(training, "chain_backward", chain_backward)
+        with pytest.raises(FloatingPointError, match=failing):
+            batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
+        assert submitted and all(future.done() for future in submitted)
+        monkeypatch.setattr(training, "chain_backward", backward)
+        got = batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        for name, (rows, grads) in want[2].items():
+            assert np.array_equal(got[2][name][0], rows)
+            assert got[2][name][1].tobytes() == grads.tobytes(), name
 
 
 @pytest.mark.parametrize("name", list(MIXED_BATCH_MODELS))
