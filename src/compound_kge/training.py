@@ -9,12 +9,15 @@ step entity rows are projected back to unit norm.
 
 A positive is candidate 0 of its corrupted side, ahead of its N
 negatives.  The rows run in two corruption groups (head-corrupted,
-tail-corrupted), one after the other: a group scores its own (B_g, 1+N)
-array by one chain pass per side through the affine-map kernel and
-distance that ``scoring.score`` and evaluation use, with the relation
-parameters broadcast over the candidates, then takes its rows' weights,
-losses and backward before the next group's forward, since a row's
-weights and loss read only its own scores.  Gradients are collected per
+tail-corrupted), one after the other, each in row parts of a few MiB: a
+part scores its own (rows, 1+N) array by one chain pass per side through
+the affine-map kernel and distance that ``scoring.score`` and evaluation
+use, with the relation parameters broadcast over the candidates, then
+takes its rows' weights, losses and backward, since a row's weights and
+loss read only its own scores.  With a second CPU two parts run at a
+time, one on a worker thread; the entity row sums take each part's rows
+as it finishes, in an order that does not depend on the parts, so every
+result is the same on one CPU or more.  Gradients are collected per
 table name (``entities``, ``head.angles``, ...; see
 ``model.table_names``) for the tables of the operators each side's chain
 holds; under shared rotation both chains' angle gradients go to
@@ -304,7 +307,8 @@ def _part_loss_and_grads(model, config, B, side, r, ids, w):
     g *= (c if side == "head" else -c)[:, :, None]
     upstreams = {s: g if s == side else -np.sum(g, axis=1, keepdims=True) for s in tapes}
     del g
-    return per_row, {s: chain_backward(upstreams.pop(s), params[s], tapes.pop(s)) for s in ("head", "tail")}
+    grads = {s: chain_backward(upstreams.pop(s), params[s], tapes.pop(s)) for s in ("head", "tail")}
+    return per_row, grads
 
 
 def batch_loss_and_grads(
@@ -333,13 +337,13 @@ def batch_loss_and_grads(
     on empty arrays.
 
     Every entity id is known before the forward, so the entity row sums
-    are set up first and each part's candidate rows are summed as the part
-    finishes, in part order; the other side's rows follow at the group's
-    end.  In the tail-corrupted group the other side, the head, comes first
-    in the order below, so its candidate rows of ids that the heads also
-    name wait for the heads.  Each entity's and each relation's gradient
-    rows are so added in one order however the rows are cut: group by
-    group, a group's head side, then its tail side.
+    are set up first, and each part's candidate rows are summed as soon as
+    the part finishes, in part order; the other side's rows follow at the
+    group's end.  Each id's rows are added in one order however the rows
+    are cut: group by group, a group's head side, then its tail side.  In
+    the tail-corrupted group the heads come first, so the candidate rows
+    whose ids the heads also name wait for them.  Each relation table's
+    rows keep the same order.
 
     Returns ``(mean_loss, per_positive_loss, grads)`` with ``grads``
     mapping table names (see :meth:`KGEModel.table`) to
@@ -354,45 +358,47 @@ def batch_loss_and_grads(
         ids = {"head": positives[rows, :1], "tail": positives[rows, 2:]}
         ids[side] = np.hstack([ids[side], neg_ids[rows]])
         other = "tail" if side == "head" else "head"
-        if side == "head":
-            late = np.zeros(ids[side].shape, dtype=bool)
-        else:  # candidate rows summed after the heads
+        if other == "head":  # candidate rows whose ids the heads name wait for the heads
             late = np.isin(ids[side], ids[other])
+        else:
+            late = np.zeros(ids[side].shape, dtype=bool)
         entity_ids += [ids[side][~late], ids[other].ravel(), ids[side][late]]
         groups.append((side, other, rows, ids, late))
     tables = {}  # relation table name -> (row id arrays, gradient arrays)
 
     def entity_pieces():
         for side, other, rows, ids, late in groups:
+            r = positives[rows, 1]
             size = max(1, _PART_BYTES // (ids[side].shape[1] * spec.dim * 8))
             cuts = [slice(lo, lo + size) for lo in range(0, max(len(rows), 1), size)]
             parts = [
-                (side, positives[rows[cut], 1], {s: ids[s][cut] for s in ids},
+                (side, r[cut], {s: ids[s][cut] for s in ids},
                  None if weights is None else weights[rows[cut]])
                 for cut in cuts
             ]
             run = functools.partial(_part_loss_and_grads, model, config, B)
-            held, par = [], {"head": [], "tail": []}
+            other_rows, late_rows, par = [], [], {"head": [], "tail": []}
             for cut, (per_row, grads) in zip(cuts, _run_parts(run, parts)):
                 per_pos[rows[cut]] = per_row
                 gx, keep = grads[side][0], ~late[cut]
                 yield gx.reshape(-1, spec.dim) if keep.all() else gx[keep]
-                held.append((grads[other][0].reshape(-1, spec.dim), gx[late[cut]]))
+                other_rows.append(grads[other][0].reshape(-1, spec.dim))
+                late_rows.append(gx[late[cut]])
                 for s in par:
                     par[s].append(grads[s][1])
                 del per_row, grads, gx, keep  # not held while the next part runs
-            yield from (other_rows for other_rows, _ in held)
-            yield from (late_rows for _, late_rows in held)
+            yield from other_rows
+            yield from late_rows
             for s in ("head", "tail"):
                 for op, field, table in _PARAM_GROUPS:
                     if op in getattr(spec, f"{s}_chain"):
                         # under shared rotation the head's angle table owns both sides
                         owner = "head" if model.shared_rotation and op is OperatorKind.ROTATION else s
                         row_list, grad_list = tables.setdefault(f"{owner}.{table}", ([], []))
-                        for (_, r, _, _), g_par in zip(parts, par[s]):
+                        for cut, g_par in zip(cuts, par[s]):
                             grad = getattr(g_par, field)
-                            row_list.append(r)
-                            grad_list.append(grad.reshape(len(r), grad.shape[-1]))
+                            row_list.append(r[cut])
+                            grad_list.append(grad.reshape(len(grad), grad.shape[-1]))
 
     grads = {"entities": _accumulate_rows(np.concatenate(entity_ids), entity_pieces())}
     for name, (row_list, grad_list) in tables.items():

@@ -20,7 +20,9 @@ from compound_kge.transforms import OperatorKind, TransformParams
 
 T, R, S = OperatorKind.TRANSLATION, OperatorKind.ROTATION, OperatorKind.SCALING
 # each operator's TransformParams field and model table
-OPERATOR_TABLES = ((T, "translation", "translations"), (R, "angles", "angles"), (S, "scale", "scales"))
+OPERATOR_TABLES = (
+    (T, "translation", "translations"), (R, "angles", "angles"), (S, "scale", "scales")
+)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +295,8 @@ def summed_in_side_order(model, positives, neg_ids, corrupt_head, config, weight
                 if op in getattr(model.spec, f"{s}_chain"):
                     owner = "head" if model.shared_rotation and op is R else s
                     grad = getattr(g_par, field)
-                    pieces.setdefault(f"{owner}.{table}", []).append((r, grad.reshape(len(r), grad.shape[-1])))
+                    grad = grad.reshape(len(r), grad.shape[-1])
+                    pieces.setdefault(f"{owner}.{table}", []).append((r, grad))
     summed = {}
     for name, parts in pieces.items():
         rows, inverse = np.unique(np.concatenate([i for i, _ in parts]), return_inverse=True)
@@ -301,6 +304,17 @@ def summed_in_side_order(model, positives, neg_ids, corrupt_head, config, weight
         np.add.at(acc, inverse, np.concatenate([g for _, g in parts]))
         summed[name] = rows, acc
     return float(np.mean(per_pos)), per_pos, summed
+
+
+def assert_same_batch(got, want):
+    """Two ``batch_loss_and_grads`` results agree bit for bit."""
+    (got_mean, got_rows, got_grads), (want_mean, want_rows, want_grads) = got, want
+    assert np.float64(got_mean).tobytes() == np.float64(want_mean).tobytes()
+    assert got_rows.tobytes() == want_rows.tobytes()
+    assert got_grads.keys() == want_grads.keys()
+    for name, (rows, grads) in want_grads.items():
+        assert np.array_equal(got_grads[name][0], rows), name
+        assert got_grads[name][1].tobytes() == grads.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 import tracemalloc
@@ -24,7 +25,7 @@ from compound_kge.training import (
     train_step,
 )
 
-from oracles import central_difference_at, frozen_weight_loss
+from oracles import assert_same_batch, central_difference_at, frozen_weight_loss
 
 
 def tiny_store():
@@ -451,12 +452,26 @@ def test_a_failing_row_part_raises_once_both_parts_are_done(monkeypatch):
             batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
         assert submitted and all(future.done() for future in submitted)
         monkeypatch.setattr(training, "chain_backward", backward)
+        assert_same_batch(batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config), want)
+
+
+def test_one_row_parts_under_a_short_switch_interval_change_no_bit(monkeypatch):
+    """64 one-row parts per group, the two threads switching every 10 µs,
+    give the same bits as the same call with every part on the calling
+    thread: the worker reads the model and returns its results, and only
+    the calling thread writes."""
+    model = MIXED_BATCH_MODELS["srt-l1"](8, 40, np.random.default_rng(6))
+    positives, neg_ids, corrupt_head = mixed_batch(40, 128, 4, seed=6)
+    config = TrainConfig(batch_size=128, negative_size=4)
+    monkeypatch.setattr(training, "_PART_BYTES", 5 * 8 * 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
         got = batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
-        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-        for name, (rows, grads) in want[2].items():
-            assert np.array_equal(got[2][name][0], rows)
-            assert got[2][name][1].tobytes() == grads.tobytes(), name
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(training, "_worker", lambda: None)
+    assert_same_batch(got, batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config))
 
 
 @pytest.mark.parametrize("name", list(MIXED_BATCH_MODELS))
