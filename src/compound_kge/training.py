@@ -34,6 +34,7 @@ import functools
 import logging
 import math
 import os
+import threading
 import time
 from concurrent import futures
 from dataclasses import dataclass, field
@@ -204,6 +205,7 @@ _SCATTER_ROWS = 1024
 # bytes of a row part's (rows, 1+N, d) float64 candidate array
 _PART_BYTES = 4 << 20
 _pool = None  # (pid, executor) of the worker thread, made on first use
+_pool_lock = threading.Lock()
 
 
 def _accumulate_rows(ids, pieces):
@@ -244,31 +246,32 @@ def _worker():
         cpus = os.cpu_count() or 1
     if cpus < 2:
         return None
-    if _pool is None or _pool[0] != os.getpid():  # a forked child has no worker thread
-        _pool = os.getpid(), futures.ThreadPoolExecutor(1, "compound-kge-part")
-    return _pool[1]
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():  # a forked child has no worker thread
+            _pool = os.getpid(), futures.ThreadPoolExecutor(1, "compound-kge-part")
+        return _pool[1]
 
 
-def _run_parts(run, parts):
-    """Yield ``run(*parts[0]), run(*parts[1]), ...`` in order.
+def _run_parts(tasks):
+    """Yield ``tasks[0](), tasks[1](), ...`` in order.
 
-    With a worker thread the calling thread runs the even parts and the
-    worker the odd ones, each started as the calling thread starts the part
-    before it, so at most two parts are in flight.  If a part raises, the
-    other part in flight is waited for before the error propagates.
+    With a worker thread the calling thread runs the even tasks and the
+    worker the odd ones, each started as the calling thread starts the
+    task before it, so at most two are in flight.  If a task raises, the
+    other one in flight is waited for before the error propagates.
     """
-    pool = _worker() if len(parts) > 1 else None
+    pool = _worker() if len(tasks) > 1 else None
     if pool is None:
-        for args in parts:
-            yield run(*args)
+        for task in tasks:
+            yield task()
         return
-    ahead = pool.submit(run, *parts[1])
+    ahead = pool.submit(tasks[1])
     try:
-        for p in range(0, len(parts), 2):
-            yield run(*parts[p])
-            if p + 1 < len(parts):
+        for p in range(0, len(tasks), 2):
+            yield tasks[p]()
+            if p + 1 < len(tasks):
                 out = ahead.result()
-                ahead = pool.submit(run, *parts[p + 3]) if p + 3 < len(parts) else None
+                ahead = pool.submit(tasks[p + 3]) if p + 3 < len(tasks) else None
                 yield out
                 del out
     finally:
@@ -371,14 +374,15 @@ def batch_loss_and_grads(
             r = positives[rows, 1]
             size = max(1, _PART_BYTES // (ids[side].shape[1] * spec.dim * 8))
             cuts = [slice(lo, lo + size) for lo in range(0, max(len(rows), 1), size)]
-            parts = [
-                (side, r[cut], {s: ids[s][cut] for s in ids},
-                 None if weights is None else weights[rows[cut]])
+            tasks = [
+                functools.partial(
+                    _part_loss_and_grads, model, config, B, side, r[cut],
+                    {s: ids[s][cut] for s in ids}, None if weights is None else weights[rows[cut]],
+                )
                 for cut in cuts
             ]
-            run = functools.partial(_part_loss_and_grads, model, config, B)
             other_rows, late_rows, par = [], [], {"head": [], "tail": []}
-            for cut, (per_row, grads) in zip(cuts, _run_parts(run, parts)):
+            for cut, (per_row, grads) in zip(cuts, _run_parts(tasks)):
                 per_pos[rows[cut]] = per_row
                 gx, keep = grads[side][0], ~late[cut]
                 yield gx.reshape(-1, spec.dim) if keep.all() else gx[keep]

@@ -452,7 +452,8 @@ def test_a_failing_row_part_raises_once_both_parts_are_done(monkeypatch):
             batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
         assert submitted and all(future.done() for future in submitted)
         monkeypatch.setattr(training, "chain_backward", backward)
-        assert_same_batch(batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config), want)
+        got = batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
+        assert_same_batch(got, want)
 
 
 def test_one_row_parts_under_a_short_switch_interval_change_no_bit(monkeypatch):
