@@ -279,6 +279,12 @@ def _run_parts(tasks):
             futures.wait([ahead])
 
 
+def _rows_under(x, mask):
+    """The (n, d) rows of ``x`` that ``mask`` (``x``'s leading shape) takes;
+    a view when it takes all of them."""
+    return x.reshape(-1, x.shape[-1]) if mask.all() else x[mask]
+
+
 def _part_loss_and_grads(model, config, B, side, r, ids, w):
     """Forward, losses and backward of one row part of a corruption group.
 
@@ -360,20 +366,23 @@ def batch_loss_and_grads(
         rows = np.flatnonzero(in_group)
         ids = {"head": positives[rows, :1], "tail": positives[rows, 2:]}
         ids[side] = np.hstack([ids[side], neg_ids[rows]])
+        size = max(1, _PART_BYTES // (ids[side].shape[1] * spec.dim * 8))
+        cuts = [slice(lo, lo + size) for lo in range(0, max(len(rows), 1), size)]
+        # the candidate rows summed after the other side's
         other = "tail" if side == "head" else "head"
-        if other == "head":  # candidate rows whose ids the heads name wait for the heads
-            late = np.isin(ids[side], ids[other])
-        else:
+        if other == "tail":
             late = np.zeros(ids[side].shape, dtype=bool)
+        elif len(cuts) == 1:  # the heads are ready as soon as the candidates
+            late = np.ones(ids[side].shape, dtype=bool)
+        else:  # only those whose ids the heads also name wait for the heads
+            late = np.isin(ids[side], ids[other])
         entity_ids += [ids[side][~late], ids[other].ravel(), ids[side][late]]
-        groups.append((side, other, rows, ids, late))
+        groups.append((side, other, rows, ids, cuts, late))
     tables = {}  # relation table name -> (row id arrays, gradient arrays)
 
     def entity_pieces():
-        for side, other, rows, ids, late in groups:
+        for side, other, rows, ids, cuts, late in groups:
             r = positives[rows, 1]
-            size = max(1, _PART_BYTES // (ids[side].shape[1] * spec.dim * 8))
-            cuts = [slice(lo, lo + size) for lo in range(0, max(len(rows), 1), size)]
             tasks = [
                 functools.partial(
                     _part_loss_and_grads, model, config, B, side, r[cut],
@@ -384,13 +393,13 @@ def batch_loss_and_grads(
             other_rows, late_rows, par = [], [], {"head": [], "tail": []}
             for cut, (per_row, grads) in zip(cuts, _run_parts(tasks)):
                 per_pos[rows[cut]] = per_row
-                gx, keep = grads[side][0], ~late[cut]
-                yield gx.reshape(-1, spec.dim) if keep.all() else gx[keep]
+                gx = grads[side][0]
+                yield _rows_under(gx, ~late[cut])
                 other_rows.append(grads[other][0].reshape(-1, spec.dim))
-                late_rows.append(gx[late[cut]])
+                late_rows.append(_rows_under(gx, late[cut]))
                 for s in par:
                     par[s].append(grads[s][1])
-                del per_row, grads, gx, keep  # not held while the next part runs
+                del per_row, grads, gx  # not held while the next part runs
             yield from other_rows
             yield from late_rows
             for s in ("head", "tail"):
