@@ -256,9 +256,10 @@ def _run_parts(tasks):
     """Yield ``tasks[0](), tasks[1](), ...`` in order.
 
     With a worker thread the calling thread runs the even tasks and the
-    worker the odd ones, each started as the calling thread starts the
-    task before it, so at most two are in flight.  If a task raises, the
-    other one in flight is waited for before the error propagates.
+    worker the odd ones, each odd task submitted just before the calling
+    thread runs the even task ahead of it, so at most two are in flight.
+    If a task raises, the other one in flight is waited for before the
+    error propagates.
     """
     pool = _worker() if len(tasks) > 1 else None
     if pool is None:
@@ -273,7 +274,7 @@ def _run_parts(tasks):
                 out = ahead.result()
                 ahead = pool.submit(tasks[p + 3]) if p + 3 < len(tasks) else None
                 yield out
-                del out
+                del out  # not held while the next task runs
     finally:
         if ahead is not None:
             futures.wait([ahead])
