@@ -5,7 +5,10 @@ side; corruption alternates head/tail across the batch so both
 prediction directions train.  Negative triples are weighted by a
 temperature-scaled softmax of their own scores, and those weights are
 treated as constants during backpropagation.  After every optimizer
-step entity rows are projected back to unit norm.
+step entity rows are projected back to unit norm.  The optimizer step
+and the projection run over consecutive row slices of about a MiB, so
+their temporaries stay in cache; with a second CPU the worker thread
+takes every other optimizer slice.
 
 A positive is candidate 0 of its corrupted side, ahead of its N
 negatives.  The rows run in two corruption groups (head-corrupted,
@@ -171,9 +174,26 @@ class Adam:
         self.t += 1
 
     def update(self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray):
+        """Update ``param``'s distinct ``rows`` from their gradient rows.
+
+        The rows run in consecutive slices of at most ``_ADAM_BYTES`` of
+        gradient, small enough to stay in cache, two at a time with a
+        second CPU (see ``_run_parts``).  The rows are distinct, so slices
+        write disjoint rows, and each row's arithmetic is elementwise: the
+        bits do not depend on the slices or the threads.
+        """
         if name not in self._moments:
             self._moments[name] = (np.zeros_like(param), np.zeros_like(param))
         m, v = self._moments[name]
+        correction = 1 - self.beta1**self.t, 1 - self.beta2**self.t
+        tasks = [
+            functools.partial(self._update_rows, param, m, v, rows[cut], grads[cut], *correction)
+            for cut in _slices(len(rows), grads.shape[1] * 8, _ADAM_BYTES)
+        ]
+        for _ in _run_parts(tasks):
+            pass
+
+    def _update_rows(self, param, m, v, rows, grads, correction1, correction2):
         # Each moment's rows are gathered once and updated in place (rows are
         # distinct, so they are what the scatter stores); the operations and
         # their order are those of the textbook expressions.
@@ -183,8 +203,8 @@ class Adam:
         v_rows *= self.beta2
         v_rows += (1 - self.beta2) * grads * grads
         m[rows], v[rows] = m_rows, v_rows
-        m_rows /= 1 - self.beta1**self.t  # m_hat
-        v_rows /= 1 - self.beta2**self.t  # v_hat
+        m_rows /= correction1  # m_hat
+        v_rows /= correction2  # v_hat
         np.sqrt(v_rows, out=v_rows)
         v_rows += self.eps
         m_rows *= self.learning_rate
@@ -204,8 +224,17 @@ def _sigmoid(x):
 _SCATTER_ROWS = 1024
 # bytes of a row part's (rows, 1+N, d) float64 candidate array
 _PART_BYTES = 4 << 20
+# bytes of an optimizer slice's (rows, d) float64 gradient rows
+_ADAM_BYTES = 1 << 20
 _pool = None  # (pid, executor) of the worker thread, made on first use
 _pool_lock = threading.Lock()
+
+
+def _slices(n, row_bytes, limit):
+    """Consecutive slices of ``n`` rows of ``row_bytes`` each, at most
+    ``limit`` bytes a slice (at least one row); one slice when ``n`` is 0."""
+    size = max(1, limit // row_bytes)
+    return [slice(lo, lo + size) for lo in range(0, max(n, 1), size)]
 
 
 def _accumulate_rows(ids, pieces):
@@ -367,8 +396,7 @@ def batch_loss_and_grads(
         rows = np.flatnonzero(in_group)
         ids = {"head": positives[rows, :1], "tail": positives[rows, 2:]}
         ids[side] = np.hstack([ids[side], neg_ids[rows]])
-        size = max(1, _PART_BYTES // (ids[side].shape[1] * spec.dim * 8))
-        cuts = [slice(lo, lo + size) for lo in range(0, max(len(rows), 1), size)]
+        cuts = _slices(len(rows), ids[side].shape[1] * spec.dim * 8, _PART_BYTES)
         # the candidate rows summed after the other side's
         other = "tail" if side == "head" else "head"
         if other == "tail":
@@ -432,7 +460,8 @@ def train_step(
     Negatives are drawn uniformly per positive; rows alternate between
     head and tail corruption.  After the parameter update the touched
     entity rows are re-projected to unit norm (untouched rows are
-    already unit, so the whole table stays normalized).
+    already unit, so the whole table stays normalized), slice by slice
+    on the calling thread.
     """
     positives = np.asarray(positives, dtype=np.int64)
     if positives.ndim != 2 or positives.shape[1] != 3:
@@ -452,10 +481,12 @@ def train_step(
     for name, (rows, g) in grads.items():
         optimizer.update(name, model.table(name), rows, g)
 
+    # the optimizer's slices, in order: a degenerate row draws the same doubles
     touched = grads["entities"][0]
-    rows = model.entities[touched]
-    normalize_entities(rows, rng)
-    model.entities[touched] = rows
+    for cut in _slices(len(touched), model.dim * 8, _ADAM_BYTES):
+        rows = model.entities[touched[cut]]
+        normalize_entities(rows, rng)
+        model.entities[touched[cut]] = rows
     model.step += 1
     return mean_loss
 

@@ -306,6 +306,29 @@ def summed_in_side_order(model, positives, neg_ids, corrupt_head, config, weight
     return float(np.mean(per_pos)), per_pos, summed
 
 
+class WholeTableAdam(training.Adam):
+    """``Adam`` with the textbook update over the whole gathered (rows, d)
+    arrays at once: no slices, no worker thread."""
+
+    def update(self, name, param, rows, grads):
+        if name not in self._moments:
+            self._moments[name] = (np.zeros_like(param), np.zeros_like(param))
+        m, v = self._moments[name]
+        m_rows, v_rows = m[rows], v[rows]
+        m_rows *= self.beta1
+        m_rows += (1 - self.beta1) * grads
+        v_rows *= self.beta2
+        v_rows += (1 - self.beta2) * grads * grads
+        m[rows], v[rows] = m_rows, v_rows
+        m_rows /= 1 - self.beta1**self.t  # m_hat
+        v_rows /= 1 - self.beta2**self.t  # v_hat
+        np.sqrt(v_rows, out=v_rows)
+        v_rows += self.eps
+        m_rows *= self.learning_rate
+        m_rows /= v_rows
+        param[rows] -= m_rows
+
+
 def assert_same_batch(got, want):
     """Two ``batch_loss_and_grads`` results agree bit for bit."""
     (got_mean, got_rows, got_grads), (want_mean, want_rows, want_grads) = got, want

@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -25,7 +26,32 @@ from compound_kge.training import (
     train_step,
 )
 
-from oracles import assert_same_batch, central_difference_at, frozen_weight_loss
+from oracles import (
+    WholeTableAdam,
+    assert_same_batch,
+    central_difference_at,
+    frozen_weight_loss,
+)
+
+
+def record_submissions(monkeypatch):
+    """Patch ``training._worker`` with a pool that hands each task to the
+    worker thread (on one CPU: runs it at once) and records its future;
+    returns the list of futures."""
+    pool, submitted = training._worker(), []
+
+    class Recording:
+        def submit(self, task):
+            if pool is None:
+                future = futures.Future()
+                future.set_result(task())
+            else:
+                future = pool.submit(task)
+            submitted.append(future)
+            return future
+
+    monkeypatch.setattr(training, "_worker", Recording)
+    return submitted
 
 
 def tiny_store():
@@ -239,13 +265,72 @@ def test_adam_matches_hand_computation():
     np.testing.assert_allclose(param, expected, rtol=1e-9)
 
 
-def test_adam_untouched_rows_stay_put():
-    opt = Adam(learning_rate=0.5)
-    param = np.ones((4, 2))
+def test_adam_untouched_rows_stay_put(monkeypatch):
+    """Only the named rows move: one row, or five unsorted ones, in one
+    optimizer slice or in slices of one, two or three rows."""
+    for slice_rows in (None, 1, 2, 3):
+        if slice_rows is not None:
+            monkeypatch.setattr(training, "_ADAM_BYTES", slice_rows * 2 * 8)
+        for rows in ([1], [5, 1, 6, 2, 0]):
+            opt = Adam(learning_rate=0.5)
+            param = np.ones((8, 2))
+            opt.begin_step()
+            opt.update("p", param, np.array(rows), np.ones((len(rows), 2)))
+            untouched = np.setdiff1d(np.arange(8), rows)
+            np.testing.assert_array_equal(param[untouched], np.ones((len(untouched), 2)))
+            assert np.all(param[rows] < 1.0)
+
+
+@pytest.mark.parametrize("thread", ["worker", "inline"])
+@pytest.mark.parametrize("order", ["sorted", "unsorted"])
+def test_sliced_adam_equals_the_whole_table_textbook_update(monkeypatch, order, thread):
+    """Three steps over 23 distinct rows of 40 in 5-row slices (five slices,
+    the last one of three rows) leave the table and both moments with the
+    bits of the textbook update over the whole gathered arrays, with the odd
+    slices on the worker thread or every slice on the calling one."""
+    d = 6
+    monkeypatch.setattr(training, "_ADAM_BYTES", 5 * d * 8)
+    if thread == "inline":
+        monkeypatch.setattr(training, "_worker", lambda: None)
+    else:
+        submitted = record_submissions(monkeypatch)
+    rng = np.random.default_rng(8)
+    got = rng.normal(size=(40, d))
+    want = got.copy()
+    sliced, whole = Adam(learning_rate=0.1), WholeTableAdam(learning_rate=0.1)
+    for _ in range(3):
+        rows = rng.choice(40, 23, replace=False)
+        if order == "sorted":
+            rows = np.sort(rows)
+        grads = rng.normal(size=(23, d))
+        for opt, param in ((sliced, got), (whole, want)):
+            opt.begin_step()
+            opt.update("p", param, rows, grads)
+        assert got.tobytes() == want.tobytes()
+        for got_moment, want_moment in zip(sliced._moments["p"], whole._moments["p"]):
+            assert got_moment.tobytes() == want_moment.tobytes()
+    if thread == "worker":
+        assert len(submitted) == 3 * 2  # slices 1 and 3 of each step
+
+
+def test_adam_at_the_tier_one_shape_hands_the_worker_nothing(monkeypatch):
+    """At the acceptance tests' training shape (d=32, B=64, N=32) every
+    table fits one optimizer slice, even with all B(N+2) entity ids of a
+    step distinct, so no table pays for a hand-off to the worker; a batch
+    there is one row part per group, so a whole step submits nothing."""
+    submitted = record_submissions(monkeypatch)
+    d, B, N = 32, 64, 32
+    opt = Adam(learning_rate=0.01)
     opt.begin_step()
-    opt.update("p", param, np.array([1]), np.array([[1.0, 1.0]]))
-    np.testing.assert_array_equal(param[[0, 2, 3]], np.ones((3, 2)))
-    assert np.all(param[1] < 1.0)
+    rows = np.arange(B * (N + 2))
+    opt.update("p", np.zeros((len(rows), d)), rows, np.ones((len(rows), d)))
+    model = MIXED_BATCH_MODELS["srt-l1"](d, 3000, np.random.default_rng(2))
+    positives, _, _ = mixed_batch(3000, 3 * B, N, seed=2)
+    config = TrainConfig(batch_size=B, negative_size=N)
+    rng, opt = np.random.default_rng(2), Adam(config.learning_rate)
+    for step in range(3):
+        train_step(model, positives[step * B : (step + 1) * B], config, rng, opt)
+    assert submitted == []
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +513,7 @@ def test_a_failing_row_part_raises_once_both_parts_are_done(monkeypatch):
     config = TrainConfig(batch_size=12, negative_size=4)
     want = batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
     monkeypatch.setattr(training, "_PART_BYTES", 2 * 5 * 8 * 8)  # 2-row parts
-    backward, pool = training.chain_backward, training._worker()
-    submitted = []
-
-    class Recording:
-        def submit(self, *args):
-            submitted.append(pool.submit(*args))
-            return submitted[-1]
-
-    monkeypatch.setattr(training, "_worker", Recording)
+    backward, submitted = training.chain_backward, record_submissions(monkeypatch)
     for failing in ("worker", "caller"):
 
         def chain_backward(*args):
@@ -459,8 +536,9 @@ def test_a_failing_row_part_raises_once_both_parts_are_done(monkeypatch):
 def test_one_row_parts_under_a_short_switch_interval_change_no_bit(monkeypatch):
     """64 one-row parts per group, the two threads switching every 10 µs,
     give the same bits as the same call with every part on the calling
-    thread: the worker reads the model and returns its results, and only
-    the calling thread writes."""
+    thread: the worker reads the model and returns its parts' results.  It
+    writes only in the optimizer step, which starts once every part is
+    done, and then only its own slices' distinct rows."""
     model = MIXED_BATCH_MODELS["srt-l1"](8, 40, np.random.default_rng(6))
     positives, neg_ids, corrupt_head = mixed_batch(40, 128, 4, seed=6)
     config = TrainConfig(batch_size=128, negative_size=4)
@@ -564,6 +642,68 @@ def test_train_step_deterministic_trace():
     assert trace_a == trace_b  # bitwise identical floats
     np.testing.assert_array_equal(model_a.entities, model_b.entities)
     np.testing.assert_array_equal(model_a.head.translations, model_b.head.translations)
+
+
+def test_degenerate_rows_in_two_slices_draw_as_one_whole_renormalization(monkeypatch):
+    """An update that leaves degenerate entity rows in the first and the
+    last of several slices: train_step re-randomizes them, slice by slice,
+    to the bits of one normalize_entities call over every touched row from
+    the same rng state, and leaves the rng where that call does."""
+    d = 8
+    monkeypatch.setattr(training, "_ADAM_BYTES", 3 * d * 8)
+    model = MIXED_BATCH_MODELS["srt-l1"](d, 20, np.random.default_rng(12))
+    positives, _, _ = mixed_batch(20, 16, 4, seed=12)
+    config = TrainConfig(batch_size=16, negative_size=4)
+    rng, updated = np.random.default_rng(13), {}
+
+    class Zeroing(Adam):
+        def update(self, name, param, rows, grads):
+            super().update(name, param, rows, grads)
+            if name == "entities":
+                param[rows[[0, -1]]] = 0.0
+                updated.update(table=param.copy(), rows=rows, rng=rng.bit_generator.state)
+
+    train_step(model, positives, config, rng, Zeroing(config.learning_rate))
+    rows, want = updated["rows"], updated["table"]
+    assert len(training._slices(len(rows), d * 8, training._ADAM_BYTES)) > 2
+    whole_rng = np.random.default_rng()
+    whole_rng.bit_generator.state = updated["rng"]
+    touched = want[rows]
+    assert normalize_entities(touched, whole_rng) == 2
+    want[rows] = touched
+    assert model.entities.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+def test_train_steps_in_small_slices_under_a_short_switch_interval_change_no_bit(monkeypatch):
+    """Three train_steps in 2-row parts and 8-row optimizer slices, the two
+    threads switching every 10 µs, leave every table, both moments of each
+    and the rng with the bits of the same steps run on the calling thread
+    alone."""
+    d, n, B = 8, 60, 64
+    monkeypatch.setattr(training, "_PART_BYTES", 2 * 5 * d * 8)
+    monkeypatch.setattr(training, "_ADAM_BYTES", 8 * d * 8)
+    config = TrainConfig(learning_rate=0.05, batch_size=B, negative_size=4)
+
+    def run():
+        model = MIXED_BATCH_MODELS["srt-l1"](d, n, np.random.default_rng(9))
+        positives, _, _ = mixed_batch(n, 3 * B, 4, seed=9)
+        rng, opt = np.random.default_rng(10), Adam(config.learning_rate)
+        losses = np.array(
+            [train_step(model, positives[s * B : (s + 1) * B], config, rng, opt) for s in range(3)]
+        ).tobytes()
+        moments = {name: (m.tobytes(), v.tobytes()) for name, (m, v) in opt._moments.items()}
+        tables = {name: table.tobytes() for name, table in model.tables().items()}
+        return losses, tables, moments, rng.bit_generator.state
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = run()
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(training, "_worker", lambda: None)
+    assert got == run()
 
 
 # ---------------------------------------------------------------------------
