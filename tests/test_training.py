@@ -654,20 +654,20 @@ def test_degenerate_rows_in_two_slices_draw_as_one_whole_renormalization(monkeyp
     model = MIXED_BATCH_MODELS["srt-l1"](d, 20, np.random.default_rng(12))
     positives, _, _ = mixed_batch(20, 16, 4, seed=12)
     config = TrainConfig(batch_size=16, negative_size=4)
-    rng, updated = np.random.default_rng(13), {}
+    rng, seen = np.random.default_rng(13), {}
 
     class Zeroing(Adam):
         def update(self, name, param, rows, grads):
             super().update(name, param, rows, grads)
             if name == "entities":
                 param[rows[[0, -1]]] = 0.0
-                updated.update(table=param.copy(), rows=rows, rng=rng.bit_generator.state)
+                seen.update(table=param.copy(), rows=rows, rng=rng.bit_generator.state)
 
     train_step(model, positives, config, rng, Zeroing(config.learning_rate))
-    rows, want = updated["rows"], updated["table"]
+    rows, want = seen["rows"], seen["table"]
     assert len(training._slices(len(rows), d * 8, training._ADAM_BYTES)) > 2
     whole_rng = np.random.default_rng()
-    whole_rng.bit_generator.state = updated["rng"]
+    whole_rng.bit_generator.state = seen["rng"]
     touched = want[rows]
     assert normalize_entities(touched, whole_rng) == 2
     want[rows] = touched
