@@ -309,12 +309,6 @@ def _run_parts(tasks):
             futures.wait([ahead])
 
 
-def _rows_under(x, mask):
-    """The (n, d) rows of ``x`` that ``mask`` (``x``'s leading shape) takes;
-    a view when it takes all of them."""
-    return x.reshape(-1, x.shape[-1]) if mask.all() else x[mask]
-
-
 def _part_loss_and_grads(model, config, B, side, r, ids, w):
     """Forward, losses and backward of one row part of a corruption group.
 
@@ -378,11 +372,9 @@ def batch_loss_and_grads(
     Every entity id is known before the forward, so the entity row sums
     are set up first, and each part's candidate rows are summed as soon as
     the part finishes, in part order; the other side's rows follow at the
-    group's end.  Each id's rows are added in one order however the rows
-    are cut: group by group, a group's head side, then its tail side.  In
-    the tail-corrupted group the heads come first, so the candidate rows
-    whose ids the heads also name wait for them.  Each relation table's
-    rows keep the same order.
+    group's end.  So every table's rows are added in one order however the
+    rows are cut: group by group, a group's corrupted side over its parts,
+    then its other side.
 
     Returns ``(mean_loss, per_positive_loss, grads)`` with ``grads``
     mapping table names (see :meth:`KGEModel.table`) to
@@ -397,20 +389,13 @@ def batch_loss_and_grads(
         ids = {"head": positives[rows, :1], "tail": positives[rows, 2:]}
         ids[side] = np.hstack([ids[side], neg_ids[rows]])
         cuts = _slices(len(rows), ids[side].shape[1] * spec.dim * 8, _PART_BYTES)
-        # the candidate rows summed after the other side's
         other = "tail" if side == "head" else "head"
-        if other == "tail":
-            late = np.zeros(ids[side].shape, dtype=bool)
-        elif len(cuts) == 1:  # the heads are ready as soon as the candidates
-            late = np.ones(ids[side].shape, dtype=bool)
-        else:  # only those whose ids the heads also name wait for the heads
-            late = np.isin(ids[side], ids[other])
-        entity_ids += [ids[side][~late], ids[other].ravel(), ids[side][late]]
-        groups.append((side, other, rows, ids, cuts, late))
+        entity_ids += [ids[side].ravel(), ids[other].ravel()]
+        groups.append((side, other, rows, ids, cuts))
     tables = {}  # relation table name -> (row id arrays, gradient arrays)
 
     def entity_pieces():
-        for side, other, rows, ids, cuts, late in groups:
+        for side, other, rows, ids, cuts in groups:
             r = positives[rows, 1]
             tasks = [
                 functools.partial(
@@ -419,19 +404,16 @@ def batch_loss_and_grads(
                 )
                 for cut in cuts
             ]
-            other_rows, late_rows, par = [], [], {"head": [], "tail": []}
+            other_rows, par = [], {side: [], other: []}
             for cut, (per_row, grads) in zip(cuts, _run_parts(tasks)):
                 per_pos[rows[cut]] = per_row
-                gx = grads[side][0]
-                yield _rows_under(gx, ~late[cut])
+                yield grads[side][0].reshape(-1, spec.dim)
                 other_rows.append(grads[other][0].reshape(-1, spec.dim))
-                late_rows.append(_rows_under(gx, late[cut]))
                 for s in par:
                     par[s].append(grads[s][1])
-                del per_row, grads, gx  # not held while the next part runs
+                del per_row, grads  # not held while the next part runs
             yield from other_rows
-            yield from late_rows
-            for s in ("head", "tail"):
+            for s in (side, other):
                 for op, field, table in _PARAM_GROUPS:
                     if op in getattr(spec, f"{s}_chain"):
                         # under shared rotation the head's angle table owns both sides

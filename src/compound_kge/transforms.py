@@ -10,16 +10,15 @@ moves.  Three elementary operators act on the blocks:
 * scaling by a vector ``s`` (elementwise product).
 
 A chain of distinct operators, written in matrix-product order, composes
-into a single affine map per block.  ``chain = (T, R, S)`` denotes the
-product T.R.S, so scaling is applied first and translation last.  Each
-block's compound map has a homogeneous 3x3 matrix representation with
-bottom row (0, 0, 1); products and inverses of those matrices stay in
-that form, which is what makes the operator family closed under
-composition and (when the scaling is nonzero) inversion.  Applying a
-chain runs that affine map, ``y = A x + b`` per block, as ``A``'s factors
-one at a time and then ``b``, and its gradients come from the map's one
-vector-Jacobian product, returned as a ``TransformParams`` of gradients in
-the parameters' shapes.
+into a single affine map ``y = A x + b`` per block.  ``chain = (T, R, S)``
+denotes the product T.R.S, so scaling is applied first and translation
+last.  A chain compiles once to its factors' parameters (a rotation's
+``cos + i sin`` per block, a scaling's coordinates) and to ``b``, its one
+translation moved by the linear factors written before it.  The forward
+applies ``A``'s factors one at a time and then adds ``b``; the backward is
+the map's one vector-Jacobian product.  Only diagnostics and the public
+3x3 API build the homogeneous form ``[[A, b], [0, 1]]``, which products
+and (for nonzero scaling) inverses keep in that form.
 
 All functions are pure and broadcast over leading batch dimensions.
 """
@@ -27,7 +26,6 @@ All functions are pure and broadcast over leading batch dimensions.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -207,59 +205,40 @@ def apply_chain(x, chain, params: TransformParams):
 
 
 # ---------------------------------------------------------------------------
-# Homogeneous 3x3 block matrices
+# Block matrices (diagnostics, the evaluation screens, the public 3x3 API)
 # ---------------------------------------------------------------------------
 
-def _operator_blocks(op: OperatorKind, params: TransformParams) -> np.ndarray:
-    """Stack of one elementary operator's 3x3 matrices, one per block."""
-    angles = params.angles
-    m = np.zeros(angles.shape + (3, 3))
-    m[..., 2, 2] = 1.0
-    if op is OperatorKind.TRANSLATION:
-        m[..., 0, 0] = m[..., 1, 1] = 1.0
-        m[..., 0, 2] = params.translation[..., 0::2]
-        m[..., 1, 2] = params.translation[..., 1::2]
-    elif op is OperatorKind.ROTATION:
-        c, s = np.cos(angles), np.sin(angles)
-        m[..., 0, 0], m[..., 0, 1] = c, -s
-        m[..., 1, 0], m[..., 1, 1] = s, c
-    else:
-        m[..., 0, 0] = params.scale[..., 0::2]
-        m[..., 1, 1] = params.scale[..., 1::2]
-    return m
+def chain_affine_map(chain, params: TransformParams):
+    """The per-block map ``y = A x + b`` that :func:`apply_chain` runs.
 
-
-def _pad(a, value, width):  # fill the last axis up to width entries
-    return np.concatenate([a, np.full(a.shape[:-1] + (width - a.shape[-1],), value)], axis=-1)
-
-
-def _compile_chain(chain, params: TransformParams, width):
-    """Each operator's block stack paired with the chain's product up to it;
-    the last product is the chain's map.  Blocks that no operator moves pad
-    the parameters to ``width`` coordinates (an odd ``d``'s last block)."""
-    if width > params.dim:
-        t, a, s = params.translation, params.angles, params.scale
-        params = TransformParams(_pad(t, 0.0, width), _pad(a, 0.0, width // 2), _pad(s, 1.0, width))
-    factors = [_operator_blocks(op, params) for op in chain]
-    return list(zip(factors, itertools.accumulate(factors, np.matmul)))
+    Returns ``(A, b)`` of shapes (..., ceil(d/2), 2, 2) and
+    (..., ceil(d/2), 2).  ``b`` is the forward's own, bit for bit, and the
+    columns of ``A`` are the unit vectors as the forward's factors map them.
+    """
+    chain = validate_chain(chain)
+    lead, width, blocks = params.angles.shape[:-1], _width(params.dim), (params.dim + 1) // 2
+    factors, b = _compile_chain(chain, params, width)
+    columns = np.zeros((2,) + lead + (width,))
+    columns[0, ..., 0::2] = columns[1, ..., 1::2] = 1.0
+    columns = _apply_linear(columns, chain, factors, columns).reshape((2,) + lead + (width // 2, 2))
+    a = columns.transpose(*range(1, columns.ndim), 0)[..., :blocks, :, :]
+    b = np.zeros(lead + (width,)) if b is None else b
+    return a, b.reshape(b.shape[:-1] + (width // 2, 2))[..., :blocks, :].copy()
 
 
 def chain_block_matrices(chain, params: TransformParams) -> np.ndarray:
-    """Stack of per-block homogeneous 3x3 matrices of a chain.
-
-    Returns an array of shape (..., ceil(d/2), 3, 3); block ``i``
-    transforms coordinates ``(2i, 2i+1)``.  It is the map that
-    :func:`apply_chain` runs, with its bottom row exactly (0, 0, 1); an odd
-    dimension's last block pairs the last coordinate with a padding
-    coordinate that no operator moves.  An empty chain gives identity
-    blocks.
-    """
+    """:func:`chain_affine_map`'s ``(A, b)`` as homogeneous 3x3 matrices
+    ``[[A, b], [0, 1]]`` of shape (..., ceil(d/2), 3, 3): block ``i``
+    transforms coordinates ``(2i, 2i+1)``, an odd dimension's last block
+    pairs the last coordinate with a padding coordinate that no operator
+    moves, and an empty chain gives identity blocks."""
     chain = validate_chain(chain)
     if not chain:
         shape = params.angles.shape[:-1] + ((params.dim + 1) // 2, 3, 3)
         return np.broadcast_to(np.eye(3), shape).copy()
-    m = _compile_chain(chain, params, params.dim + params.dim % 2)[-1][1]
-    m[..., 2, :] = (0.0, 0.0, 1.0)
+    a, b = chain_affine_map(chain, params)
+    m = np.zeros(a.shape[:-2] + (3, 3))
+    m[..., :2, :2], m[..., :2, 2], m[..., 2, 2] = a, b, 1.0
     return m
 
 
@@ -309,7 +288,7 @@ def invert_blocks(m, det_tolerance: float = DET_TOLERANCE):
     out = np.zeros(m.shape)
     out[..., 0, 0], out[..., 0, 1] = d / det, -b / det
     out[..., 1, 0], out[..., 1, 1] = -c / det, a / det
-    out[..., :2, 2] = (-out[..., :2, :2] @ m[..., :2, 2:])[..., 0]
+    out[..., :2, 2] = -(out[..., :2, 0] * m[..., :1, 2] + out[..., :2, 1] * m[..., 1:2, 2])
     out[..., 2, 2] = 1.0
     out[singular] = np.nan
     return out, singular
@@ -338,32 +317,46 @@ def invert_compound_2d(m, det_tolerance: float = DET_TOLERANCE) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Chain forward with tape / vector-Jacobian backward (scoring, training, eval)
+# The chain compile, its forward with tape and its vector-Jacobian backward
 # ---------------------------------------------------------------------------
 
-def chain_affine_map(chain, params: TransformParams):
-    """The per-block map ``y = A x + b`` that :func:`apply_chain` runs.
-
-    Returns ``(A, b)`` of shapes (..., ceil(d/2), 2, 2) and
-    (..., ceil(d/2), 2): the top rows of :func:`chain_block_matrices`.
-    """
-    m = chain_block_matrices(chain, params)
-    return m[..., :2, :2], m[..., :2, 2]
+def _pad(a, value, width):  # fill the last axis up to width entries
+    return np.concatenate([a, np.full(a.shape[:-1] + (width - a.shape[-1],), value)], axis=-1)
 
 
-def _apply_linear(v, chain, blocks, out, transpose=False):
-    """``A v`` (or ``A^T v``) for a taped chain's map ``A = A_1 ... A_K``,
-    one factor at a time into ``out``, right to left (left to right): a
-    rotation multiplies the complex view of each block by ``cos + i sin``
-    (``cos - i sin``), a scaling is an elementwise product and a translation
-    has no linear part.  Returns ``out``, or ``v`` if no factor is linear."""
-    factors = [(op, f) for op, (f, _) in zip(chain, blocks)]
-    for op, f in factors if transpose else factors[::-1]:
+def _width(d):  # the coordinates a chain runs over (see chain_forward_tape)
+    return max(4, d + d % 2)
+
+
+def _compile_chain(chain, params: TransformParams, width):
+    """Each operator's parameters as the forward applies them (a rotation's
+    ``cos + i sin`` per block, a scaling's or a translation's coordinates),
+    padded to ``width`` with blocks no operator moves, and the map's ``b``:
+    the translation moved by the linear factors written before it, or None."""
+    t, a, s = params.translation, params.angles, params.scale
+    if width > params.dim:
+        t, a, s = _pad(t, 0.0, width), _pad(a, 0.0, width // 2), _pad(s, 1.0, width)
+    coords = {OperatorKind.TRANSLATION: t, OperatorKind.SCALING: s}
+    factors = [np.exp(1j * a) if op is OperatorKind.ROTATION else coords[op] for op in chain]
+    if OperatorKind.TRANSLATION not in chain:
+        return factors, None
+    k = chain.index(OperatorKind.TRANSLATION)
+    b = np.empty(a.shape[:-1] + (width,))
+    return factors, _apply_linear(np.ascontiguousarray(t), chain[:k], factors[:k], b)
+
+
+def _apply_linear(v, chain, factors, out, transpose=False):
+    """``A v`` (or ``A^T v``) for compiled ``factors``, one factor at a time
+    into ``out``: a rotation multiplies each block's complex view by ``cos
+    + i sin`` (``cos - i sin``), a scaling is an elementwise product.
+    Returns ``out``, or ``v`` if no factor is linear."""
+    pairs = list(zip(chain, factors))
+    for op, f in pairs if transpose else pairs[::-1]:
         if op is OperatorKind.ROTATION:
-            w = f[..., 0, 0] + (-1j if transpose else 1j) * f[..., 1, 0]
+            w = f.conj() if transpose else f
             np.multiply(v.view(np.complex128), w, out=out.view(np.complex128))
         elif op is OperatorKind.SCALING:
-            np.multiply(v, f[..., [0, 1], [0, 1]].reshape(f.shape[:-3] + (2 * f.shape[-3],)), out=out)
+            np.multiply(v, f, out=out)
         else:
             continue
         v = out
@@ -372,13 +365,11 @@ def _apply_linear(v, chain, blocks, out, transpose=False):
 
 def chain_forward_tape(x, chain, params: TransformParams):
     """Apply a chain, recording it for backprop: its linear factors act one
-    at a time into one output buffer, and the compiled translation ``b`` of
-    :func:`chain_affine_map` is added once, last, so ``y = A x + b`` with
-    ``A`` as its factors and ``b`` bit for bit.  A row's result is
-    bit-identical alone or in a batch.  Returns ``(y, tape)`` with ``tape =
-    (chain, x, blocks)``: ``x`` padded as the kernel ran it, and ``blocks``
-    pairing each operator's block stack with the chain's product up to it.
-    An empty chain returns ``x``."""
+    at a time into one output buffer, and the ``b`` of :func:`chain_affine_map`
+    is added once, last, bit for bit.  A row's result is bit-identical alone
+    or in a batch.  Returns ``(y, tape)``, the tape ``(chain, x, factors)``
+    holding ``x`` padded as the kernel ran it and each operator's compiled
+    parameters.  An empty chain returns ``x``."""
     chain = validate_chain(chain)
     x = np.asarray(x, dtype=np.float64)
     if not chain:
@@ -387,27 +378,32 @@ def chain_forward_tape(x, chain, params: TransformParams):
     # an odd d gains a padding coordinate, and one block an identity block:
     # numpy rounds a complex product over a one-element inner loop its own way
     d = x.shape[-1]
-    width = max(4, d + d % 2)
+    width = _width(d)
     x = np.ascontiguousarray(_pad(x, 0.0, width) if width > d else x)  # for the complex view
-    blocks = _compile_chain(chain, params, width)
-    m = blocks[-1][1]
-    y = np.empty(np.broadcast_shapes(x.shape[:-1], m.shape[:-3]) + (width,))
-    v = _apply_linear(x, chain, blocks, y)
-    if OperatorKind.TRANSLATION in chain:  # otherwise b is zero
-        np.add(v, m[..., :2, 2].reshape(m.shape[:-3] + (width,)), out=y)
-    return y[..., :d], (chain, x, blocks)
+    factors, b = _compile_chain(chain, params, width)
+    y = np.empty(np.broadcast_shapes(x.shape[:-1], params.angles.shape[:-1]) + (width,))
+    v = _apply_linear(x, chain, factors, y)
+    if b is not None:
+        np.add(v, b, out=y)
+    return y[..., :d], (chain, x, factors)
+
+
+def _transposed(op, f):  # a linear factor's (..., k, 2, 2) blocks, transposed
+    if op is OperatorKind.ROTATION:
+        return np.stack([f.real, f.imag, -f.imag, f.real], axis=-1).reshape(f.shape + (2, 2))
+    return f.reshape(f.shape[:-1] + (f.shape[-1] // 2, 2, 1)) * np.eye(2)
 
 
 def chain_backward(grad_out, params: TransformParams, tape):
     """Vector-Jacobian product back through a taped chain application.
 
-    For a block map ``M = F_1 ... F_K`` factor ``k`` gets
-    ``dF_k = P_k^T dM S_k^T`` (``P_k``, ``S_k``: products of the factors
-    before and after it; ``dM``: ``g x^T`` and ``g`` summed over the axes
-    the parameters were broadcast along, the first as one batched matrix
-    product per block).  Translation reads ``dF[:2, 2]``, scaling the
-    diagonal, rotation ``<dF, dR/dtheta>``.  The input gradient
-    ``A^T g = A_K^T ... A_1^T g`` is applied one factor at a time.
+    With the map's gradients ``dA = g x^T`` and ``db = g`` summed over the
+    axes the parameters were broadcast along (``dA`` by one batched matrix
+    product), a linear factor gets ``dF_k = L_k^T (dA A_k^T + db b_k^T)``
+    and the translation ``L_k^T db``: ``L_k`` is the linear factors written
+    before ``k``, ``(A_k, b_k)`` the map of those after it.  Only a chain
+    with both linear factors builds their 2x2 blocks; ``L_k^T db`` and
+    ``A^T g = A_K^T ... A_1^T g`` are applied one factor at a time.
 
     Parameters
     ----------
@@ -427,42 +423,46 @@ def chain_backward(grad_out, params: TransformParams, tape):
         chain get zeros.  A chain without rotation or scaling has
         ``A = I``, and its ``grad_x`` is ``grad_out`` itself.
     """
-    chain, x, blocks = tape
+    chain, x, factors = tape
     g = np.asarray(grad_out, dtype=np.float64)
     grads = TransformParams(*map(np.zeros_like, (params.translation, params.angles, params.scale)))
     if not chain:
         return g, grads
     d, width = g.shape[-1], x.shape[-1]
     g = np.ascontiguousarray(_pad(g, 0.0, width) if width > d else g)
-    m = blocks[-1][1]
-    # dM is summed over the axes that broadcasting the parameters added or
-    # stretched; they go last and flat, so each block's dA is one (2, S) @ (S, 2)
+    # dA and db sum the axes that broadcasting the parameters added or stretched;
+    # they go last and flat, so each block's dA is one (2, S) @ (S, 2)
+    lead = params.angles.shape[:-1]
     n = g.ndim - 1
-    lead = n - (m.ndim - 3)
-    axes = [i for i in range(n) if i < lead or m.shape[i - lead] == 1 < g.shape[i]]
+    added = n - len(lead)
+    axes = [i for i in range(n) if i < added or lead[i - added] == 1 < g.shape[i]]
     kept = [i for i in range(n) if i not in axes]
     flat = math.prod(g.shape[i] for i in axes)
-    gb = g.reshape(g.shape[:-1] + m.shape[-3:-2] + (2,))
+    blocks, pairs = lead + (width // 2,), lead + (width,)
+    gb = g.reshape(g.shape[:-1] + (width // 2, 2))
     xb = np.broadcast_to(x, g.shape).reshape(gb.shape)
-    dm = np.zeros(m.shape)
-    dm[..., :2, :2] = np.matmul(
-        gb.transpose(kept + [n, n + 1] + axes).reshape(m.shape[:-2] + (2, flat)),
-        xb.transpose(kept + [n] + axes + [n + 1]).reshape(m.shape[:-2] + (flat, 2)),
+    right = np.matmul(  # dA A_k^T + db b_k^T, from the last factor down
+        gb.transpose(kept + [n, n + 1] + axes).reshape(blocks + (2, flat)),
+        xb.transpose(kept + [n] + axes + [n + 1]).reshape(blocks + (flat, 2)),
     )
-    dm[..., :2, 2] = gb.sum(axis=tuple(axes)).reshape(m.shape[:-2] + (2,))
-    pairs = m.shape[:-3] + (2 * m.shape[-3],)
-    right = dm  # dM S_k^T: the transposed factors after k, in reverse order
+    db = gb.sum(axis=tuple(axes)).reshape(blocks + (2,))
+    linear = [k for k, op in enumerate(chain) if op is not OperatorKind.TRANSLATION]
     for k in reversed(range(len(chain))):
-        f = blocks[k][0]
-        df = right if k == 0 else np.swapaxes(blocks[k - 1][1], -1, -2) @ right
-        if k:
-            right = right @ np.swapaxes(f, -1, -2)
-        if chain[k] is OperatorKind.TRANSLATION:
-            grads.translation = df[..., [0, 1], [2, 2]].reshape(pairs)[..., :d]
-        elif chain[k] is OperatorKind.SCALING:
+        op, f = chain[k], factors[k]
+        if op is OperatorKind.TRANSLATION:
+            gt = _apply_linear(db.reshape(pairs), chain[:k], factors[:k], np.empty(pairs), True)
+            grads.translation = gt[..., :d]
+            if k:  # linear factors are written before it
+                right = right + db[..., None] * f.reshape(f.shape[:-1] + (width // 2, 1, 2))
+            continue
+        df = right
+        if len(linear) == 2 and k == linear[1]:  # L_k is the first linear factor
+            df = _transposed(chain[linear[0]], factors[linear[0]]) @ right
+            right = right @ _transposed(op, f)
+        if op is OperatorKind.SCALING:
             grads.scale = df[..., [0, 1], [0, 1]].reshape(pairs)[..., :d]
-        else:  # f holds cos and sin of the angles
-            d_angle = f[..., 0, 0] * (df[..., 1, 0] - df[..., 0, 1])
-            grads.angles = (d_angle - f[..., 1, 0] * (df[..., 0, 0] + df[..., 1, 1]))[..., : d // 2]
-    gx = _apply_linear(g, chain, blocks, np.empty(g.shape), transpose=True)
+        else:
+            d_angle = f.real * (df[..., 1, 0] - df[..., 0, 1])
+            grads.angles = (d_angle - f.imag * (df[..., 0, 0] + df[..., 1, 1]))[..., : d // 2]
+    gx = _apply_linear(g, chain, factors, np.empty(g.shape), transpose=True)
     return gx[..., :d], grads

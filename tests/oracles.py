@@ -274,7 +274,7 @@ def frozen_weight_loss(model, positives, neg_ids, corrupt_head, config):
 def summed_in_side_order(model, positives, neg_ids, corrupt_head, config, weights=None):
     """``batch_loss_and_grads`` with every table's gradient rows summed in
     one stated order: each corruption group whole, the head-corrupted one
-    first, and within a group its head side, then its tail side.  The
+    first, and within a group its corrupted side, then its other side.  The
     groups' forwards and backwards are the library's own, each group taken
     as one row part; the row sums are one 2-D ``np.add.at`` over each
     table's rows concatenated in that order."""
@@ -288,7 +288,7 @@ def summed_in_side_order(model, positives, neg_ids, corrupt_head, config, weight
         ids[side] = np.hstack([ids[side], neg_ids[rows]])
         w = None if weights is None else weights[rows]
         per_pos[rows], grads = training._part_loss_and_grads(model, config, B, side, r, ids, w)
-        for s in ("head", "tail"):
+        for s in (side, "tail" if side == "head" else "head"):
             gx, g_par = grads[s]
             pieces.setdefault("entities", []).append((ids[s].ravel(), gx.reshape(-1, model.dim)))
             for op, field, table in OPERATOR_TABLES:

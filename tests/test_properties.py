@@ -454,9 +454,10 @@ def test_every_spec_has_block_matrices_and_diagnostics(spec, seed, shared_rotati
 def test_chain_forward_equals_block_matrix_oracle(chain, side, batch, negatives, seed):
     """The kernel's forward against the block-matrix oracle, within rounding,
     for both broadcast shapes training uses (see the VJP test below), at
-    d = 1, 2, 3 and 8 and on an empty batch.  Non-contiguous inputs (a
-    reversed-column view, a Fortran-order array and a column slice) give
-    the same bits as their contiguous copies."""
+    d = 1, 2, 3 and 8 and on an empty batch.  Zero rows map exactly to
+    ``chain_affine_map``'s ``b``, the screens' premise.  Non-contiguous
+    inputs (a reversed-column view, a Fortran-order array and a column
+    slice) give the same bits as their contiguous copies."""
     rng = np.random.default_rng(seed)
     rows = 1 if side == "fixed" else 1 + negatives
     for d, B in itertools.product((1, 2, 3, 8), (0, batch)):
@@ -469,6 +470,9 @@ def test_chain_forward_equals_block_matrix_oracle(chain, side, batch, negatives,
         ]
         want = [block_transform(x[i, j], chain, row_params[i]) for i in range(B) for j in range(rows)]
         np.testing.assert_allclose(y, np.reshape(want, x.shape), rtol=1e-12, atol=1e-12)
+        b = chain_affine_map(chain, params)[1].reshape(B, 1, 2 * ((d + 1) // 2))[..., :d]
+        zero = apply_chain(np.zeros(x.shape), chain, params)
+        assert np.array_equal(zero, np.broadcast_to(b, zero.shape))
         wide = rng.normal(size=(B, rows, d + 3))
         for view in (x[..., ::-1], np.asfortranarray(x), wide[..., 1 : d + 1]):
             got = chain_forward_tape(view, chain, params)[0]
@@ -581,7 +585,7 @@ def test_row_parts_change_no_bit(case):
     CPU is there), a batch's mean loss, per-row losses and every table's
     rows and gradients are bit for bit those of the call in one part per
     group, and of ``summed_in_side_order``, which sums every table's rows
-    group by group, head side then tail side, in one ``np.add.at``."""
+    group by group, corrupted side then other side, in one ``np.add.at``."""
     model, batch, weights, part_rows = case
     positives, neg_ids, corrupt_head, config = batch
     want = summed_in_side_order(model, *batch, weights=weights)
