@@ -222,23 +222,23 @@ def chain_affine_map(chain, params: TransformParams):
     columns[0, ..., 0::2] = columns[1, ..., 1::2] = 1.0
     columns = _apply_linear(columns, chain, factors, columns).reshape((2,) + lead + (width // 2, 2))
     a = columns.transpose(*range(1, columns.ndim), 0)[..., :blocks, :, :]
-    b = np.zeros(lead + (width,)) if b is None else b
+    if b is None:
+        return a, np.zeros(a.shape[:-1])
     return a, b.reshape(b.shape[:-1] + (width // 2, 2))[..., :blocks, :].copy()
 
 
 def chain_block_matrices(chain, params: TransformParams) -> np.ndarray:
     """:func:`chain_affine_map`'s ``(A, b)`` as homogeneous 3x3 matrices
-    ``[[A, b], [0, 1]]`` of shape (..., ceil(d/2), 3, 3): block ``i``
-    transforms coordinates ``(2i, 2i+1)``, an odd dimension's last block
-    pairs the last coordinate with a padding coordinate that no operator
-    moves, and an empty chain gives identity blocks."""
+    ``[[A, b], [0, 1]]``, shape (..., ceil(d/2), 3, 3): block ``i`` maps
+    coordinates ``(2i, 2i+1)``, an odd ``d``'s last block pairs the last one
+    with a padding coordinate, and an empty chain gives identity blocks."""
     chain = validate_chain(chain)
-    if not chain:
-        shape = params.angles.shape[:-1] + ((params.dim + 1) // 2, 3, 3)
-        return np.broadcast_to(np.eye(3), shape).copy()
-    a, b = chain_affine_map(chain, params)
-    m = np.zeros(a.shape[:-2] + (3, 3))
-    m[..., :2, :2], m[..., :2, 2], m[..., 2, 2] = a, b, 1.0
+    m = np.zeros(params.angles.shape[:-1] + ((params.dim + 1) // 2, 3, 3))
+    if chain:
+        m[..., :2, :2], m[..., :2, 2] = chain_affine_map(chain, params)
+    else:  # the identity, without a compile
+        m[..., 0, 0] = m[..., 1, 1] = 1.0
+    m[..., 2, 2] = 1.0
     return m
 
 

@@ -481,12 +481,14 @@ def test_row_sums_beside_a_large_entity_table_add_only_their_accumulator(monkeyp
     one-row parts a call over 14,541 entities peaks above the same call over
     100 by at most the (unique rows, d) accumulator, and holds less than one
     (B/2, 1+N, d) float64 array beside it: the row sums no longer wait for
-    every group's candidate gradients."""
+    every group's candidate gradients.  The parts run on the calling thread,
+    so neither peak depends on how a worker's parts overlap the caller's."""
     d, B, N = 64, 64, 63
     monkeypatch.setattr(training, "_PART_BYTES", (1 + N) * d * 8)
+    monkeypatch.setattr(training, "_worker", lambda: None)
     config = TrainConfig(batch_size=B, negative_size=N)
     peaks = {}
-    for n in (100, 14541, 100, 14541):  # the first two calls start the worker thread
+    for n in (100, 14541):
         model = MIXED_BATCH_MODELS["rotate-l2"](d, n, np.random.default_rng(3))
         positives, neg_ids, corrupt_head = mixed_batch(n, B, N, seed=3)
         tracemalloc.start()
