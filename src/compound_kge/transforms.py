@@ -216,7 +216,9 @@ def chain_affine_map(chain, params: TransformParams):
     columns of ``A`` are the unit vectors as the forward's factors map them.
     """
     chain = validate_chain(chain)
-    lead, width, blocks = params.angles.shape[:-1], _width(params.dim), (params.dim + 1) // 2
+    lead = params.angles.shape[:-1]
+    width = _width(params.dim)
+    blocks = (params.dim + 1) // 2
     factors, b = _compile_chain(chain, params, width)
     columns = np.zeros((2,) + lead + (width,))
     columns[0, ..., 0::2] = columns[1, ..., 1::2] = 1.0
@@ -336,8 +338,10 @@ def _compile_chain(chain, params: TransformParams, width):
     t, a, s = params.translation, params.angles, params.scale
     if width > params.dim:
         t, a, s = _pad(t, 0.0, width), _pad(a, 0.0, width // 2), _pad(s, 1.0, width)
-    coords = {OperatorKind.TRANSLATION: t, OperatorKind.SCALING: s}
-    factors = [np.exp(1j * a) if op is OperatorKind.ROTATION else coords[op] for op in chain]
+    compiled = {OperatorKind.TRANSLATION: t, OperatorKind.SCALING: s}
+    if OperatorKind.ROTATION in chain:
+        compiled[OperatorKind.ROTATION] = np.exp(1j * a)
+    factors = [compiled[op] for op in chain]
     if OperatorKind.TRANSLATION not in chain:
         return factors, None
     k = chain.index(OperatorKind.TRANSLATION)
@@ -438,7 +442,8 @@ def chain_backward(grad_out, params: TransformParams, tape):
     axes = [i for i in range(n) if i < added or lead[i - added] == 1 < g.shape[i]]
     kept = [i for i in range(n) if i not in axes]
     flat = math.prod(g.shape[i] for i in axes)
-    blocks, pairs = lead + (width // 2,), lead + (width,)
+    blocks = lead + (width // 2,)
+    pairs = lead + (width,)
     gb = g.reshape(g.shape[:-1] + (width // 2, 2))
     xb = np.broadcast_to(x, g.shape).reshape(gb.shape)
     right = np.matmul(  # dA A_k^T + db b_k^T, from the last factor down
@@ -446,9 +451,11 @@ def chain_backward(grad_out, params: TransformParams, tape):
         xb.transpose(kept + [n] + axes + [n + 1]).reshape(blocks + (flat, 2)),
     )
     db = gb.sum(axis=tuple(axes)).reshape(blocks + (2,))
+    del tape, x, xb  # the input rows' last use: not held beside grad_x
     linear = [k for k, op in enumerate(chain) if op is not OperatorKind.TRANSLATION]
     for k in reversed(range(len(chain))):
-        op, f = chain[k], factors[k]
+        op = chain[k]
+        f = factors[k]
         if op is OperatorKind.TRANSLATION:
             gt = _apply_linear(db.reshape(pairs), chain[:k], factors[:k], np.empty(pairs), True)
             grads.translation = gt[..., :d]
