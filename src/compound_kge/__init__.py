@@ -77,4 +77,4 @@ from .transforms import (
     invert_compound_2d,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

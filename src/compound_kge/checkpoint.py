@@ -23,7 +23,6 @@ and is refused.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -44,7 +43,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "read_header",
-    "dataset_fingerprint",
 ]
 
 MAGIC = b"CMPE0001"
@@ -94,18 +92,6 @@ class Checkpoint:
     entity_names: list[str]
     relation_names: list[str]
     rng_state: dict | None = None
-
-
-def dataset_fingerprint(entity_names, relation_names) -> str:
-    """Content hash of the id dictionaries (order-sensitive)."""
-    h = hashlib.sha256()
-    h.update(b"entities\n")
-    for name in entity_names:
-        h.update(name.encode("utf-8") + b"\n")
-    h.update(b"relations\n")
-    for name in relation_names:
-        h.update(name.encode("utf-8") + b"\n")
-    return h.hexdigest()
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import itertools
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt_mod
-from .checkpoint import Checkpoint, dataset_fingerprint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .dataset import categorize_relations, complex_triple_fraction, load_dataset
 from .diagnostics import (
     export_entity_embeddings,
@@ -202,15 +203,20 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     store = load_dataset(args.data)
     # the checkpoint's own name lists against the dataset's
-    ckpt_hash = dataset_fingerprint(ckpt.entity_names, ckpt.relation_names)
-    fingerprint = dataset_fingerprint(store.entity_names, store.relation_names)
-    if ckpt_hash != fingerprint:
-        print(
-            f"error: checkpoint/dataset mismatch: checkpoint dictionaries hash {ckpt_hash}, "
-            f"dataset dictionaries hash {fingerprint}",
-            file=sys.stderr,
-        )
-        return 1
+    for kind, saved, loaded in (
+        ("entity", ckpt.entity_names, store.entity_names),
+        ("relation", ckpt.relation_names, store.relation_names),
+    ):
+        if saved != loaded:
+            pairs = itertools.zip_longest(saved, loaded)  # None past a list's end
+            i = next(i for i, (x, y) in enumerate(pairs) if x != y)
+            x, y = (repr(names[i]) if i < len(names) else "absent" for names in (saved, loaded))
+            print(
+                f"error: checkpoint/dataset mismatch: {kind} {i} is {x} in the checkpoint, "
+                f"{y} in the dataset ({len(saved)} and {len(loaded)} {kind} names)",
+                file=sys.stderr,
+            )
+            return 1
     categories = categorize_relations(store, eta=args.eta)
     report = evaluate(ckpt.model, store, args.split, categories)
     print(report.to_text())

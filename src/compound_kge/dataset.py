@@ -380,11 +380,9 @@ def categorize_relations(store: TripleStore, eta: float = 1.5) -> list[RelationC
     return out
 
 
-def complex_triple_fraction(
-    store: TripleStore, categories: list[RelationCategory], split: str = "train"
-) -> float:
-    """Fraction of a split's triples whose relation is not one-to-one."""
-    triples = store.split(split)
+def complex_triple_fraction(store: TripleStore, categories: list[RelationCategory]) -> float:
+    """Fraction of the training triples whose relation is not one-to-one."""
+    triples = store.train
     if len(triples) == 0:
         return 0.0
     complex_relations = [c.relation for c in categories if c.category is not Category.ONE_TO_ONE]

@@ -14,8 +14,11 @@ algebraic identities between those maps:
 Residuals measure the max-abs deviation from the identity, per block,
 worst block reported.  Every identity is evaluated on whole
 (ceil(d/2), 3, 3) block stacks; at an odd ``d`` the padded last block
-counts like any other.  Singular blocks cannot enter identities that need
-an inverse; they are masked out and counted separately.
+counts like any other.  A block is singular when its |det A| is below
+``transforms.DET_TOLERANCE``: one rule, on one closed-form determinant,
+for the inverses' masks and ``singular_blocks``, whose smallest value is
+``block_det_min``.  Singular blocks cannot enter identities that need an
+inverse; they are masked out and counted separately.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ import numpy as np
 
 from .model import KGEModel
 from .scoring import CompoundSpec, RelationParams, score
-from .transforms import OperatorKind, chain_block_matrices, invert_blocks
+from .transforms import (
+    DET_TOLERANCE,
+    OperatorKind,
+    _block_det,
+    chain_block_matrices,
+    invert_blocks,
+)
 
 __all__ = [
     "relation_matrices",
@@ -49,10 +58,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # Trained scale values cluster near zero without hitting it exactly, so
-# the singularity count uses a loose threshold; analytically constructed
-# cases use the strict one.
+# singularity_fraction uses a loose threshold; singular blocks use the
+# strict one, DET_TOLERANCE.
 TRAINED_SCALE_TOLERANCE = 1e-2
-EXACT_SCALE_TOLERANCE = 1e-8
+EXACT_SCALE_TOLERANCE = DET_TOLERANCE
 
 
 def relation_matrices(r: RelationParams, spec: CompoundSpec):
@@ -76,39 +85,38 @@ def _masked_max_abs(lhs, rhs, applicable, name) -> float:
     return float(worst) if worst >= 0 else math.nan
 
 
-def symmetry_residual(m, m_hat, det_tolerance: float = EXACT_SCALE_TOLERANCE) -> float:
+def symmetry_residual(m, m_hat) -> float:
     """Deviation from the symmetric-relation identity M M_hat^-1 == M_hat M^-1.
 
-    Blocks where either map is singular are masked out (and counted in
-    the log); returns NaN if nothing is applicable.
+    Blocks where either map is singular (``|det A| < DET_TOLERANCE``) are
+    masked out (and counted in the log); returns NaN if nothing is
+    applicable.
     """
-    inv_m, sing_m = invert_blocks(m, det_tolerance)
-    inv_h, sing_h = invert_blocks(m_hat, det_tolerance)
+    inv_m, sing_m = invert_blocks(m)
+    inv_h, sing_h = invert_blocks(m_hat)
     return _masked_max_abs(
         m @ inv_h, m_hat @ inv_m, ~(sing_m | sing_h), "symmetry_residual"
     )
 
 
-def inversion_residual(
-    m1, m1_hat, m2, m2_hat, det_tolerance: float = EXACT_SCALE_TOLERANCE
-) -> float:
+def inversion_residual(m1, m1_hat, m2, m2_hat) -> float:
     """Deviation from the inverse-relation identity
-    M2_hat^-1 M2 == M1^-1 M1_hat."""
-    inv_h2, sing_h2 = invert_blocks(m2_hat, det_tolerance)
-    inv_m1, sing_m1 = invert_blocks(m1, det_tolerance)
+    M2_hat^-1 M2 == M1^-1 M1_hat, over the blocks where neither inverted
+    map is singular (``|det A| < DET_TOLERANCE``)."""
+    inv_h2, sing_h2 = invert_blocks(m2_hat)
+    inv_m1, sing_m1 = invert_blocks(m1)
     return _masked_max_abs(
         inv_h2 @ m2, inv_m1 @ m1_hat, ~(sing_m1 | sing_h2), "inversion_residual"
     )
 
 
-def composition_residual(
-    m1, m1_hat, m2, m2_hat, m3, m3_hat, det_tolerance: float = EXACT_SCALE_TOLERANCE
-) -> float:
+def composition_residual(m1, m1_hat, m2, m2_hat, m3, m3_hat) -> float:
     """Deviation from the transitivity identity
-    M3_hat^-1 M3 == (M2_hat^-1 M2)(M1_hat^-1 M1)."""
-    inv1, sing1 = invert_blocks(m1_hat, det_tolerance)
-    inv2, sing2 = invert_blocks(m2_hat, det_tolerance)
-    inv3, sing3 = invert_blocks(m3_hat, det_tolerance)
+    M3_hat^-1 M3 == (M2_hat^-1 M2)(M1_hat^-1 M1), over the blocks where no
+    inverted map is singular (``|det A| < DET_TOLERANCE``)."""
+    inv1, sing1 = invert_blocks(m1_hat)
+    inv2, sing2 = invert_blocks(m2_hat)
+    inv3, sing3 = invert_blocks(m3_hat)
     return _masked_max_abs(
         inv3 @ m3,
         (inv2 @ m2) @ (inv1 @ m1),
@@ -142,11 +150,12 @@ class RelationDiagnostics:
     """Per-relation operator health indicators.
 
     ``singularity_fraction`` is the share of scale entries (over the
-    sides whose chain scales) with magnitude below the tolerance;
-    ``block_det_min`` the smallest |det| over both sides' blocks;
-    ``symmetry_residual`` the symmetric-identity deviation (NaN when
-    every block is singular).  ``singular_blocks`` counts blocks whose
-    determinant fell below the strict inversion tolerance.
+    sides whose chain scales) with magnitude below
+    ``TRAINED_SCALE_TOLERANCE``; ``block_det_min`` the smallest |det A|
+    over both sides' blocks; ``symmetry_residual`` the symmetric-identity
+    deviation (NaN when every block is singular).  ``singular_blocks``
+    counts the blocks, over both sides, whose |det A| is below
+    ``DET_TOLERANCE``.
     """
 
     relation: int
@@ -156,11 +165,7 @@ class RelationDiagnostics:
     singular_blocks: int
 
 
-def relation_diagnostics(
-    model: KGEModel,
-    rid: int,
-    scale_tolerance: float = TRAINED_SCALE_TOLERANCE,
-) -> RelationDiagnostics:
+def relation_diagnostics(model: KGEModel, rid: int) -> RelationDiagnostics:
     spec = model.spec
     r = model.relation_params(rid)
     m, m_hat = relation_matrices(r, spec)
@@ -172,18 +177,18 @@ def relation_diagnostics(
         scales.append(r.tail.scale)
     if scales:
         entries = np.concatenate(scales)
-        singularity_fraction = float(np.mean(np.abs(entries) < scale_tolerance))
+        singularity_fraction = float(np.mean(np.abs(entries) < TRAINED_SCALE_TOLERANCE))
     else:
         singularity_fraction = 0.0
 
-    dets = np.abs(np.linalg.det(np.concatenate([m, m_hat])[:, :2, :2]))
-    singular_blocks = int(np.count_nonzero(dets < EXACT_SCALE_TOLERANCE))
+    det, singular = _block_det(m)
+    det_hat, singular_hat = _block_det(m_hat)
     return RelationDiagnostics(
         relation=rid,
         singularity_fraction=singularity_fraction,
-        block_det_min=float(dets.min()),
+        block_det_min=float(np.minimum(np.abs(det).min(), np.abs(det_hat).min())),
         symmetry_residual=symmetry_residual(m, m_hat),
-        singular_blocks=singular_blocks,
+        singular_blocks=int(np.count_nonzero(singular) + np.count_nonzero(singular_hat)),
     )
 
 
@@ -216,31 +221,20 @@ def _histogram_rows(values, component, side, bins):
 
 
 def export_relation_histograms(
-    model: KGEModel,
-    relation: int | str,
-    bins: int = 50,
-    out_path=None,
-    relation_names: list[str] | None = None,
+    model: KGEModel, relation: int, bins: int = 50, out_path=None
 ) -> list[dict]:
-    """Binned parameter-value counts for one relation.
+    """Binned parameter-value counts for relation id ``relation``.
 
     One row per (component, side, bin); counts per component sum to the
     number of exported entries.  Sides follow the chains: components an
     operator chain does not contain are not exported, and a shared
     rotation is exported once with side ``"shared"``.  Returns the rows;
-    also writes them as CSV when ``out_path`` is given.
+    also writes them as CSV when ``out_path`` is given.  An id outside
+    ``0..n_relations-1`` raises ``KeyError``.
     """
-    if isinstance(relation, str):
-        if relation_names is None:
-            raise KeyError("relation name lookup needs relation_names")
-        try:
-            rid = relation_names.index(relation)
-        except ValueError:
-            raise KeyError(f"unknown relation name {relation!r}") from None
-    else:
-        rid = int(relation)
-        if not 0 <= rid < model.n_relations:
-            raise KeyError(f"relation id {rid} out of range")
+    rid = int(relation)
+    if not 0 <= rid < model.n_relations:
+        raise KeyError(f"relation id {rid} out of range")
 
     spec = model.spec
     r = model.relation_params(rid)

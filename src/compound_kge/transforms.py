@@ -51,7 +51,7 @@ __all__ = [
     "DET_TOLERANCE",
 ]
 
-# |det A| below this is treated as singular when inverting a block.
+# |det A| below this marks a block singular (see _block_det).
 DET_TOLERANCE = 1e-8
 
 
@@ -268,11 +268,18 @@ def compound_matrix_2d(chain, block_params) -> np.ndarray:
     return chain_block_matrices(chain, params)[0]
 
 
-def invert_blocks(m, det_tolerance: float = DET_TOLERANCE):
+def _block_det(m):
+    """Each block's ``det A`` of a (..., 3, 3) stack, in closed form, and
+    the singular mask ``|det A| < DET_TOLERANCE``."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return det, np.abs(det) < DET_TOLERANCE
+
+
+def invert_blocks(m):
     """Invert a stack of homogeneous block matrices in closed block form.
 
     For ``m = [[A, v], [0, 1]]`` the inverse is ``[[A^-1, -A^-1 v], [0, 1]]``.
-    Blocks with ``|det A| < det_tolerance`` have no usable inverse: they
+    Blocks with ``|det A| < DET_TOLERANCE`` have no usable inverse: they
     are flagged in the returned mask and their inverse entries are NaN.
 
     Returns
@@ -284,8 +291,7 @@ def invert_blocks(m, det_tolerance: float = DET_TOLERANCE):
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected a stack of 3x3 matrices, got shape {m.shape}")
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    det = a * d - b * c
-    singular = np.abs(det) < det_tolerance
+    det, singular = _block_det(m)
     det = np.where(singular, 1.0, det)
     out = np.zeros(m.shape)
     out[..., 0, 0], out[..., 0, 1] = d / det, -b / det
@@ -296,26 +302,25 @@ def invert_blocks(m, det_tolerance: float = DET_TOLERANCE):
     return out, singular
 
 
-def invert_compound_2d(m, det_tolerance: float = DET_TOLERANCE) -> np.ndarray:
+def invert_compound_2d(m) -> np.ndarray:
     """Invert one homogeneous block matrix (see :func:`invert_blocks`).
 
     Raises
     ------
     SingularOperatorError
-        If ``|det A| < det_tolerance``.  Singular blocks are a modelling
+        If ``|det A| < DET_TOLERANCE``.  Singular blocks are a modelling
         feature of many-to-x relations, so this error is a signal, not a
         failure of the caller's math.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    out, singular = invert_blocks(m, det_tolerance)
+    det, singular = _block_det(m)
     if singular:
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         raise SingularOperatorError(
-            f"block determinant {det:.3e} below tolerance {det_tolerance:.1e}"
+            f"block determinant {det:.3e} below tolerance {DET_TOLERANCE:.1e}"
         )
-    return out
+    return invert_blocks(m)[0]
 
 
 # ---------------------------------------------------------------------------

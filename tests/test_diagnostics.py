@@ -6,6 +6,7 @@ import pytest
 
 from compound_kge.dataset import Category, categorize_relations
 from compound_kge.diagnostics import (
+    EXACT_SCALE_TOLERANCE,
     composition_residual,
     export_entity_embeddings,
     export_relation_histograms,
@@ -25,9 +26,11 @@ from compound_kge.scoring import (
 )
 from compound_kge.synthetic import SyntheticPattern, generate_synthetic_kg
 from compound_kge.transforms import (
+    DET_TOLERANCE,
     OperatorKind,
     TransformParams,
     chain_block_matrices,
+    invert_blocks,
     invert_compound_2d,
 )
 
@@ -306,6 +309,25 @@ def test_singularity_detection_on_zeroed_scales():
     assert d.singular_blocks >= 1
 
 
+def test_singular_blocks_follow_the_one_determinant_rule():
+    # a scaling block's det A is the product of its two scales
+    model = model_from_preset(preset_pairre(8), 5, 1, np.random.default_rng(19))
+    model.head.scales[0, :4] = [0.5 * DET_TOLERANCE, 1.0, 2.0 * DET_TOLERANCE, 1.0]
+    m, m_hat = relation_matrices(model.relation_params(0), model.spec)
+    singular, singular_hat = invert_blocks(m)[1], invert_blocks(m_hat)[1]
+    det = np.abs([b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0] for b in np.concatenate([m, m_hat])])
+    d = relation_diagnostics(model, 0)
+    assert singular.tolist() == [True, False, False, False] and not singular_hat.any()
+    assert d.singular_blocks == np.count_nonzero(singular) + np.count_nonzero(singular_hat)
+    assert d.block_det_min == det.min() == 0.5 * DET_TOLERANCE
+    assert math.isfinite(d.symmetry_residual)
+
+    model.head.scales[0, 0::2] = 0.5 * DET_TOLERANCE  # every head block singular
+    model.head.scales[0, 1::2] = 1.0
+    assert math.isnan(relation_diagnostics(model, 0).symmetry_residual)
+    assert EXACT_SCALE_TOLERANCE == DET_TOLERANCE
+
+
 def test_diagnostics_identity_relation():
     spec = compound_spec("full", "SRT", "SRT", dim=6)
     model = init_model(spec, 4, 1, np.random.default_rng(11))
@@ -384,15 +406,9 @@ def test_histogram_csv_columns(tmp_path):
 def test_histogram_unknown_relation_name():
     spec = compound_spec("head", "SRT", "", dim=4)
     model = init_model(spec, 3, 2, np.random.default_rng(16))
-    with pytest.raises(KeyError, match="unknown relation"):
-        export_relation_histograms(model, "nope", relation_names=["a", "b"])
-
-
-def test_histogram_by_name_lookup():
-    spec = compound_spec("head", "SRT", "", dim=4)
-    model = init_model(spec, 3, 2, np.random.default_rng(17))
-    rows = export_relation_histograms(model, "b", bins=4, relation_names=["a", "b"])
-    assert rows
+    for rid in (2, -1):
+        with pytest.raises(KeyError, match="out of range"):
+            export_relation_histograms(model, rid)
 
 
 def test_entity_export_shape_and_roundtrip(tmp_path):

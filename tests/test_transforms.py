@@ -6,6 +6,7 @@ import pytest
 
 from compound_kge.errors import SingularOperatorError
 from compound_kge.transforms import (
+    DET_TOLERANCE,
     OperatorKind,
     TransformParams,
     apply_chain,
@@ -340,10 +341,9 @@ def test_chain_block_matrices_stacked_equals_oracle():
 def test_invert_blocks_mask_matches_determinant():
     rng = np.random.default_rng(45)
     m = planted_singular_stack(rng)
-    tol = 1e-8
-    inv, singular = invert_blocks(m, tol)
+    inv, singular = invert_blocks(m)
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    np.testing.assert_array_equal(singular, np.abs(det) < tol)
+    np.testing.assert_array_equal(singular, np.abs(det) < DET_TOLERANCE)
     assert singular[0].all() and 0 < singular[1:].sum() < singular[1:].size
     assert np.isnan(inv[singular]).all()
     want = np.linalg.inv(m[~singular])
