@@ -36,7 +36,7 @@ from .scoring import CompoundSpec, RelationParams, score
 from .transforms import (
     DET_TOLERANCE,
     OperatorKind,
-    _block_det,
+    _invert_with_det,
     chain_block_matrices,
     invert_blocks,
 )
@@ -92,8 +92,11 @@ def symmetry_residual(m, m_hat) -> float:
     masked out (and counted in the log); returns NaN if nothing is
     applicable.
     """
-    inv_m, sing_m = invert_blocks(m)
-    inv_h, sing_h = invert_blocks(m_hat)
+    return _symmetry_residual(m, m_hat, *invert_blocks(m), *invert_blocks(m_hat))
+
+
+def _symmetry_residual(m, m_hat, inv_m, sing_m, inv_h, sing_h) -> float:
+    """:func:`symmetry_residual` from both stacks' inverses and singular masks."""
     return _masked_max_abs(
         m @ inv_h, m_hat @ inv_m, ~(sing_m | sing_h), "symmetry_residual"
     )
@@ -181,13 +184,13 @@ def relation_diagnostics(model: KGEModel, rid: int) -> RelationDiagnostics:
     else:
         singularity_fraction = 0.0
 
-    det, singular = _block_det(m)
-    det_hat, singular_hat = _block_det(m_hat)
+    inv_m, singular, det = _invert_with_det(m)
+    inv_h, singular_hat, det_hat = _invert_with_det(m_hat)
     return RelationDiagnostics(
         relation=rid,
         singularity_fraction=singularity_fraction,
         block_det_min=float(np.minimum(np.abs(det).min(), np.abs(det_hat).min())),
-        symmetry_residual=symmetry_residual(m, m_hat),
+        symmetry_residual=_symmetry_residual(m, m_hat, inv_m, singular, inv_h, singular_hat),
         singular_blocks=int(np.count_nonzero(singular) + np.count_nonzero(singular_hat)),
     )
 

@@ -29,21 +29,29 @@ the whole block, minus the same counts over its known-true ids inside the
 block, are its filtered counts.  :func:`filtered_rank` is the one-query
 case.
 
-``chunk_size`` (by default ``DEFAULT_CHUNK_SIZE`` = 65,536 rows) splits
-the entity table into blocks, which bounds the memory that a tile's
-screened values take on large entity sets; the screens work in their
-own fixed chunks, so the block size does not change speed much, and it
-never changes a rank.
+The entity table is cut into ``ceil(E / chunk_size)`` blocks of equal
+size (give or take a row) of at most ``chunk_size`` rows (by default
+``DEFAULT_CHUNK_SIZE`` = 65,536), which bounds the memory that a tile's
+screened values take on large entity sets.  When the process may use a
+second CPU the block count is rounded up to an even number and two blocks
+are scored at a time, one on the calling thread and one on training's
+worker thread (``training._run_parts``).  Each block counts into its own
+array and the caller adds them up.  Above ``DEFAULT_CHUNK_SIZE`` rows two
+blocks' buffers are then in flight at once; up to it each of the two
+holds half of the table.  The counts are exact integers, so no rank
+depends on the cut or on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import training
 from .dataset import FilterIndex, RelationCategory, TripleStore, build_filter_index
 from .model import KGEModel
 from .scoring import Norm, _distance
@@ -59,9 +67,12 @@ __all__ = [
     "TIE_POLICY_NOTE",
 ]
 
-# Candidate rows per block: it bounds memory (the L2 screen's (block rows,
-# queries) buffers, and the rescored pairs), not speed, since both screens
-# work in chunks of _SCREEN_ROWS.  Tables of up to 65,536 rows form one block.
+# Most candidate rows per block: it bounds memory (the L2 screen's (block
+# rows, queries) buffers, and the rescored pairs), not speed, since both
+# screens work in chunks of _SCREEN_ROWS.  Blocks are equal cuts of the
+# table; with a second CPU their count is even and two are in flight at
+# once, so a table of up to 65,536 rows is one block on one CPU and two
+# half-size blocks on two.
 DEFAULT_CHUNK_SIZE = 2**16
 
 # Candidate rows per screen chunk: the chunk and its buffers stay in a
@@ -130,7 +141,10 @@ def _ranks(model: KGEModel, triples, directions, filter_index, chunk_size) -> np
     rows, queries) buffers within an eighth of the block each.  Under L1
     consecutive groups share a tile and a larger group stays whole: the L1
     screen's buffers are bounded by ``_SCREEN_SPAN`` whatever the tile
-    holds, and every tile casts and moves each chunk again.
+    holds, and every tile casts and moves each chunk again.  The blocks of
+    the entity table (see the module docstring) are skipped when empty and
+    scored through ``training._run_parts``, the odd ones on the worker
+    thread when there is one.
     """
     ents, spec, norm = model.entities, model.spec, model.spec.norm
     n_queries = len(triples) * len(directions)
@@ -167,19 +181,26 @@ def _ranks(model: KGEModel, triples, directions, filter_index, chunk_size) -> np
             if g0 > cuts[-1] and g1 - cuts[-1] > size:
                 cuts.append(g0)
     tiles = list(zip(cuts, cuts[1:] + [n_queries]))
-    counts = np.zeros((n_queries, 2), dtype=np.int64)
-    for start in range(0, model.n_entities, chunk_size):
-        _score_block(model, table, tiles, ents[start : start + chunk_size], start, counts)
-    less, equal = counts.T
+    n_blocks = -(-model.n_entities // chunk_size)
+    if training._worker() is not None:
+        n_blocks += n_blocks % 2
+    edges = [model.n_entities * k // n_blocks for k in range(n_blocks + 1)]
+    blocks = [
+        functools.partial(_score_block, model, table, tiles, ents[lo:hi], lo)
+        for lo, hi in zip(edges, edges[1:])
+        if hi > lo
+    ]
+    less, equal = sum(training._run_parts(blocks)).T
     ties = equal - 1  # the ground truth always matches its own score
     ranks = np.empty(n_queries, dtype=np.int64)
     ranks[np.concatenate(where)] = 1 + less + ties // 2
     return ranks.reshape(len(triples), len(directions))
 
 
-def _score_block(model, table, tiles, block, start, counts):
-    """Add the filtered ``(less, equal)`` counts of one block of candidates
-    (entity rows from ``start`` on) to ``counts``, for every tile's queries.
+def _score_block(model, table, tiles, block, start):
+    """The filtered ``(less, equal)`` counts of one block of candidates
+    (entity rows from ``start`` on), a (queries, 2) int64 array over every
+    tile's queries.
 
     Each tile ``[q0, q1)`` of ``table`` is screened in one pass over the
     block, which counts the candidates the screen certifies better than
@@ -194,6 +215,7 @@ def _score_block(model, table, tiles, block, start, counts):
     norm = model.spec.norm
     screen = _screen_l1 if norm is Norm.L1 else _screen_l2
     end = start + len(block)
+    counts = np.zeros((len(table.group), 2), dtype=np.int64)
     for q0, q1 in tiles:
         tile_counts = counts[q0:q1]
         fixed, true_scores = table.fixed[q0:q1], table.true_scores[q0:q1]
@@ -214,6 +236,7 @@ def _score_block(model, table, tiles, block, start, counts):
             pairs = order[p0:p1]
             direct = (block, chain, params, norm, fixed, true_scores)
             _add_direct(tile_counts, signs[pairs], *direct, rows[pairs], queries[pairs])
+    return counts
 
 
 def _gamma(k, unit_roundoff=_UNIT_ROUNDOFF):

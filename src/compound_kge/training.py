@@ -246,7 +246,10 @@ def _accumulate_rows(ids, pieces):
     be made after the one before it was summed.  Each piece is scattered
     into one accumulator through flat indices, a chunk of rows at a time,
     visiting the rows in the order of ``ids``, so the sums are those of one
-    2-D ``np.add.at`` over the concatenated rows, bit for bit.
+    2-D ``np.add.at`` over the concatenated rows, bit for bit.  When the
+    width is even a C-contiguous piece is scattered through complex128
+    views, two coordinates per element: a complex add is two float adds, so
+    every sum keeps its order and its bits.
     """
     rows, inverse = np.unique(ids, return_inverse=True)
     acc = None
@@ -255,13 +258,17 @@ def _accumulate_rows(ids, pieces):
         if acc is None:
             d = piece.shape[1]
             acc = np.zeros((len(rows), d))
-            flat, columns = acc.reshape(len(rows) * d), np.arange(d)
-        for lo in range(0, len(piece), _SCATTER_ROWS):
-            part = piece[lo : lo + _SCATTER_ROWS]
-            at = inverse[start + lo : start + lo + len(part), None] * d + columns
+        paired = d % 2 == 0 and piece.flags.c_contiguous
+        view = piece.view(np.complex128) if paired else piece
+        width = view.shape[1]
+        flat = (acc.view(np.complex128) if paired else acc).reshape(-1)
+        columns = np.arange(width)
+        for lo in range(0, len(view), _SCATTER_ROWS):
+            part = view[lo : lo + _SCATTER_ROWS]
+            at = inverse[start + lo : start + lo + len(part), None] * width + columns
             np.add.at(flat, at.ravel(), part.ravel())
         start += len(piece)
-        piece = part = None  # summed: not held while the next piece is made
+        piece = view = part = None  # summed: not held while the next piece is made
     return rows, acc
 
 

@@ -287,19 +287,25 @@ def invert_blocks(m):
     (inverse, singular_mask)
         Arrays of shapes (..., 3, 3) and (...).
     """
+    return _invert_with_det(m)[:2]
+
+
+def _invert_with_det(m):
+    """:func:`invert_blocks`' ``(inverse, singular_mask)`` and each block's
+    ``det A`` beside them, for callers that need all three."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected a stack of 3x3 matrices, got shape {m.shape}")
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     det, singular = _block_det(m)
-    det = np.where(singular, 1.0, det)
+    safe = np.where(singular, 1.0, det)
     out = np.zeros(m.shape)
-    out[..., 0, 0], out[..., 0, 1] = d / det, -b / det
-    out[..., 1, 0], out[..., 1, 1] = -c / det, a / det
+    out[..., 0, 0], out[..., 0, 1] = d / safe, -b / safe
+    out[..., 1, 0], out[..., 1, 1] = -c / safe, a / safe
     out[..., :2, 2] = -(out[..., :2, 0] * m[..., :1, 2] + out[..., :2, 1] * m[..., 1:2, 2])
     out[..., 2, 2] = 1.0
     out[singular] = np.nan
-    return out, singular
+    return out, singular, det
 
 
 def invert_compound_2d(m) -> np.ndarray:
