@@ -273,8 +273,9 @@ def _accumulate_rows(ids, pieces):
 
 
 def _worker():
-    """The one worker thread for row parts, made on first use; None when
-    the process may run on one CPU only."""
+    """The one worker thread, made on first use, for training's row parts
+    and optimizer slices and for evaluation's entity blocks; None when the
+    process may run on one CPU only."""
     global _pool
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
