@@ -247,9 +247,9 @@ def _accumulate_rows(ids, pieces):
     into one accumulator through flat indices, a chunk of rows at a time,
     visiting the rows in the order of ``ids``, so the sums are those of one
     2-D ``np.add.at`` over the concatenated rows, bit for bit.  When the
-    width is even a C-contiguous piece is scattered through complex128
-    views, two coordinates per element: a complex add is two float adds, so
-    every sum keeps its order and its bits.
+    width is even, a piece whose rows are contiguous is scattered through
+    complex128 views, two coordinates per element: a complex add is two
+    float adds, so every sum keeps its order and its bits.
     """
     rows, inverse = np.unique(ids, return_inverse=True)
     acc = None
@@ -258,7 +258,7 @@ def _accumulate_rows(ids, pieces):
         if acc is None:
             d = piece.shape[1]
             acc = np.zeros((len(rows), d))
-        paired = d % 2 == 0 and piece.flags.c_contiguous
+        paired = d % 2 == 0 and piece.strides[1] == piece.itemsize
         view = piece.view(np.complex128) if paired else piece
         width = view.shape[1]
         flat = (acc.view(np.complex128) if paired else acc).reshape(-1)

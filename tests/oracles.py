@@ -5,8 +5,12 @@ than speed: per-block homogeneous 3x3 matrices built from scratch,
 candidates scored one at a time, a complete sort for the filtered rank,
 known answers read straight from the triples, and central differences
 for gradients.  The random builders fix the order of their draws, so a
-seeded test sees the same numbers whichever module calls them.
+seeded test sees the same numbers whichever module calls them.  The
+module also holds the helpers that several test modules share, such as
+the recording worker thread.
 """
+
+from concurrent import futures
 
 import numpy as np
 
@@ -399,3 +403,27 @@ def random_model(rng, n_entities, n_relations, dim=6, norm="l1"):
     model.head.translations = rng.normal(size=model.head.translations.shape)
     model.tail.scales = rng.normal(size=model.tail.scales.shape)
     return model
+
+
+# ---------------------------------------------------------------------------
+# Threads
+# ---------------------------------------------------------------------------
+
+def record_submissions(monkeypatch):
+    """Patch ``training._worker`` with a pool that hands each task to the
+    worker thread (on one CPU: runs it at once) and records its future;
+    returns the list of futures."""
+    pool, submitted = training._worker(), []
+
+    class Recording:
+        def submit(self, task):
+            if pool is None:
+                future = futures.Future()
+                future.set_result(task())
+            else:
+                future = pool.submit(task)
+            submitted.append(future)
+            return future
+
+    monkeypatch.setattr(training, "_worker", Recording)
+    return submitted

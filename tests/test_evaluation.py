@@ -1,17 +1,20 @@
 import json
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from compound_kge import evaluation
+from compound_kge import evaluation, training
 from compound_kge.dataset import TripleStore, build_filter_index, categorize_relations
 from compound_kge.evaluation import Direction, MetricCell, evaluate, filtered_rank
 from compound_kge.model import init_model
 from compound_kge.scoring import compound_spec, score
 from compound_kge.transforms import chain_affine_map
 
-from oracles import known_answers, oracle_rank, random_model, random_store
+from oracles import known_answers, oracle_rank, random_model, random_store, record_submissions
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,149 @@ def test_only_the_l2_screen_cuts_a_large_group(monkeypatch, norm, tiles):
             oracle_rank(model, t, d, known, score_fn=score) for t in store.test for d in Direction
         ]
         assert report.mrr == MetricCell.from_ranks(np.array(ranks)).mrr
+
+
+# ---------------------------------------------------------------------------
+# Blocks on two CPUs
+# ---------------------------------------------------------------------------
+
+def block_edges(n_entities, chunk_size, two_cpus):
+    """The edges of ``_ranks``' blocks: ceil(E / chunk_size) equal cuts, an
+    even number of them with a second CPU."""
+    n = -(-n_entities // chunk_size)
+    n += n % 2 if two_cpus else 0
+    return [n_entities * k // n for k in range(n + 1)]
+
+
+def record_blocks(monkeypatch):
+    """Patch ``evaluation._score_block`` to record every scored block;
+    returns the list of their ``(start, rows, thread, counts)``."""
+    blocks, score_block = [], evaluation._score_block
+
+    def recording(model, table, tiles, block, start):
+        counts = score_block(model, table, tiles, block, start)
+        blocks.append((start, len(block), threading.current_thread(), counts))
+        return counts
+
+    monkeypatch.setattr(evaluation, "_score_block", recording)
+    return blocks
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2, 7, evaluation.DEFAULT_CHUNK_SIZE])
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_ranks_do_not_depend_on_the_worker(monkeypatch, norm, chunk_size):
+    """``_ranks`` and ``evaluate()`` give the same ranks and reports with the
+    worker (an even number of blocks, the odd ones on the worker thread,
+    switching every 10 µs with the calling one) and on the calling thread
+    alone, over 30 entities with two NaN rows, one of them a test triple's
+    head, and queries whose filtered ids lie on both sides of a block
+    boundary in both cuts."""
+    rng = np.random.default_rng(31)
+    store = random_store(rng, 30, 2, 300, 2, 12)
+    model = random_model(rng, 30, 2, dim=6, norm=norm)
+    model.entities[[store.test[0, 0], 17]] = np.nan
+    index = build_filter_index(store)
+    tails = known_answers(store)[0]
+    for two_cpus in (True, False):
+        edges = block_edges(30, chunk_size, two_cpus)
+        if len(edges) > 2:
+            blocks_of = [
+                set(np.searchsorted(edges, sorted(tails[h, r] - {t}), side="right"))
+                for h, r, t in store.test.tolist()
+            ]
+            assert max(map(len, blocks_of)) > 1
+    got, submitted, blocks = {}, record_submissions(monkeypatch), record_blocks(monkeypatch)
+    for name in ("worker", "inline"):
+        if name == "inline":
+            monkeypatch.setattr(training, "_worker", lambda: None)
+        blocks.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            ranks = evaluation._ranks(model, store.test, tuple(Direction), index, chunk_size)
+            report = evaluate(model, store, "test", None, filter_index=index, chunk_size=chunk_size)
+        finally:
+            sys.setswitchinterval(interval)
+        edges = block_edges(30, chunk_size, name == "worker")
+        cut = [(lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
+        assert sorted(b[:2] for b in blocks) == sorted(2 * cut)  # in each of two calls
+        got[name] = ranks, report.to_json()
+    # half of the worker's blocks, in each of two calls
+    assert len(submitted) == len(block_edges(30, chunk_size, True)) - 1
+    assert np.array_equal(got["worker"][0], got["inline"][0])
+    assert got["worker"][1] == got["inline"][1]
+
+
+def test_a_one_entity_table_scores_no_empty_block(monkeypatch):
+    """With the worker a one-entity table rounds its one block up to two, of
+    which only the one-row block is scored, on the calling thread."""
+    store = TripleStore(
+        n_entities=1,
+        n_relations=2,
+        train=np.array([[0, 0, 0]]),
+        valid=np.empty((0, 3), dtype=np.int64),
+        test=np.array([[0, 1, 0]]),
+        entity_names=["e0"],
+        relation_names=["r0", "r1"],
+    )
+    submitted, blocks = record_submissions(monkeypatch), record_blocks(monkeypatch)
+    for norm in ("l1", "l2"):
+        model = random_model(np.random.default_rng(32), 1, 2, norm=norm)
+        blocks.clear()
+        report = evaluate(model, store, "test", None)
+        assert [b[:2] for b in blocks] == [(0, 1)] and not submitted
+        assert report.mrr == 1.0
+
+
+@pytest.mark.parametrize(
+    "chunk_size, n_blocks", [(evaluation.DEFAULT_CHUNK_SIZE, 2), (8, 4), (11, 4)]
+)
+def test_the_worker_scores_exactly_the_odd_blocks(monkeypatch, chunk_size, n_blocks):
+    """A 30-entity table in two or four blocks hands the worker blocks 1 and
+    3 and nothing else; on one CPU the table is ceil(30 / chunk_size) blocks,
+    all scored on the calling thread."""
+    rng = np.random.default_rng(33)
+    store = random_store(rng, 30, 2, 60, 2, 4)
+    model = random_model(rng, 30, 2)
+    submitted, blocks = record_submissions(monkeypatch), record_blocks(monkeypatch)
+    evaluate(model, store, "test", None, chunk_size=chunk_size)
+    blocks.sort(key=lambda b: b[0])
+    assert len(blocks) == n_blocks and len(submitted) == n_blocks // 2
+    for future, block in zip(submitted, blocks[1::2]):
+        assert future.result() is block[3]
+    monkeypatch.setattr(training, "_worker", lambda: None)
+    blocks.clear()
+    evaluate(model, store, "test", None, chunk_size=chunk_size)
+    assert sorted(b[0] for b in blocks) == block_edges(30, chunk_size, False)[:-1]
+    assert {b[2] for b in blocks} == {threading.main_thread()}
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failing_block_raises_once_both_blocks_are_done(monkeypatch, failing):
+    """A block that raises, on the worker thread or on the calling one while
+    the worker's block is still running, fails the call with its own error
+    once no block is in flight, and the next call equals a fresh one."""
+    if training._worker() is None:
+        pytest.skip("one CPU: every block is scored on the calling thread")
+    rng = np.random.default_rng(34)
+    store = random_store(rng, 30, 2, 60, 2, 4)
+    model = random_model(rng, 30, 2)
+    want = evaluate(model, store, "test", None, chunk_size=8).to_json()
+    submitted, score_block = record_submissions(monkeypatch), evaluation._score_block
+
+    def failing_block(*args):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (failing == "worker"):
+            raise FloatingPointError(failing)
+        time.sleep(0.05)  # the other block is still being scored when it raises
+        return score_block(*args)
+
+    monkeypatch.setattr(evaluation, "_score_block", failing_block)
+    with pytest.raises(FloatingPointError, match=failing):
+        evaluate(model, store, "test", None, chunk_size=8)
+    assert submitted and all(future.done() for future in submitted)
+    monkeypatch.setattr(evaluation, "_score_block", score_block)
+    assert evaluate(model, store, "test", None, chunk_size=8).to_json() == want
 
 
 # ---------------------------------------------------------------------------

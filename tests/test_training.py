@@ -2,7 +2,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -31,27 +30,8 @@ from oracles import (
     assert_same_batch,
     central_difference_at,
     frozen_weight_loss,
+    record_submissions,
 )
-
-
-def record_submissions(monkeypatch):
-    """Patch ``training._worker`` with a pool that hands each task to the
-    worker thread (on one CPU: runs it at once) and records its future;
-    returns the list of futures."""
-    pool, submitted = training._worker(), []
-
-    class Recording:
-        def submit(self, task):
-            if pool is None:
-                future = futures.Future()
-                future.set_result(task())
-            else:
-                future = pool.submit(task)
-            submitted.append(future)
-            return future
-
-    monkeypatch.setattr(training, "_worker", Recording)
-    return submitted
 
 
 def tiny_store():
@@ -405,7 +385,9 @@ def test_row_sums_equal_one_2d_add_at_over_the_concatenation(monkeypatch):
     (what the benchmark's tracer counts as rows in) name every gradient row.
     Five entities make every id recur across the pieces, and a 32-row group
     with 40 negatives gives a 1,312-row candidate piece, longer than one
-    scatter chunk."""
+    scatter chunk.  At d = 14 and d = 2 the tables are d wide, summed two
+    coordinates at a time, and the angles d / 2, an odd width (7 and 1)
+    summed one at a time."""
     calls = []
 
     def checked(ids, pieces):
@@ -422,16 +404,38 @@ def test_row_sums_equal_one_2d_add_at_over_the_concatenation(monkeypatch):
 
     accumulate = training._accumulate_rows
     monkeypatch.setattr(training, "_accumulate_rows", checked)
-    rng = np.random.default_rng(7)
-    model = fresh_model(dim=14, seed=7)
-    positives = np.stack([rng.integers(0, n, 64) for n in (5, 2, 5)], axis=1)
-    neg_ids = rng.integers(0, 5, size=(64, 40))
     config = TrainConfig(batch_size=64, negative_size=40)
-    _, _, grads = batch_loss_and_grads(model, positives, neg_ids, np.arange(64) % 2 == 0, config)
-    assert len(calls) == len(grads)
-    ids, pieces = calls[0]  # the entities'
-    assert max(len(piece) for piece in pieces) > training._SCATTER_ROWS
-    assert len(np.intersect1d(ids[: len(pieces[0])], ids[len(pieces[0]) :])) == 5
+    for dim in (14, 2):
+        calls.clear()
+        rng = np.random.default_rng(7)
+        model = fresh_model(dim=dim, seed=7)
+        positives = np.stack([rng.integers(0, n, 64) for n in (5, 2, 5)], axis=1)
+        neg_ids = rng.integers(0, 5, size=(64, 40))
+        corrupt_head = np.arange(64) % 2 == 0
+        _, _, grads = batch_loss_and_grads(model, positives, neg_ids, corrupt_head, config)
+        assert len(calls) == len(grads)
+        assert {piece.shape[1] for _, pieces in calls for piece in pieces} == {dim, dim // 2}
+        ids, pieces = calls[0]  # the entities'
+        assert all(piece.strides[1] == 8 for piece in pieces)  # rows contiguous: in pairs
+        assert max(len(piece) for piece in pieces) > training._SCATTER_ROWS
+        assert len(np.intersect1d(ids[: len(pieces[0])], ids[len(pieces[0]) :])) == 5
+
+
+def test_row_sums_of_strided_pieces_beside_contiguous_ones_change_no_bit():
+    """Pieces of an even width whose coordinates are strided, summed one
+    coordinate at a time, and pieces whose rows are contiguous (with or
+    without gaps between the rows), summed in pairs, add into one
+    accumulator with the bits of one 2-D np.add.at over the concatenation."""
+    rng = np.random.default_rng(9)
+    wide = rng.normal(size=(2000, 12))
+    pieces = [wide[:700, ::2], rng.normal(size=(1300, 6)), wide[700:, 6:]]
+    ids = rng.integers(0, 40, size=sum(len(piece) for piece in pieces))
+    rows, summed = training._accumulate_rows(ids, pieces)
+    want_rows, inverse = np.unique(ids, return_inverse=True)
+    want = np.zeros_like(summed)
+    np.add.at(want, inverse, np.concatenate(pieces))
+    assert np.array_equal(rows, want_rows)
+    assert summed.tobytes() == want.tobytes()
 
 
 # full SRT/SRT under L1 and RotatE under L2, over n entities and 5 relations
